@@ -71,7 +71,7 @@ def _serve(x, w, b, offs, pc, session):
     for off in offs:
         t0 = time.perf_counter()
         res = run_tex2d(x, off, w, b, CFG, XAVIER, plan_cache=pc,
-                        execution="fused", session=session)
+                        session=session)
         times.append(time.perf_counter() - t0)
         outs.append(res.output)
     return times, outs
@@ -129,8 +129,7 @@ def _concurrent_streams():
         for t in range(FRAMES):
             for st in streams:
                 run_tex2d(x, st.offsets(t), w, b, CFG, XAVIER,
-                          plan_cache=pc, execution="fused",
-                          session=st.session)
+                          plan_cache=pc, session=st.session)
                 lookups += 1
         elapsed = time.perf_counter() - t0
         out[k] = {

@@ -233,12 +233,6 @@ def cmd_serve(args) -> int:
         print("error: --max-batch and --requests must be >= 1",
               file=_sys.stderr)
         return 1
-    if args.fused and args.no_plan_cache:
-        import sys as _sys
-        print("error: --fused requires the plan cache (fused plans live on "
-              "its entries); drop --no-plan-cache", file=_sys.stderr)
-        return 1
-    execution = "fused" if args.fused else "eager"
     spec = get_device(args.device)
     model, task_kwargs = _build_task_model(args.arch, args.task,
                                            args.input_size, args.seed)
@@ -250,8 +244,7 @@ def cmd_serve(args) -> int:
     engine = DefconEngine(model, spec, backend=args.backend,
                           autotune=autotune, tune_budget=args.tune_budget,
                           tile_store=store, registry=registry, tracer=tracer,
-                          plan_cache=False if args.no_plan_cache else None,
-                          execution=execution)
+                          plan_cache=False if args.no_plan_cache else None)
     if autotune:
         print(f"autotune: {len(engine.tiles)} tile(s) bound, "
               f"{engine.tune_evaluations} objective evaluation(s)"
@@ -275,8 +268,7 @@ def cmd_serve(args) -> int:
                               autotune=autotune,
                               tune_budget=args.tune_budget, tile_store=store,
                               plan_cache=engine.plan_cache
-                              if engine.plan_cache is not None else False,
-                              execution=execution)
+                              if engine.plan_cache is not None else False)
     for img in images:
         if args.task == "detect":
             seq_engine.detect(img[None], **task_kwargs)
@@ -599,7 +591,6 @@ def _build_fleet_from_args(args):
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_ms=args.breaker_cooldown,
         seed=args.seed,
-        execution="fused" if getattr(args, "fused", False) else "eager",
         slo_window_ms=(getattr(args, "slo_window", None)
                        or DEFAULT_SLO_WINDOW_MS),
         shard=getattr(args, "shard", "off"),
@@ -648,8 +639,6 @@ def _cmd_fleet_loadgen(args) -> int:
         if policy is not None:
             provider = engine_worker_provider(
                 model, backend=args.backend, task=args.task,
-                execution="fused" if getattr(args, "fused", False)
-                else "eager",
                 max_batch_size=args.max_batch,
                 queue_capacity=args.queue_capacity,
                 breaker_threshold=args.breaker_threshold,
@@ -901,12 +890,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="also export the metrics registry as JSON")
     p.add_argument("--no-plan-cache", action="store_true",
-                   help="disable the perf-model plan cache (for A/B "
+                   help="disable the perf-model plan cache: every layer "
+                        "compiles a one-shot FusedPlan (for A/B "
                         "comparison; see docs/performance.md)")
-    p.add_argument("--fused", action="store_true",
-                   help="fused execution: run the texture hot path through "
-                        "compiled FusedPlans (bit-identical outputs; "
-                        "incompatible with --no-plan-cache)")
 
     p = sub.add_parser(
         "trace", help="trace a serving session (Chrome trace + metrics)")
@@ -1012,10 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_common.add_argument("--breaker-cooldown", type=float, default=50.0,
                               metavar="MS")
     fleet_common.add_argument("--seed", type=int, default=0)
-    fleet_common.add_argument("--fused", action="store_true",
-                              help="fused execution on every worker engine "
-                                   "(bit-identical outputs; see "
-                                   "docs/performance.md)")
     fr = fleet_sub.add_parser(
         "run", parents=[fleet_common],
         help="serve a request stream across the fleet")

@@ -425,7 +425,6 @@ def sim_worker_provider(*, layer=None, backend: str = "tex2dpp",
 def engine_worker_provider(model, *, backend: str = "tex2dpp",
                            task: str = "classify", tile_store=None,
                            autotune: bool = False,
-                           execution: str = "eager",
                            max_batch_size: int = 4,
                            queue_capacity: int = 16,
                            degrade: bool = True,
@@ -445,7 +444,6 @@ def engine_worker_provider(model, *, backend: str = "tex2dpp",
         spec = get_device(spec) if isinstance(spec, str) else spec
         return build_worker(name, spec, model, backend=backend, task=task,
                             tile_store=tile_store, autotune=autotune,
-                            execution=execution,
                             max_batch_size=max_batch_size,
                             queue_capacity=queue_capacity, degrade=degrade,
                             breaker_threshold=breaker_threshold,

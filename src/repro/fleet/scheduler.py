@@ -831,8 +831,8 @@ class FleetScheduler:
 
 def build_worker(name: str, spec, model, *, backend: str = "tex2dpp",
                  task: str = "classify", tile_store=None,
-                 autotune: bool = False, execution: str = "eager",
-                 max_batch_size: int = 4, queue_capacity: int = 16,
+                 autotune: bool = False, max_batch_size: int = 4,
+                 queue_capacity: int = 16,
                  degrade: bool = True, breaker_threshold: int = 3,
                  breaker_cooldown_ms: float = 50.0,
                  wedge_timeout_ms: float = 100.0, injector=None,
@@ -851,8 +851,7 @@ def build_worker(name: str, spec, model, *, backend: str = "tex2dpp",
 
     engine = DefconEngine(model, spec, backend=backend,
                           autotune=autotune or tile_store is not None,
-                          tile_store=tile_store, tracer=tracer,
-                          execution=execution)
+                          tile_store=tile_store, tracer=tracer)
     fallback_factory = None
     if degrade and backend != "pytorch":
         fallback_factory = (
@@ -881,7 +880,6 @@ def build_fleet(model, devices: Sequence[Union[str, object]] = ("xavier",
                 breaker_threshold: int = 3, breaker_cooldown_ms: float = 50.0,
                 wedge_timeout_ms: float = 100.0, seed: int = 0,
                 clock: Optional[SimClock] = None,
-                execution: str = "eager",
                 slo_window_ms: float = DEFAULT_SLO_WINDOW_MS,
                 slo_retention: int = DEFAULT_SLO_RETENTION,
                 shard: str = "off", interconnect=None,
@@ -895,11 +893,6 @@ def build_fleet(model, devices: Sequence[Union[str, object]] = ("xavier",
     fleet already runs the reference backend — paired with a lazily built
     pytorch-backend fallback engine for graceful degradation.  Workers
     are named ``w{i}-{device}`` (the names fault specs address).
-
-    ``execution="fused"`` turns on fused texture execution on every
-    worker engine (each worker keeps its own plan cache, so plans are
-    compiled per device).  The pytorch fallback engines stay eager —
-    they have no fused variant.
 
     ``shard`` turns on intra-request parallelism: ``"cost"`` shards a
     batch whenever the interconnect-aware cost model predicts the split
@@ -936,7 +929,7 @@ def build_fleet(model, devices: Sequence[Union[str, object]] = ("xavier",
     for i, spec in enumerate(specs):
         workers.append(build_worker(
             f"w{i}-{spec.name}", spec, model, backend=backend, task=task,
-            tile_store=tile_store, autotune=autotune, execution=execution,
+            tile_store=tile_store, autotune=autotune,
             max_batch_size=max_batch_size, queue_capacity=queue_capacity,
             degrade=degrade, breaker_threshold=breaker_threshold,
             breaker_cooldown_ms=breaker_cooldown_ms,

@@ -14,8 +14,7 @@ Each run returns the functional output and nvprof-style per-kernel stats.
 from repro.kernels.config import (LayerConfig, OpResult, TABLE2_LAYERS,
                                   synth_offsets)
 from repro.kernels.dispatch import BACKENDS, run_deform_op, run_layer_all_backends
-from repro.kernels.fused import (EXECUTION_MODES, FusedPlan, build_fused_plan,
-                                 validate_execution)
+from repro.kernels.fused import FusedPlan, build_fused_plan
 from repro.kernels.plancache import PlanCache, PlanCacheStats, offsets_digest
 from repro.kernels.reference import run_reference
 from repro.kernels.tex2d import DEFAULT_TILE, run_tex2d, run_tex2dpp
@@ -26,7 +25,7 @@ from repro.kernels.upsample import run_upsample_reference, run_upsample_tex2d
 __all__ = [
     "LayerConfig", "OpResult", "TABLE2_LAYERS", "synth_offsets",
     "BACKENDS", "run_deform_op", "run_layer_all_backends",
-    "EXECUTION_MODES", "FusedPlan", "build_fused_plan", "validate_execution",
+    "FusedPlan", "build_fused_plan",
     "PlanCache", "PlanCacheStats", "offsets_digest",
     "run_reference", "run_tex2d", "run_tex2dpp", "DEFAULT_TILE",
     "enumerate_tiles", "heuristic_tile", "tile_footprint_bytes",

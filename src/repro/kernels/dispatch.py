@@ -23,7 +23,6 @@ def run_deform_op(backend: str, x: np.ndarray, offset: np.ndarray,
                   compute_output: bool = True,
                   layer: str = "",
                   plan_cache=None,
-                  execution: str = "eager",
                   session: Optional[str] = None) -> OpResult:
     """Run one deformable conv through the selected backend.
 
@@ -33,14 +32,10 @@ def run_deform_op(backend: str, x: np.ndarray, offset: np.ndarray,
     profiling (``ProfileLog.by_layer``) works downstream.
 
     ``plan_cache`` (a :class:`~repro.kernels.plancache.PlanCache`) lets
-    the texture backends reuse the fetch trace and cache simulation for
-    repeated (offsets, geometry, tile) combinations; the reference
-    backend ignores it.
-
-    ``execution="fused"`` routes the texture backends through their
-    compiled :class:`~repro.kernels.fused.FusedPlan` hot path (requires
-    ``plan_cache``); outputs and stats stay bit-identical to eager.  The
-    pytorch reference backend has no fused variant and ignores the flag.
+    the texture backends reuse their compiled
+    :class:`~repro.kernels.fused.FusedPlan`, fetch trace and cache
+    simulation for repeated (offsets, geometry, tile) combinations; the
+    reference backend ignores it.
     """
     if backend == "pytorch":
         res = run_reference(x, offset, weight, bias, cfg, spec, plan=plan,
@@ -48,13 +43,11 @@ def run_deform_op(backend: str, x: np.ndarray, offset: np.ndarray,
     elif backend == "tex2d":
         res = run_tex2d(x, offset, weight, bias, cfg, spec, tile=tile,
                         plan=plan, compute_output=compute_output,
-                        plan_cache=plan_cache, execution=execution,
-                        session=session)
+                        plan_cache=plan_cache, session=session)
     elif backend == "tex2dpp":
         res = run_tex2dpp(x, offset, weight, bias, cfg, spec, tile=tile,
                           plan=plan, compute_output=compute_output,
-                          plan_cache=plan_cache, execution=execution,
-                          session=session)
+                          plan_cache=plan_cache, session=session)
     else:
         raise ValueError(
             f"unknown backend {backend!r}; choose from {BACKENDS}")

@@ -1,15 +1,15 @@
-"""Fused lazy-execution plans for the texture hot path.
+"""Fused execution plans: the texture backends' functional path.
 
-The eager functional path of :func:`~repro.kernels.tex2d.run_tex2d`
-re-derives everything per call: sampling positions, a freshly staged
-:class:`~repro.gpusim.texture.LayeredTexture2D`, four fancy-indexed
-corner gathers with address-mode resolution, a column reshape, and an
-einsum GEMM — each step allocating new temporaries, even when the plan
-cache already proves the offsets and geometry are identical to the
-previous step (the steady state of serving).
+The eager formulation of the tex2D forward
+(:func:`~repro.kernels.tex2d.eager_tex2d_forward`, kept as the
+reference) re-derives everything per call: sampling positions, a freshly
+staged :class:`~repro.gpusim.texture.LayeredTexture2D`, four
+fancy-indexed corner gathers with address-mode resolution, a column
+reshape, and an einsum GEMM — each step allocating new temporaries.
 
 A :class:`FusedPlan` compiles the offset-dependent half of that work
-once per (offset digest, geometry, device, fp16) plan-cache entry:
+once per (offset digest, geometry, device, fp16) plan-cache entry — or
+once per call when no plan cache is supplied:
 
 * **flattened tap coordinates** — the four bilinear corner texel indices
   per tap, address mode already resolved to flat ``iy * W + jx`` form;
@@ -24,10 +24,10 @@ once per (offset digest, geometry, device, fp16) plan-cache entry:
 GEMM as one preplanned pass writing into those buffers: four
 ``np.take`` gathers blended in place into the column buffer and a
 single einsum contraction (the *same* ``"ok,nkl->nol"`` expression as
-the eager path, so the contraction order — and therefore every output
-bit — is identical).  The conformance suite's plan-cache-transparency
-check and ``tests/test_fused.py`` pin bit-identical outputs and
-KernelStats against eager execution.
+the eager reference, so the contraction order — and therefore every
+output bit — is identical).  The conformance suite's
+``plancache.fused_bit_identical.*`` check and ``tests/test_fused.py``
+pin bit-identical outputs against the eager reference.
 
 Plans hang off the :class:`~repro.kernels.plancache.PlanCache` trace
 entry for their offsets, sharing one LRU lifetime and one digest key
@@ -47,20 +47,6 @@ import numpy as np
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.texture import linear_filter_taps
 from repro.kernels.config import LayerConfig
-
-#: Execution modes understood by the texture backends.
-EXECUTION_MODES = ("eager", "fused")
-
-
-def validate_execution(execution: str, plan_cache) -> None:
-    """Reject unknown modes and fused execution without a plan cache."""
-    if execution not in EXECUTION_MODES:
-        raise ValueError(f"unknown execution mode {execution!r}; "
-                         f"choose from {EXECUTION_MODES}")
-    if execution == "fused" and plan_cache is None:
-        raise ValueError("fused execution requires a plan_cache — the "
-                         "FusedPlan lives on the PlanCache trace entry "
-                         "(see docs/performance.md)")
 
 
 class FusedPlan:
@@ -129,9 +115,9 @@ class FusedPlan:
                 bias: Optional[np.ndarray]) -> np.ndarray:
         """Run the fused forward; returns a fresh (N, OC, OH, OW) array.
 
-        Bit-identical to the eager texture path: the gather/blend
-        replays :meth:`LayeredTexture2D.fetch`'s corner accumulation
-        order and the contraction is the same einsum expression.
+        Bit-identical to the eager reference: the gather/blend replays
+        :meth:`LayeredTexture2D.fetch`'s corner accumulation order and
+        the contraction is the same einsum expression.
         """
         cfg = self.cfg
         if x.shape != cfg.input_shape():
@@ -170,8 +156,8 @@ def build_fused_plan(cfg: LayerConfig, spec: DeviceSpec, fp16: bool,
 
     ``positions`` supplies the (N, dg, K, L) fractional sampling
     positions (already fp16-quantised offsets for tex2D++).  The corner
-    indices and weights reproduce the eager path exactly: pixel → texture
-    coordinate shift, fp16 coordinate quantisation, then
+    indices and weights reproduce the eager reference exactly: pixel →
+    texture coordinate shift, fp16 coordinate quantisation, then
     :func:`~repro.gpusim.texture.linear_filter_taps`.
     """
     n, dg = cfg.batch, cfg.deformable_groups

@@ -13,17 +13,24 @@ The :class:`PlanCache` memoises that state at two levels:
   fp16) — the floored fetch positions plus the tile-independent
   texel→line mapping (:class:`~repro.gpusim.cache.TexelLineTrace`),
   computed once per distinct offset tensor;
-* **per-tile stats** inside each entry — the simulated
+* **per-entry memos** inside each entry — the simulated
   :class:`~repro.gpusim.cache.TextureCacheStats` for every CTA tile ever
-  requested against that trace.  New tiles are served by the one-pass
-  re-tiled simulation (one cheap regrouping, no trace rebuild), so a
-  tuner sweep over K tiles costs one trace plus K regroupings instead of
-  K full simulations.
+  requested against that trace, the compiled
+  :class:`~repro.kernels.fused.FusedPlan` per channel shape, and the
+  shard gather plans.  New tiles are served by the one-pass re-tiled
+  simulation (one cheap regrouping, no trace rebuild), so a tuner sweep
+  over K tiles costs one trace plus K regroupings instead of K full
+  simulations.
 
 Returned stats are **bit-identical** to an uncached simulation — the
 re-tiled path replays the exact accounting of ``simulate()`` — so the
 cache is a pure wall-time optimisation with no modelling drift (tests
 assert this property over random offsets, geometries and tiles).
+
+Every lookup — per-tile stats, fused plan, shard plan and the trace
+entry itself — goes through one get-or-build sequence
+(:meth:`PlanCache._get_or_build`): lookup, in-flight wait, build, store,
+LRU eviction.
 
 **Delta-keyed streaming mode** (``delta_bound`` + a ``session=``
 argument on lookups): consecutive video frames produce offset tensors
@@ -36,16 +43,19 @@ of rebuilding everything.  Functional outputs stay **bit-identical** to
 a cold miss: the fixed-point blend weights and corner indices are always
 recomputed from the *current* frame's positions (only the buffers are
 recycled); the per-tile perf simulation is served from the anchor, which
-is the documented temporal-coherence approximation.  See
+is the documented temporal-coherence approximation.  An anchor lives no
+longer than its entry: evicting the entry drops it.  See
 ``docs/streaming.md``.
 
 Observability: bind a :class:`~repro.obs.registry.MetricsRegistry` to get
-``plan_cache_lookups{result=hit|miss}``, ``plan_cache_trace_builds``,
-``plan_cache_evictions`` and ``plan_cache_delta_hits`` /
-``plan_cache_delta_rejects`` counters (``repro serve --metrics-out``
-surfaces them), and a :class:`~repro.obs.tracer.SpanTracer` to see
-``plancache.build_trace`` / ``plancache.retile`` spans on the wall
-timeline.  See ``docs/performance.md``.
+the :data:`COUNTERS` (``plan_cache_lookups{result=hit|miss}``,
+``plan_cache_trace_builds``, ``plan_cache_evictions``,
+``plan_cache_delta_hits`` / ``plan_cache_delta_rejects``, ...;
+``repro serve --metrics-out`` surfaces them), and a
+:class:`~repro.obs.tracer.SpanTracer` to see ``plancache.build_trace`` /
+``plancache.build_fused`` / ``plancache.build_shard`` /
+``plancache.retile`` spans on the wall timeline.  See
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -54,6 +64,7 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -67,9 +78,43 @@ from repro.kernels.config import LayerConfig
 from repro.kernels.fused import FusedPlan, build_fused_plan, tap_tables
 from repro.kernels.shards import (ShardGatherPlan, ShardSpec,
                                   build_shard_gather_plan)
+from repro.obs.tracer import maybe_span
 
 #: Default bound on distinct (offsets, geometry) trace entries kept live.
 DEFAULT_MAX_ENTRIES = 64
+
+_LOOKUPS_HELP = "perf-model plan cache lookups by result (hit/miss)"
+
+#: :class:`PlanCacheStats` counter → (registry counter, labels, help).
+COUNTERS = {
+    "hits": ("plan_cache_lookups", {"result": "hit"}, _LOOKUPS_HELP),
+    "misses": ("plan_cache_lookups", {"result": "miss"}, _LOOKUPS_HELP),
+    "trace_builds": (
+        "plan_cache_trace_builds", {},
+        "fetch traces built by the plan cache (one per distinct "
+        "offsets+geometry)"),
+    "fused_builds": (
+        "plan_cache_fused_builds", {},
+        "fused execution plans compiled by the plan cache"),
+    "shard_builds": (
+        "plan_cache_shard_builds", {},
+        "shard gather plans compiled by the plan cache (one per distinct "
+        "offsets+geometry+shard)"),
+    "evictions": (
+        "plan_cache_evictions", {},
+        "trace entries dropped at the LRU bound (a high rate under "
+        "streaming means max_entries is too small for the live session "
+        "count)"),
+    "delta_hits": (
+        "plan_cache_delta_hits", {},
+        "exact-digest misses served from a session anchor (trace/tile "
+        "simulation and fused buffers reused; blend weights recomputed "
+        "for the current frame)"),
+    "delta_rejects": (
+        "plan_cache_delta_rejects", {},
+        "session-anchor probes whose quantised offset delta exceeded the "
+        "bound (full rebuild + re-anchor)"),
+}
 
 
 def offsets_digest(offset: np.ndarray) -> str:
@@ -131,144 +176,54 @@ class _SessionAnchor:
 
 
 class PlanCacheStats:
-    """Hit/miss/build counters of one :class:`PlanCache` (thread-safe)."""
+    """Hit/miss/build counters of one :class:`PlanCache` (thread-safe).
+
+    Each :data:`COUNTERS` name is a plain ``int`` attribute (``hits``,
+    ``misses``, ``trace_builds``, ...) advanced only by :meth:`record`;
+    once a registry is bound every increment is mirrored onto its
+    registry counter.
+    """
 
     def __init__(self):
-        self.hits = 0
-        self.misses = 0
-        self.trace_builds = 0
-        self.fused_builds = 0
-        self.shard_builds = 0
-        self.evictions = 0
-        self.delta_hits = 0
-        self.delta_rejects = 0
+        for name in COUNTERS:
+            setattr(self, name, 0)
         self._lock = threading.Lock()
-        self._lookup_counter = None
-        self._build_counter = None
-        self._fused_counter = None
-        self._shard_counter = None
-        self._eviction_counter = None
-        self._delta_hit_counter = None
-        self._delta_reject_counter = None
+        #: counter name → (registry Counter, labels); empty until bound
+        self._mirrors: Dict[str, tuple] = {}
         self._build_window = None
 
     @property
     def bound(self) -> bool:
         """Whether the counters already publish to some registry."""
         with self._lock:
-            return self._lookup_counter is not None
+            return bool(self._mirrors)
 
     def bind_registry(self, registry) -> "PlanCacheStats":
         """Mirror counters onto a MetricsRegistry, re-publishing history."""
         with self._lock:
-            self._lookup_counter = registry.counter(
-                "plan_cache_lookups",
-                help="perf-model plan cache lookups by result (hit/miss)")
-            self._build_counter = registry.counter(
-                "plan_cache_trace_builds",
-                help="fetch traces built by the plan cache (one per "
-                     "distinct offsets+geometry)")
-            self._fused_counter = registry.counter(
-                "plan_cache_fused_builds",
-                help="fused execution plans compiled by the plan cache")
-            self._shard_counter = registry.counter(
-                "plan_cache_shard_builds",
-                help="shard gather plans compiled by the plan cache "
-                     "(one per distinct offsets+geometry+shard)")
-            self._eviction_counter = registry.counter(
-                "plan_cache_evictions",
-                help="trace entries dropped at the LRU bound (a high rate "
-                     "under streaming means max_entries is too small for "
-                     "the live session count)")
-            self._delta_hit_counter = registry.counter(
-                "plan_cache_delta_hits",
-                help="exact-digest misses served from a session anchor "
-                     "(trace/tile simulation and fused buffers reused; "
-                     "blend weights recomputed for the current frame)")
-            self._delta_reject_counter = registry.counter(
-                "plan_cache_delta_rejects",
-                help="session-anchor probes whose quantised offset delta "
-                     "exceeded the bound (full rebuild + re-anchor)")
+            for name, (metric, labels, text) in COUNTERS.items():
+                counter = registry.counter(metric, help=text)
+                self._mirrors[name] = (counter, labels)
+                if getattr(self, name):
+                    counter.inc(getattr(self, name), **labels)
             self._build_window = registry.windowed_histogram(
                 "plan_cache_build_ms",
                 help="wall ms spent compiling plans (trace/fused), "
                      "windowed on the wall clock — a build spike in a "
                      "serving window means new offset digests arrived")
-            for result, n in (("hit", self.hits), ("miss", self.misses)):
-                if n:
-                    self._lookup_counter.inc(n, result=result)
-            if self.trace_builds:
-                self._build_counter.inc(self.trace_builds)
-            if self.fused_builds:
-                self._fused_counter.inc(self.fused_builds)
-            if self.shard_builds:
-                self._shard_counter.inc(self.shard_builds)
-            if self.evictions:
-                self._eviction_counter.inc(self.evictions)
-            if self.delta_hits:
-                self._delta_hit_counter.inc(self.delta_hits)
-            if self.delta_rejects:
-                self._delta_reject_counter.inc(self.delta_rejects)
         return self
 
-    def record_hit(self) -> None:
+    def record(self, name: str) -> None:
+        """Count one event on the :data:`COUNTERS` counter ``name``."""
         with self._lock:
-            self.hits += 1
-            counter = self._lookup_counter
-        if counter is not None:
-            counter.inc(result="hit")
-
-    def record_miss(self) -> None:
-        with self._lock:
-            self.misses += 1
-            counter = self._lookup_counter
-        if counter is not None:
-            counter.inc(result="miss")
-
-    def record_trace_build(self) -> None:
-        with self._lock:
-            self.trace_builds += 1
-            counter = self._build_counter
-        if counter is not None:
-            counter.inc()
-
-    def record_fused_build(self) -> None:
-        with self._lock:
-            self.fused_builds += 1
-            counter = self._fused_counter
-        if counter is not None:
-            counter.inc()
-
-    def record_shard_build(self) -> None:
-        with self._lock:
-            self.shard_builds += 1
-            counter = self._shard_counter
-        if counter is not None:
-            counter.inc()
-
-    def record_eviction(self) -> None:
-        with self._lock:
-            self.evictions += 1
-            counter = self._eviction_counter
-        if counter is not None:
-            counter.inc()
-
-    def record_delta_hit(self) -> None:
-        with self._lock:
-            self.delta_hits += 1
-            counter = self._delta_hit_counter
-        if counter is not None:
-            counter.inc()
-
-    def record_delta_reject(self) -> None:
-        with self._lock:
-            self.delta_rejects += 1
-            counter = self._delta_reject_counter
-        if counter is not None:
-            counter.inc()
+            setattr(self, name, getattr(self, name) + 1)
+            mirror = self._mirrors.get(name)
+        if mirror is not None:
+            counter, labels = mirror
+            counter.inc(**labels)
 
     def record_build_ms(self, kind: str, duration_ms: float) -> None:
-        """Windowed build-duration sample (``kind`` = trace|fused)."""
+        """Windowed build-duration sample (``kind`` = trace|fused|...)."""
         with self._lock:
             window = self._build_window
         if window is not None:
@@ -284,13 +239,9 @@ class PlanCacheStats:
         return 100.0 * self.hits / total if total else 0.0
 
     def __repr__(self) -> str:
-        return (f"PlanCacheStats(hits={self.hits}, misses={self.misses}, "
-                f"trace_builds={self.trace_builds}, "
-                f"fused_builds={self.fused_builds}, "
-                f"shard_builds={self.shard_builds}, "
-                f"evictions={self.evictions}, "
-                f"delta_hits={self.delta_hits}, "
-                f"delta_rejects={self.delta_rejects})")
+        counts = ", ".join(f"{name}={getattr(self, name)}"
+                           for name in COUNTERS)
+        return f"PlanCacheStats({counts})"
 
 
 class PlanCache:
@@ -301,9 +252,10 @@ class PlanCache:
     max_entries:
         Distinct (offset digest, geometry, plan, fp16) trace entries kept
         live; least-recently-used entries are evicted beyond this (each
-        eviction counts on ``stats.evictions``).  Each entry additionally
-        holds one stats record per tile requested against it (the legal
-        tile space is small, so this inner dict is naturally bounded).
+        eviction counts on ``stats.evictions`` and drops the session
+        anchors pointing at the entry).  Each entry additionally holds
+        one stats record per tile requested against it (the legal tile
+        space is small, so this inner dict is naturally bounded).
     delta_bound:
         Enables the delta-keyed streaming mode: on an exact-digest miss
         with a ``session=`` supplied, the session's anchor entry is
@@ -328,8 +280,8 @@ class PlanCache:
         self.tracer = tracer
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, _TraceEntry]" = OrderedDict()
-        #: per-key in-flight build guards — concurrent misses on the same
-        #: key coalesce onto one build instead of racing ``_build_entry``
+        #: per-(key, slot, sub) in-flight build guards — concurrent misses
+        #: on the same lookup coalesce onto one build instead of racing
         self._building: Dict[tuple, threading.Event] = {}
         #: (session, offset shape, geometry...) → _SessionAnchor
         self._anchors: Dict[tuple, _SessionAnchor] = {}
@@ -363,7 +315,6 @@ class PlanCache:
         anchors were dropped.  The anchor's *trace entry* stays in the LRU
         (it may be the exact-keyed entry of another lookup) and ages out
         normally."""
-        akeys = []
         with self._lock:
             akeys = [k for k in self._anchors if k[0] == session]
             for k in akeys:
@@ -400,43 +351,184 @@ class PlanCache:
         exact-digest miss whose offsets stay within the bound of the
         session's anchor is served from the anchor's memoised simulation
         (a *delta hit* — the temporal-coherence approximation; the
-        positions callable is never invoked).
+        positions callable is never invoked).  A known digest with an
+        unseen (tile, concurrency) combination is a plain miss that
+        simulates against its own trace.
         """
         plan = plan or SamplePlan()
         tile = (int(tile[0]), int(tile[1]))
-        key = self._trace_key(offsets_digest(offset), cfg, spec, fp16, plan)
-        stats_key = (tile, int(concurrent_layers))
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                cached = entry.stats.get(stats_key)
-                if cached is not None:
-                    self.stats.record_hit()
-                    if session is not None and self.delta_bound is not None:
-                        self._set_anchor(session, key, offset)
-                    return cached
-        # Delta-keying only applies on an exact-digest miss; a known
-        # digest with an unseen (tile, concurrency) combination is a
-        # plain miss that simulates against its own trace.
-        if entry is None and session is not None \
-                and self.delta_bound is not None:
-            anchored = self._probe_anchor(session, key, offset)
+        layers = int(concurrent_layers)
+        sub = (tile, layers)
+
+        def simulate(entry: _TraceEntry) -> Tuple[TextureCacheStats, float]:
+            return self._simulate_tile(entry, cfg, spec, tile, plan, layers)
+
+        def from_anchor(anchor: _SessionAnchor, entry: _TraceEntry):
+            # a tile the anchor has not seen simulates against the
+            # anchor's fetch trace — still no trace rebuild
+            with self._lock:
+                cached = entry.stats.get(sub)
+            if cached is not None:
+                return cached
+            result = simulate(entry)
+            with self._lock:
+                return entry.stats.setdefault(sub, result)
+
+        return self._get_or_build(
+            self._trace_key(offsets_digest(offset), cfg, spec, fp16, plan),
+            "stats", sub, simulate,
+            lambda: self._build_entry(cfg, spec, plan, positions),
+            session, offset, from_anchor)
+
+    def fused_plan(self, offset: np.ndarray, cfg: LayerConfig,
+                   spec: DeviceSpec, fp16: bool,
+                   plan: Optional[SamplePlan],
+                   positions: Callable[[], Tuple[np.ndarray, np.ndarray]],
+                   session: Optional[str] = None) -> FusedPlan:
+        """Get-or-compile the fused execution plan for one call.
+
+        ``positions`` lazily supplies the **full** (N, dg, K, L)
+        sampling-position arrays (post fp16 quantisation for tex2D++) —
+        only invoked on a compile.  The plan hangs off the same trace
+        entry as the memoised stats (one digest key, one LRU lifetime),
+        keyed inside it by (in_channels, out_channels).
+
+        With ``session`` + :attr:`delta_bound`, an exact miss within the
+        bound of the session's anchor is served by *retargeting* the
+        session-owned plan: the tap tables (corner indices + 1.8
+        fixed-point blend weights) are recomputed from the **current**
+        frame's positions — so execution stays bit-identical to a cold
+        compile — while the preallocated gather/column/output buffers are
+        reused across the stream.
+        """
+        plan = plan or SamplePlan()
+        fkey = (cfg.in_channels, cfg.out_channels)
+
+        def build(entry: _TraceEntry) -> FusedPlan:
+            with self._timed_build("fused", cfg):
+                return build_fused_plan(cfg, spec, fp16, positions)
+
+        return self._get_or_build(
+            self._trace_key(offsets_digest(offset), cfg, spec, fp16, plan),
+            "fused", fkey, build,
+            lambda: self._build_entry(cfg, spec, plan, lambda: tuple(
+                p[0, 0] for p in positions())),
+            session, offset,
+            lambda anchor, entry: self._retarget_fused(
+                anchor, cfg, fp16, positions, fkey))
+
+    def shard_plan(self, offset: np.ndarray, cfg: LayerConfig,
+                   spec: DeviceSpec, fp16: bool,
+                   plan: Optional[SamplePlan], shard: ShardSpec,
+                   positions: Callable[[], Tuple[np.ndarray, np.ndarray]]
+                   ) -> ShardGatherPlan:
+        """Get-or-compile the gather plan for one shard of one layer.
+
+        Keyed off the **full-layer** trace entry (full-offset digest +
+        geometry), with the shard descriptor — kind, index/count and the
+        concrete [lo, hi) range — inside the entry key, so a row band
+        and a channel slice of the same layer, or two different bands,
+        can never collide with each other or with the whole-layer fused
+        plan.  Same LRU lifetime and in-flight build coalescing as
+        :meth:`fused_plan`.
+        """
+        plan = plan or SamplePlan()
+
+        def build(entry: _TraceEntry) -> ShardGatherPlan:
+            with self._timed_build("shard", cfg, shard=shard.label()):
+                return build_shard_gather_plan(cfg, fp16, shard, positions)
+
+        return self._get_or_build(
+            self._trace_key(offsets_digest(offset), cfg, spec, fp16, plan),
+            "shards", (shard.descriptor(), cfg.in_channels), build,
+            lambda: self._build_entry(cfg, spec, plan, lambda: tuple(
+                p[0, 0] for p in positions())))
+
+    # ------------------------------------------------------------------
+    def _get_or_build(self, key: tuple, slot: Optional[str], sub,
+                      build: Callable, trace: Optional[Callable] = None,
+                      session: Optional[str] = None,
+                      offset: Optional[np.ndarray] = None,
+                      on_delta: Optional[Callable] = None):
+        """The one lookup → in-flight wait → build → store sequence.
+
+        ``slot=None`` resolves the trace entry of ``key`` itself:
+        ``build()`` returns a new :class:`_TraceEntry`, stored at the LRU
+        bound (the only eviction site).  Otherwise ``slot`` names one of
+        the entry's memo dicts (``stats``/``fused``/``shards``) and
+        ``sub`` the key inside it; a miss first resolves the entry (built
+        by ``trace()`` if absent), then ``build(entry)`` computes the
+        value.  Every slot lookup counts exactly one hit, miss or delta
+        hit; resolving the entry counts nothing.
+
+        Concurrent misses on one ``(key, slot, sub)`` coalesce: the first
+        thread builds under an in-flight event and the rest wait, then
+        re-check (looping guards against builder failure or instant
+        eviction, in which case a waiter becomes the builder).
+
+        Delta keying is one step of the lookup: with ``session`` on a
+        delta-bounded cache, an exact-digest miss probes the session's
+        anchor once, and within the bound ``on_delta(anchor, entry)``
+        serves the lookup without a build.  Exact hits and builds
+        re-anchor the session at ``key``.
+        """
+        anchoring = session is not None and self.delta_bound is not None
+        probe = anchoring and on_delta is not None
+        guard = (key, slot, sub)
+        while True:
+            anchored = None
+            with self._lock:
+                entry = self._entries.get(key)
+                if entry is not None:
+                    self._entries.move_to_end(key)
+                    value = entry if slot is None \
+                        else getattr(entry, slot).get(sub)
+                    if value is not None:
+                        if slot is not None:
+                            self.stats.record("hits")
+                        if anchoring:
+                            self._set_anchor(session, key, offset)
+                        return value
+                elif probe:
+                    probe = False
+                    anchored = self._probe_anchor(session, key, offset)
+                if anchored is None:
+                    event = self._building.get(guard)
+                    if event is None:
+                        event = self._building[guard] = threading.Event()
+                        break
             if anchored is not None:
-                result = self._anchored_tile(anchored, cfg, spec, tile,
-                                             plan, stats_key,
-                                             int(concurrent_layers))
-                self.stats.record_delta_hit()
-                return result
-        self.stats.record_miss()
-        entry = self._acquire_entry(key, cfg, spec, plan, positions)
-        result = self._simulate_tile(entry, cfg, spec, tile, plan,
-                                     int(concurrent_layers))
-        with self._lock:
-            entry.stats.setdefault(stats_key, result)
-            if session is not None and self.delta_bound is not None:
-                self._set_anchor(session, key, offset)
-        return result
+                self.stats.record("delta_hits")
+                return on_delta(*anchored)
+            event.wait()
+        try:
+            if slot is None:
+                value = build()
+                with self._lock:
+                    self._entries[key] = value
+                    while len(self._entries) > self.max_entries:
+                        evicted, _ = self._entries.popitem(last=False)
+                        # an anchor is only a delta reference while its
+                        # entry lives: drop it (and its session-owned fused
+                        # buffers) in the same step
+                        self._anchors = {
+                            akey: anchor
+                            for akey, anchor in self._anchors.items()
+                            if anchor.key != evicted}
+                        self.stats.record("evictions")
+                return value
+            self.stats.record("misses")
+            entry = self._get_or_build(key, None, None, trace)
+            value = build(entry)
+            with self._lock:
+                value = getattr(entry, slot).setdefault(sub, value)
+                if anchoring:
+                    self._set_anchor(session, key, offset)
+            return value
+        finally:
+            with self._lock:
+                del self._building[guard]
+            event.set()
 
     # -- delta-keyed streaming mode ------------------------------------
     def _anchor_key(self, session: str, key: tuple,
@@ -449,11 +541,14 @@ class PlanCache:
 
     def _set_anchor(self, session: str, key: tuple,
                     offset: np.ndarray) -> None:
-        """(Re-)anchor a session at an exactly-keyed entry (lock held).
+        """(Re-)anchor a session at the live entry ``key`` (lock held).
 
         Both exact misses (after the build) and exact hits re-anchor:
         whichever frame the session last resolved *exactly* is the
-        reference its next delta is measured against."""
+        reference its next delta is measured against.  An entry evicted
+        while its value was building is not anchored to."""
+        if key not in self._entries:
+            return
         akey = self._anchor_key(session, key, offset)
         old = self._anchors.get(akey)
         self._anchors[akey] = _SessionAnchor(
@@ -462,129 +557,25 @@ class PlanCache:
 
     def _probe_anchor(self, session: str, key: tuple, offset: np.ndarray
                       ) -> Optional[Tuple[_SessionAnchor, _TraceEntry]]:
-        """The delta probe: (anchor, its live entry) iff within bound.
+        """The delta probe (lock held): (anchor, its entry) iff within bound.
 
-        Returns None — and counts a reject when an anchor actually lost —
-        on: no anchor yet, anchor entry already evicted (the stream must
-        re-anchor), or quantised delta over the bound.
+        Returns None — counting a reject when the delta is what lost — on
+        no anchor yet or a quantised delta over the bound.  Anchors never
+        outlive their entry, so an anchor's entry is always live.
         """
-        akey = self._anchor_key(session, key, offset)
-        with self._lock:
-            anchor = self._anchors.get(akey)
-            if anchor is None:
-                return None
-            entry = self._entries.get(anchor.key)
-            if entry is None:
-                # evicted under multi-stream cache pressure — drop the
-                # anchor (its fused buffers went with the LRU lifetime
-                # story) and rebuild exactly
-                del self._anchors[akey]
-                return None
-            if offset.shape != anchor.offset.shape:
-                return None
-            delta = float(np.max(np.abs(offset - anchor.offset))) \
-                if offset.size else 0.0
-            if delta > self.delta_bound:
-                self.stats.record_delta_reject()
-                return None
-            self._entries.move_to_end(anchor.key)
-            return anchor, entry
-
-    def _anchored_tile(self, anchored, cfg, spec, tile, plan, stats_key,
-                       concurrent_layers):
-        """Per-tile stats through the anchor's trace (new tiles simulate
-        against the anchor's fetch trace — still no trace rebuild)."""
-        _, entry = anchored
-        with self._lock:
-            cached = entry.stats.get(stats_key)
-        if cached is not None:
-            return cached
-        result = self._simulate_tile(entry, cfg, spec, tile, plan,
-                                     concurrent_layers)
-        with self._lock:
-            return entry.stats.setdefault(stats_key, result)
-
-    # ------------------------------------------------------------------
-    def fused_plan(self, offset: np.ndarray, cfg: LayerConfig,
-                   spec: DeviceSpec, fp16: bool,
-                   plan: Optional[SamplePlan],
-                   positions: Callable[[], Tuple[np.ndarray, np.ndarray]],
-                   session: Optional[str] = None) -> FusedPlan:
-        """Get-or-compile the fused execution plan for one call.
-
-        ``positions`` lazily supplies the **full** (N, dg, K, L)
-        sampling-position arrays (post fp16 quantisation for tex2D++) —
-        only invoked on a compile.  The plan hangs off the same trace
-        entry as the memoised stats (one digest key, one LRU lifetime),
-        keyed inside it by (in_channels, out_channels); compiles coalesce
-        under the same in-flight guard as trace builds.
-
-        With ``session`` + :attr:`delta_bound`, an exact miss within the
-        bound of the session's anchor is served by *retargeting* the
-        session-owned plan: the tap tables (corner indices + 1.8
-        fixed-point blend weights) are recomputed from the **current**
-        frame's positions — so execution stays bit-identical to a cold
-        compile — while the preallocated gather/column/output buffers are
-        reused across the stream.
-        """
-        plan = plan or SamplePlan()
-        key = self._trace_key(offsets_digest(offset), cfg, spec, fp16, plan)
-        fkey = (cfg.in_channels, cfg.out_channels)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                fused = entry.fused.get(fkey)
-                if fused is not None:
-                    self.stats.record_hit()
-                    if session is not None and self.delta_bound is not None:
-                        self._set_anchor(session, key, offset)
-                    return fused
-        # Delta-keying only applies on an exact-digest miss — a known
-        # digest compiles its own plan on the shared entry.
-        if entry is None and session is not None \
-                and self.delta_bound is not None:
-            anchored = self._probe_anchor(session, key, offset)
-            if anchored is not None:
-                return self._retarget_fused(anchored[0], cfg, spec, fp16,
-                                            positions, fkey)
-        guard = (key, "fused", fkey)
-        while True:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    fused = entry.fused.get(fkey)
-                    if fused is not None:
-                        self.stats.record_hit()
-                        if session is not None \
-                                and self.delta_bound is not None:
-                            self._set_anchor(session, key, offset)
-                        return fused
-                event = self._building.get(guard)
-                if event is None:
-                    event = threading.Event()
-                    self._building[guard] = event
-                    break
-            event.wait()
-        try:
-            self.stats.record_miss()
-            entry = self._acquire_entry(
-                key, cfg, spec, plan,
-                lambda: tuple(p[0, 0] for p in positions()))
-            fused = self._build_fused(cfg, spec, fp16, positions)
-            with self._lock:
-                fused = entry.fused.setdefault(fkey, fused)
-                if session is not None and self.delta_bound is not None:
-                    self._set_anchor(session, key, offset)
-        finally:
-            with self._lock:
-                self._building.pop(guard, None)
-            event.set()
-        return fused
+        anchor = self._anchors.get(self._anchor_key(session, key, offset))
+        if anchor is None:
+            return None
+        delta = float(np.max(np.abs(offset - anchor.offset))) \
+            if offset.size else 0.0
+        if delta > self.delta_bound:
+            self.stats.record("delta_rejects")
+            return None
+        self._entries.move_to_end(anchor.key)
+        return anchor, self._entries[anchor.key]
 
     def _retarget_fused(self, anchor: _SessionAnchor, cfg: LayerConfig,
-                        spec: DeviceSpec, fp16: bool, positions,
+                        fp16: bool, positions,
                         fkey: Tuple[int, int]) -> FusedPlan:
         """Serve a fused delta hit from the session-owned plan.
 
@@ -603,199 +594,67 @@ class PlanCache:
                 fused = anchor.plans.setdefault(fkey, fused)
         else:
             fused.retarget(idx, wts)
-        self.stats.record_delta_hit()
         self.stats.record_build_ms("retarget",
                                    (time.perf_counter() - t0) * 1e3)
         return fused
 
     # ------------------------------------------------------------------
-    def shard_plan(self, offset: np.ndarray, cfg: LayerConfig,
-                   spec: DeviceSpec, fp16: bool,
-                   plan: Optional[SamplePlan], shard: ShardSpec,
-                   positions: Callable[[], Tuple[np.ndarray, np.ndarray]]
-                   ) -> ShardGatherPlan:
-        """Get-or-compile the gather plan for one shard of one layer.
-
-        Keyed off the **full-layer** trace entry (full-offset digest +
-        geometry), with the shard descriptor — kind, index/count and the
-        concrete [lo, hi) range — inside the entry key, so a row band
-        and a channel slice of the same layer, or two different bands,
-        can never collide with each other or with the whole-layer fused
-        plan.  Same LRU lifetime and in-flight build coalescing as
-        :meth:`fused_plan`.
-        """
-        plan = plan or SamplePlan()
-        key = self._trace_key(offsets_digest(offset), cfg, spec, fp16, plan)
-        skey = (shard.descriptor(), cfg.in_channels)
-        guard = (key, "shard", skey)
-        while True:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    gplan = entry.shards.get(skey)
-                    if gplan is not None:
-                        self.stats.record_hit()
-                        return gplan
-                event = self._building.get(guard)
-                if event is None:
-                    event = threading.Event()
-                    self._building[guard] = event
-                    break
-            event.wait()
-        try:
-            self.stats.record_miss()
-            entry = self._acquire_entry(
-                key, cfg, spec, plan,
-                lambda: tuple(p[0, 0] for p in positions()))
-            gplan = self._build_shard(cfg, fp16, shard, positions)
-            with self._lock:
-                gplan = entry.shards.setdefault(skey, gplan)
-        finally:
-            with self._lock:
-                self._building.pop(guard, None)
-            event.set()
-        return gplan
-
-    def _build_shard(self, cfg: LayerConfig, fp16: bool, shard: ShardSpec,
-                     positions) -> ShardGatherPlan:
-        self.stats.record_shard_build()
+    @contextmanager
+    def _timed_build(self, kind: str, cfg: LayerConfig, **args):
+        """One ``<kind>_builds`` build: counted, spanned as
+        ``plancache.build_<kind>`` and timed into the build-ms window."""
+        self.stats.record(f"{kind}_builds")
         t0 = time.perf_counter()
         try:
-            if self.tracer is not None:
-                with self.tracer.span("plancache.build_shard",
-                                      cat="plancache",
-                                      geometry=cfg.label(),
-                                      shard=shard.label()):
-                    return build_shard_gather_plan(cfg, fp16, shard,
-                                                   positions)
-            return build_shard_gather_plan(cfg, fp16, shard, positions)
+            with maybe_span(self.tracer, f"plancache.build_{kind}",
+                            cat="plancache", geometry=cfg.label(), **args):
+                yield
         finally:
             self.stats.record_build_ms(
-                "shard", (time.perf_counter() - t0) * 1e3)
+                kind, (time.perf_counter() - t0) * 1e3)
 
-    def _build_fused(self, cfg: LayerConfig, spec: DeviceSpec, fp16: bool,
-                     positions) -> FusedPlan:
-        self.stats.record_fused_build()
-        t0 = time.perf_counter()
-        try:
-            if self.tracer is not None:
-                with self.tracer.span("plancache.build_fused",
-                                      cat="plancache",
-                                      geometry=cfg.label()):
-                    return build_fused_plan(cfg, spec, fp16, positions)
-            return build_fused_plan(cfg, spec, fp16, positions)
-        finally:
-            self.stats.record_build_ms(
-                "fused", (time.perf_counter() - t0) * 1e3)
-
-    # ------------------------------------------------------------------
-    def _acquire_entry(self, key: tuple, cfg: LayerConfig, spec: DeviceSpec,
-                       plan: SamplePlan,
-                       positions: Callable[[], Tuple[np.ndarray, np.ndarray]]
-                       ) -> _TraceEntry:
-        """Get-or-build the trace entry for ``key``, coalescing misses.
-
-        Concurrent misses on the same key used to race ``_build_entry``
-        and double-count ``trace_builds`` (one build discarded by
-        ``setdefault``); now the first thread builds under a per-key
-        in-flight event and the rest wait, so the build — and its
-        observability counter — happens exactly once per distinct key.
-        """
-        while True:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    return entry
-                event = self._building.get(key)
-                if event is None:
-                    event = threading.Event()
-                    self._building[key] = event
-                    break
-            # Another thread is building this key — wait, then re-check
-            # (looping guards against builder failure or instant
-            # eviction, in which case we become the builder).
-            event.wait()
-        try:
-            entry = self._build_entry(cfg, spec, plan, positions)
-            with self._lock:
-                entry = self._entries.setdefault(key, entry)
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    # eviction used to be silent; under many concurrent
-                    # streams it is the signal that max_entries is too
-                    # small for the live anchor set
-                    self.stats.record_eviction()
-        finally:
-            with self._lock:
-                self._building.pop(key, None)
-            event.set()
-        return entry
-
-    # ------------------------------------------------------------------
     def _build_entry(self, cfg: LayerConfig, spec: DeviceSpec,
                      plan: SamplePlan,
                      positions: Callable[[], Tuple[np.ndarray, np.ndarray]]
                      ) -> _TraceEntry:
         """Build the tile-independent trace state (the expensive half)."""
-        t0 = time.perf_counter()
-        try:
-            if self.tracer is not None:
-                with self.tracer.span("plancache.build_trace",
-                                      cat="plancache",
-                                      geometry=cfg.label()):
-                    return self._build_entry_inner(cfg, spec, plan,
-                                                   positions)
-            return self._build_entry_inner(cfg, spec, plan, positions)
-        finally:
-            self.stats.record_build_ms(
-                "trace", (time.perf_counter() - t0) * 1e3)
-
-    def _build_entry_inner(self, cfg, spec, plan, positions) -> _TraceEntry:
-        self.stats.record_trace_build()
-        py, px = positions()
-        k, l = py.shape
-        y0 = np.floor(py).ravel().astype(np.int64)
-        x0 = np.floor(px).ravel().astype(np.int64)
-        lines = None
-        if y0.size <= plan.max_fetches:
-            # Within the sampling budget the trace is exact, so the
-            # texel→line mapping is tile-independent and precomputable.
-            # (Beyond it, whole-CTA sampling depends on the tile and each
-            # tile replays the sampling step instead.)
-            pixel = np.broadcast_to(np.arange(l), (k, l)).ravel()
-            model = TextureCacheModel(spec)
-            lines = model.precompute(y0, x0, pixel, cfg.height, cfg.width)
-        return _TraceEntry(y0=y0, x0=x0, lines=lines, k=k, l=l,
-                           out_h=cfg.out_height, out_w=cfg.out_width)
+        with self._timed_build("trace", cfg):
+            py, px = positions()
+            k, l = py.shape
+            y0 = np.floor(py).ravel().astype(np.int64)
+            x0 = np.floor(px).ravel().astype(np.int64)
+            lines = None
+            if y0.size <= plan.max_fetches:
+                # Within the sampling budget the trace is exact, so the
+                # texel→line mapping is tile-independent and
+                # precomputable.  (Beyond it, whole-CTA sampling depends
+                # on the tile and each tile replays the sampling step
+                # instead.)
+                pixel = np.broadcast_to(np.arange(l), (k, l)).ravel()
+                model = TextureCacheModel(spec)
+                lines = model.precompute(y0, x0, pixel, cfg.height,
+                                         cfg.width)
+            return _TraceEntry(y0=y0, x0=x0, lines=lines, k=k, l=l,
+                               out_h=cfg.out_height, out_w=cfg.out_width)
 
     def _simulate_tile(self, entry: _TraceEntry, cfg: LayerConfig,
                        spec: DeviceSpec, tile: Tuple[int, int],
                        plan: SamplePlan, concurrent_layers: int
                        ) -> Tuple[TextureCacheStats, float]:
         """Simulate one CTA tiling against a cached trace entry."""
-        if self.tracer is not None:
-            with self.tracer.span("plancache.retile", cat="plancache",
-                                  geometry=cfg.label(),
-                                  tile=f"{tile[0]}x{tile[1]}"):
-                return self._simulate_tile_inner(entry, cfg, spec, tile,
-                                                 plan, concurrent_layers)
-        return self._simulate_tile_inner(entry, cfg, spec, tile, plan,
-                                         concurrent_layers)
-
-    def _simulate_tile_inner(self, entry, cfg, spec, tile, plan,
-                             concurrent_layers):
-        model = TextureCacheModel(spec, concurrent_layers=concurrent_layers)
-        cta_of_pixel = cta_ids_for_tile(entry.out_h, entry.out_w, tile)
-        if entry.lines is not None:
-            return model.simulate_retiled(entry.lines, cta_of_pixel), 1.0
-        # Sampled trace: CTA sampling depends on the tile, so replay it
-        # exactly as texture_fetch_trace would (bit-identical fallback).
-        cta = np.broadcast_to(cta_of_pixel,
-                              (entry.k, entry.l)).ravel()
-        y0, x0, cta, scale = sample_trace_ctas(entry.y0, entry.x0, cta,
-                                               entry.k * entry.l, plan)
-        stats = model.simulate(y0, x0, cta, cfg.height, cfg.width)
-        return stats, scale
+        with maybe_span(self.tracer, "plancache.retile", cat="plancache",
+                        geometry=cfg.label(),
+                        tile=f"{tile[0]}x{tile[1]}"):
+            model = TextureCacheModel(spec,
+                                      concurrent_layers=concurrent_layers)
+            cta_of_pixel = cta_ids_for_tile(entry.out_h, entry.out_w, tile)
+            if entry.lines is not None:
+                return model.simulate_retiled(entry.lines, cta_of_pixel), 1.0
+            # Sampled trace: CTA sampling depends on the tile, so replay
+            # it exactly as texture_fetch_trace would (bit-identical
+            # fallback).
+            cta = np.broadcast_to(cta_of_pixel, (entry.k, entry.l)).ravel()
+            y0, x0, cta, scale = sample_trace_ctas(
+                entry.y0, entry.x0, cta, entry.k * entry.l, plan)
+            stats = model.simulate(y0, x0, cta, cfg.height, cfg.width)
+            return stats, scale

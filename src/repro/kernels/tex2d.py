@@ -37,7 +37,7 @@ from repro.gpusim.profiler import KernelStats
 from repro.gpusim.texture import LayeredTexture2D, TextureDescriptor
 from repro.gpusim.trace import SamplePlan, texture_fetch_trace
 from repro.kernels.config import LayerConfig, OpResult
-from repro.kernels.fused import validate_execution
+from repro.kernels.fused import build_fused_plan
 from repro.kernels.reference import COORD_FLOPS
 
 #: Default CTA tile (output pixels per block) — overridden by the autotuner.
@@ -50,22 +50,19 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
               plan: Optional[SamplePlan] = None,
               compute_output: bool = True,
               plan_cache: Optional["PlanCache"] = None,
-              execution: str = "eager",
               session: Optional[str] = None) -> OpResult:
     """Execute the texture-hardware deformable conv (tex2D / tex2D++).
 
-    ``fp16_offsets=True`` selects the tex2D++ variant.  ``plan_cache``
-    (a :class:`~repro.kernels.plancache.PlanCache`) memoises the fetch
-    trace and cache simulation across calls with identical offsets,
-    geometry and tile — the returned kernel stats are bit-identical to
-    the uncached path.
-
-    ``execution="fused"`` (requires a plan cache) runs the functional
-    forward through a compiled :class:`~repro.kernels.fused.FusedPlan`
-    memoised on the same plan-cache entry: precomputed tap coordinates
-    and fixed-point blend weights, preallocated buffers, one gather →
-    blend → GEMM pass.  Outputs and kernel stats are bit-identical to
-    eager execution (see docs/performance.md).
+    ``fp16_offsets=True`` selects the tex2D++ variant.  The functional
+    forward runs through a compiled :class:`~repro.kernels.fused.FusedPlan`:
+    precomputed tap coordinates and fixed-point blend weights,
+    preallocated buffers, one gather → blend → GEMM pass (see
+    docs/performance.md).  ``plan_cache`` (a
+    :class:`~repro.kernels.plancache.PlanCache`) memoises that plan, the
+    fetch trace and the cache simulation across calls with identical
+    offsets, geometry and tile; without one, a one-shot plan is compiled
+    for this call.  Outputs and kernel stats are bit-identical either way,
+    and the outputs bit-identical to :func:`eager_tex2d_forward`.
 
     ``session`` names the video stream this call belongs to; on a plan
     cache with a ``delta_bound`` it unlocks delta-keyed lookups — an
@@ -75,7 +72,6 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
     bit-identical to a cold miss (see docs/streaming.md).
     """
     plan = plan or SamplePlan()
-    validate_execution(execution, plan_cache)
     ty, tx = tile
     if ty <= 0 or tx <= 0 or ty * tx > spec.max_threads_per_block:
         raise ValueError(f"tile {tile} invalid for {spec.name}")
@@ -86,9 +82,8 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
     if fp16_offsets:
         off = offset.astype(np.float16).astype(np.float32)
 
-    # Sampling positions are needed by the functional path always, but by
-    # the performance model only on a plan-cache miss — compute lazily so
-    # steady-state stats-only calls skip them entirely.
+    # Sampling positions are needed only to compile a plan or build a
+    # trace — compute lazily so steady-state cache hits skip them.
     _pos: list = []
 
     def positions() -> Tuple[np.ndarray, np.ndarray]:
@@ -102,30 +97,13 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
     # functional result through the texture unit
     # ------------------------------------------------------------------
     output = None
-    if compute_output and execution == "fused":
-        fplan = plan_cache.fused_plan(off, cfg, spec, fp16_offsets, plan,
-                                      positions, session=session)
+    if compute_output:
+        if plan_cache is not None:
+            fplan = plan_cache.fused_plan(off, cfg, spec, fp16_offsets, plan,
+                                          positions, session=session)
+        else:
+            fplan = build_fused_plan(cfg, spec, fp16_offsets, positions)
         output = fplan.execute(x, weight, bias)
-    elif compute_output:
-        py, px = positions()
-        desc = TextureDescriptor(address_mode="border", filter_mode="linear",
-                                 fp16_coords=fp16_offsets)
-        tex = LayeredTexture2D.from_feature_map(x, desc=desc, spec=spec)
-        # layer index of (n, g, cpg_idx): n*C + g*cpg + c_idx
-        layer = (np.arange(n)[:, None, None] * c
-                 + np.arange(dg)[None, :, None] * cpg
-                 + np.arange(cpg)[None, None, :])  # (N, dg, cpg)
-        kl = k * py.shape[-1]
-        py_f = py.reshape(n, dg, 1, kl)
-        px_f = px.reshape(n, dg, 1, kl)
-        vals = tex.fetch_at_pixel_coords(layer[..., None], py_f, px_f)
-        cols = vals.reshape(n, dg, cpg, k, l).reshape(n, c * k, l)
-        w2 = weight.reshape(cfg.out_channels, c * k)
-        out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
-        output = out.reshape(n, cfg.out_channels, cfg.out_height,
-                             cfg.out_width)
-        if bias is not None:
-            output = output + bias.reshape(1, -1, 1, 1)
 
     # ------------------------------------------------------------------
     # performance model: kernel 1 — tex2d sampling
@@ -216,10 +194,52 @@ def run_tex2dpp(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
                 plan: Optional[SamplePlan] = None,
                 compute_output: bool = True,
                 plan_cache: Optional["PlanCache"] = None,
-                execution: str = "eager",
                 session: Optional[str] = None) -> OpResult:
     """The tex2D++ variant: fp16 offsets, half the offset bandwidth."""
     return run_tex2d(x, offset, weight, bias, cfg, spec, tile=tile,
                      fp16_offsets=True, plan=plan,
                      compute_output=compute_output, plan_cache=plan_cache,
-                     execution=execution, session=session)
+                     session=session)
+
+
+def eager_tex2d_forward(x: np.ndarray, offset: np.ndarray,
+                        weight: np.ndarray, bias: Optional[np.ndarray],
+                        cfg: LayerConfig, spec: DeviceSpec,
+                        fp16_offsets: bool = False) -> np.ndarray:
+    """The eager tex2D/tex2D++ forward — the reference fused execution
+    is checked against; no production path calls it.
+
+    Stages ``x`` into a :class:`~repro.gpusim.texture.LayeredTexture2D`
+    (one layer per channel, batch folded into the layer index), fetches
+    every tap through the border-addressed 1.8 fixed-point bilinear
+    filter, and contracts the columns with the same ``"ok,nkl->nol"``
+    einsum as :meth:`~repro.kernels.fused.FusedPlan.execute`.  The
+    conformance check ``plancache.fused_bit_identical.*``,
+    ``tests/test_fused.py`` and ``benchmarks/bench_perf_model.py``
+    require :func:`run_tex2d` outputs to equal it bit for bit.
+    """
+    n, c, k, l = cfg.batch, cfg.in_channels, cfg.taps, cfg.out_pixels
+    dg, cpg = cfg.deformable_groups, cfg.in_channels // cfg.deformable_groups
+    off = offset
+    if fp16_offsets:
+        off = offset.astype(np.float16).astype(np.float32)
+    py, px = sampling_positions(off, (cfg.height, cfg.width),
+                                cfg.kernel_size, cfg.stride, cfg.padding,
+                                cfg.dilation, dg)
+    desc = TextureDescriptor(address_mode="border", filter_mode="linear",
+                             fp16_coords=fp16_offsets)
+    tex = LayeredTexture2D.from_feature_map(x, desc=desc, spec=spec)
+    # layer index of (n, g, cpg_idx): n*C + g*cpg + c_idx
+    layer = (np.arange(n)[:, None, None] * c
+             + np.arange(dg)[None, :, None] * cpg
+             + np.arange(cpg)[None, None, :])  # (N, dg, cpg)
+    vals = tex.fetch_at_pixel_coords(layer[..., None],
+                                     py.reshape(n, dg, 1, k * l),
+                                     px.reshape(n, dg, 1, k * l))
+    cols = vals.reshape(n, c * k, l)
+    w2 = weight.reshape(cfg.out_channels, c * k)
+    out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
+    out = out.reshape(n, cfg.out_channels, cfg.out_height, cfg.out_width)
+    if bias is not None:
+        out = out + bias.reshape(1, -1, 1, 1)
+    return out

@@ -22,12 +22,22 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Dict, List, Optional
 
 #: Chrome trace pids for the two timelines.
 WALL_PID = 1
 SIM_PID = 2
+
+
+def maybe_span(tracer: Optional["SpanTracer"], name: str,
+               cat: str = "wall", **args):
+    """``tracer.span(name, cat, **args)``, or a no-op context manager
+    when ``tracer`` is None — so traced and untraced callers share one
+    code path."""
+    if tracer is None:
+        return nullcontext()
+    return tracer.span(name, cat=cat, **args)
 
 
 class SpanTracer:

@@ -35,13 +35,12 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.profiler import ProfileLog
 from repro.kernels.config import LayerConfig
 from repro.kernels.dispatch import BACKENDS, run_deform_op
-from repro.kernels.fused import validate_execution
 from repro.kernels.plancache import PlanCache, PlanCacheStats
 from repro.kernels.tex2d import DEFAULT_TILE
 from repro.kernels.tiling import TileKey, nearest_tile_key, tile_key
 from repro.nn import Module
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import SpanTracer
+from repro.obs.tracer import SpanTracer, maybe_span
 from repro.tensor import Tensor
 
 logger = logging.getLogger(__name__)
@@ -119,8 +118,6 @@ class TextureRuntime:
     cache_stats: TileCacheStats = field(default_factory=TileCacheStats)
     #: perf-model plan cache shared by every layer execution (None = off)
     plan_cache: Optional[PlanCache] = None
-    #: "eager" or "fused" — forwarded to the texture backends
-    execution: str = "eager"
     #: active video-stream session stamped on texture-backend calls; with
     #: a delta-bounded plan cache this unlocks delta-keyed lookups
     #: (see docs/streaming.md)
@@ -196,7 +193,6 @@ class TextureRuntime:
                             tile=tile, compute_output=True,
                             layer=getattr(layer, "layer_name", ""),
                             plan_cache=self.plan_cache,
-                            execution=self.execution,
                             session=self.session)
         for k in res.kernels:
             self.log.add(k)
@@ -218,19 +214,16 @@ class DefconEngine:
     launch onto the trace's simGPU timeline and wraps ``classify``/
     ``detect`` calls in wall-time spans.
 
-    ``plan_cache`` memoises the texture perf model (fetch trace + cache
-    simulation) across steps with identical offsets/geometry/tile — the
-    steady state of serving.  ``None`` (default) creates a private
+    Texture-backend layers execute through compiled
+    :class:`~repro.kernels.fused.FusedPlan` objects.  ``plan_cache``
+    memoises them together with the texture perf model (fetch trace +
+    cache simulation) across steps with identical offsets/geometry/tile —
+    the steady state of serving.  ``None`` (default) creates a private
     :class:`~repro.kernels.plancache.PlanCache`; pass an existing one to
     share plans across engines (e.g. a batched and a sequential engine
-    over the same model), or ``False`` to disable caching.  Hit/miss
+    over the same model), or ``False`` to disable caching (every call
+    then compiles a one-shot plan; outputs are bit-identical).  Hit/miss
     counters land on the registry as ``plan_cache_lookups{result=...}``.
-
-    ``execution="fused"`` routes every texture-backend layer execution
-    through its compiled :class:`~repro.kernels.fused.FusedPlan` — the
-    steady-state serving fast path.  Fused plans live on the plan-cache
-    entries, so fused execution with ``plan_cache=False`` is a
-    configuration error (raised here, not at first inference).
 
     ``delta_bound`` enables the streaming delta-keyed plan-cache mode on
     the engine's private cache (see docs/streaming.md): with a session
@@ -247,8 +240,7 @@ class DefconEngine:
                  registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[SpanTracer] = None,
                  max_log_records: Optional[int] = ProfileLog.DEFAULT_MAX_RECORDS,
-                 plan_cache=None, execution: str = "eager",
-                 delta_bound: Optional[float] = None):
+                 plan_cache=None, delta_bound: Optional[float] = None):
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; choose from {BACKENDS}")
@@ -281,12 +273,9 @@ class DefconEngine:
             self.plan_cache = plan_cache
             if not plan_cache.stats.bound:
                 plan_cache.bind_registry(self.registry)
-        validate_execution(execution, self.plan_cache)
-        self.execution = execution
         self._runtime = TextureRuntime(spec=spec, backend=backend,
                                        log=self.log,
-                                       plan_cache=self.plan_cache,
-                                       execution=execution)
+                                       plan_cache=self.plan_cache)
         self._runtime.cache_stats.bind_registry(self.registry)
         self._layers = [m for m in model.modules()
                         if isinstance(m, DeformConv2d)]
@@ -404,21 +393,13 @@ class DefconEngine:
     # ------------------------------------------------------------------
     def detect(self, images: np.ndarray, **kwargs):
         """Run detection with the deformable layers on the bound backend."""
-        if self.tracer is not None:
-            with self.tracer.span("engine.detect", cat="engine",
-                                  batch=int(np.asarray(images).shape[0])):
-                with self:
-                    return self.model.detect(images, **kwargs)
-        with self:
+        with maybe_span(self.tracer, "engine.detect", cat="engine",
+                        batch=len(images)), self:
             return self.model.detect(images, **kwargs)
 
     def classify(self, images: np.ndarray) -> np.ndarray:
-        if self.tracer is not None:
-            with self.tracer.span("engine.classify", cat="engine",
-                                  batch=int(np.asarray(images).shape[0])):
-                with self:
-                    return self.model.predict(images)
-        with self:
+        with maybe_span(self.tracer, "engine.classify", cat="engine",
+                        batch=len(images)), self:
             return self.model.predict(images)
 
     def deformable_latency_ms(self) -> float:

@@ -1,15 +1,18 @@
-"""Fused execution == eager execution, bit for bit.
+"""Fused execution == the eager texture-fetch reference, bit for bit.
 
-The fused mode (docs/performance.md) is a pure wall-time optimisation of
-the texture backends' functional path: a compiled
-:class:`~repro.kernels.fused.FusedPlan` replays the exact gather/blend/
-contract sequence of the eager path into preallocated buffers.  Every
-test here pins the bit-identical contract — outputs AND KernelStats —
-plus the plan-cache mechanics the mode rides on: shared LRU lifetime
-with the trace entry, clean rebuild after eviction, coalesced concurrent
-builds, and digest-on-quantised-offsets keying for tex2D++.
+Fused execution (docs/performance.md) is the texture backends' only
+functional path: a compiled :class:`~repro.kernels.fused.FusedPlan`
+replays the exact gather/blend/contract sequence of the eager reference
+(:func:`~repro.kernels.tex2d.eager_tex2d_forward`) into preallocated
+buffers.  Every test here pins the bit-identical contract — outputs
+against the reference, KernelStats against the uncached run, for both
+the plan-cached and the one-shot (no cache) plan — plus the plan-cache
+mechanics the plans ride on: shared LRU lifetime with the trace entry,
+clean rebuild after eviction, coalesced concurrent builds, and
+digest-on-quantised-offsets keying for tex2D++.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -17,10 +20,10 @@ import pytest
 
 from repro.gpusim import XAVIER
 from repro.gpusim.trace import SamplePlan
-from repro.kernels import (LayerConfig, PlanCache, run_deform_op,
-                           synth_offsets, validate_execution)
+from repro.kernels import LayerConfig, PlanCache, run_deform_op, synth_offsets
 from repro.kernels.fused import build_fused_plan
-from repro.kernels.tex2d import run_tex2d
+from repro.kernels.shards import enumerate_shards, run_shard
+from repro.kernels.tex2d import eager_tex2d_forward, run_tex2d
 
 from helpers import rng
 
@@ -48,54 +51,45 @@ def _stats_dicts(res):
 
 
 # ----------------------------------------------------------------------
-# fuzz: fused == eager over geometries × backends × tiles × offsets
+# fuzz: fused == eager reference over geometries × backends × tiles ×
+# offsets × (plan-cached, one-shot)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("cfg", GEOMETRIES, ids=lambda c: c.label())
 @pytest.mark.parametrize("backend", ["tex2d", "tex2dpp"])
 def test_fused_bit_identical_random_offsets(cfg, backend):
-    """Random offsets, several seeds and tiles: outputs and every kernel
-    stat match eager exactly (fp32 and fp16-offset variants)."""
+    """Random offsets, several seeds and tiles, with and without a plan
+    cache: outputs match the eager reference exactly and every kernel
+    stat matches the uncached run (fp32 and fp16-offset variants)."""
     for seed in range(3):
         # wild offsets too — border-clipped taps exercise the folded mask
         sigma = 2.0 if seed < 2 else 25.0
         x, off, w, b = _inputs(cfg, seed=seed, sigma=sigma)
+        eager = eager_tex2d_forward(x, off, w, b, cfg, XAVIER,
+                                    fp16_offsets=backend == "tex2dpp")
         for tile in TILES:
-            pc = PlanCache()
-            eager = run_deform_op(backend, x, off, w, b, cfg, XAVIER,
-                                  tile=tile, plan_cache=pc)
-            fused = run_deform_op(backend, x, off, w, b, cfg, XAVIER,
-                                  tile=tile, plan_cache=pc,
-                                  execution="fused")
-            assert np.array_equal(fused.output, eager.output)
-            assert _stats_dicts(fused) == _stats_dicts(eager)
+            oneshot = run_deform_op(backend, x, off, w, b, cfg, XAVIER,
+                                    tile=tile)
+            cached = run_deform_op(backend, x, off, w, b, cfg, XAVIER,
+                                   tile=tile, plan_cache=PlanCache())
+            for res in (oneshot, cached):
+                assert np.array_equal(res.output, eager)
+            assert _stats_dicts(cached) == _stats_dicts(oneshot)
 
 
 def test_fused_bias_free_and_fresh_output():
-    """No-bias path matches too, and repeated fused calls hand out
-    independent arrays (the internal buffers must never leak out)."""
+    """No-bias path matches too (one-shot and cached), and repeated calls
+    hand out independent arrays (the plan's buffers must never leak)."""
     cfg = GEOMETRIES[0]
     x, off, w, _ = _inputs(cfg)
-    pc = PlanCache()
-    eager = run_tex2d(x, off, w, None, cfg, XAVIER, plan_cache=pc)
-    first = run_tex2d(x, off, w, None, cfg, XAVIER, plan_cache=pc,
-                      execution="fused").output
-    assert np.array_equal(first, eager.output)
-    snapshot = first.copy()
-    second = run_tex2d(x, off, w, None, cfg, XAVIER, plan_cache=pc,
-                       execution="fused").output
-    second += 1.0  # mutating one result must not corrupt the other
-    assert np.array_equal(first, snapshot)
-
-
-def test_fused_requires_plan_cache():
-    cfg = GEOMETRIES[0]
-    x, off, w, b = _inputs(cfg)
-    with pytest.raises(ValueError, match="plan_cache"):
-        run_tex2d(x, off, w, b, cfg, XAVIER, execution="fused")
-    with pytest.raises(ValueError, match="execution mode"):
-        run_tex2d(x, off, w, b, cfg, XAVIER, plan_cache=PlanCache(),
-                  execution="lazy")
-    validate_execution("eager", None)  # eager never needs the cache
+    eager = eager_tex2d_forward(x, off, w, None, cfg, XAVIER)
+    for pc in (None, PlanCache()):
+        first = run_tex2d(x, off, w, None, cfg, XAVIER, plan_cache=pc).output
+        assert np.array_equal(first, eager)
+        snapshot = first.copy()
+        second = run_tex2d(x, off, w, None, cfg, XAVIER,
+                           plan_cache=pc).output
+        second += 1.0  # mutating one result must not corrupt the other
+        assert np.array_equal(first, snapshot)
 
 
 # ----------------------------------------------------------------------
@@ -106,27 +100,24 @@ def test_fused_plan_reused_across_calls():
     x, off, w, b = _inputs(cfg)
     pc = PlanCache()
     for _ in range(4):
-        run_tex2d(x, off, w, b, cfg, XAVIER, plan_cache=pc,
-                  execution="fused")
+        run_tex2d(x, off, w, b, cfg, XAVIER, plan_cache=pc)
     assert pc.stats.fused_builds == 1
     assert pc.stats.trace_builds == 1
 
 
 def test_fused_plan_evicted_mid_stream_rebuilds_cleanly():
     """LRU eviction of the shared trace entry drops the FusedPlan with
-    it; the next fused call rebuilds and stays bit-identical."""
+    it; the next call rebuilds and stays bit-identical."""
     cfg = GEOMETRIES[0]
     x, off, w, b = _inputs(cfg)
     pc = PlanCache(max_entries=1)
-    expected = run_tex2d(x, off, w, b, cfg, XAVIER,
-                         plan_cache=PlanCache(), execution="fused").output
-    run_tex2d(x, off, w, b, cfg, XAVIER, plan_cache=pc, execution="fused")
+    expected = run_tex2d(x, off, w, b, cfg, XAVIER).output
+    run_tex2d(x, off, w, b, cfg, XAVIER, plan_cache=pc)
     # a different offset tensor claims the only slot → eviction
     other = synth_offsets(cfg, seed=99)
-    run_tex2d(x, other, w, b, cfg, XAVIER, plan_cache=pc, execution="fused")
+    run_tex2d(x, other, w, b, cfg, XAVIER, plan_cache=pc)
     assert len(pc) == 1
-    out = run_tex2d(x, off, w, b, cfg, XAVIER, plan_cache=pc,
-                    execution="fused").output
+    out = run_tex2d(x, off, w, b, cfg, XAVIER, plan_cache=pc).output
     assert np.array_equal(out, expected)
     assert pc.stats.fused_builds == 3  # original + other + rebuild
 
@@ -141,9 +132,8 @@ def test_fused_plans_per_channel_shape_share_entry():
     w2 = g.normal(size=wide.weight_shape()).astype(np.float32)
     b2 = g.normal(size=(wide.out_channels,)).astype(np.float32)
     pc = PlanCache()
-    run_tex2d(x, off, w, b, base, XAVIER, plan_cache=pc, execution="fused")
-    run_tex2d(x, off, w2, b2, wide, XAVIER, plan_cache=pc,
-              execution="fused")
+    run_tex2d(x, off, w, b, base, XAVIER, plan_cache=pc)
+    run_tex2d(x, off, w2, b2, wide, XAVIER, plan_cache=pc)
     assert pc.stats.fused_builds == 2
     assert pc.stats.trace_builds == 1    # the trace itself is shared
     assert len(pc) == 1
@@ -160,7 +150,7 @@ def test_build_fused_plan_rejects_oversize_texture():
 
 
 # ----------------------------------------------------------------------
-# satellite 1 regression: tex2D++ keys on *quantised* offsets
+# tex2D++ keys on *quantised* offsets
 # ----------------------------------------------------------------------
 def test_fp16_digest_dedupes_quantisation_equivalent_offsets():
     """Two distinct fp32 offset tensors that quantise to the same fp16
@@ -180,7 +170,7 @@ def test_fp16_digest_dedupes_quantisation_equivalent_offsets():
     r2 = run_deform_op("tex2dpp", x, off2, w, b, cfg, XAVIER, plan_cache=pc)
     assert pc.stats.trace_builds == 1
     assert len(pc) == 1
-    assert pc.stats.hits == 1
+    assert pc.stats.hits == 2            # fused plan + perf stats
     assert np.array_equal(r1.output, r2.output)
     # plain tex2d must still see them as distinct offset tensors
     pc32 = PlanCache()
@@ -190,24 +180,31 @@ def test_fp16_digest_dedupes_quantisation_equivalent_offsets():
 
 
 # ----------------------------------------------------------------------
-# satellite 3 regression: concurrent misses coalesce onto one build
+# concurrency: misses coalesce onto one build; mixed traffic stays exact
 # ----------------------------------------------------------------------
 def _hammer(n_threads, fn):
     start = threading.Barrier(n_threads)
     errors = []
 
-    def work():
+    def work(i):
         start.wait()
         try:
-            fn()
+            fn(i)
         except Exception as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(n_threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(n_threads)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads), "worker hung"
     assert not errors, errors
 
 
@@ -218,8 +215,8 @@ def test_concurrent_misses_build_trace_exactly_once():
     x, off, w, b = _inputs(cfg)
     for trial in range(5):
         pc = PlanCache()
-        _hammer(8, lambda: run_tex2d(x, off, w, b, cfg, XAVIER,
-                                     compute_output=False, plan_cache=pc))
+        _hammer(8, lambda i: run_tex2d(x, off, w, b, cfg, XAVIER,
+                                       compute_output=False, plan_cache=pc))
         assert pc.stats.trace_builds == 1, f"trial {trial}"
         assert len(pc) == 1
 
@@ -227,16 +224,14 @@ def test_concurrent_misses_build_trace_exactly_once():
 def test_concurrent_fused_calls_compile_once_and_agree():
     cfg = GEOMETRIES[0]
     x, off, w, b = _inputs(cfg)
-    expected = run_tex2d(x, off, w, b, cfg, XAVIER, plan_cache=PlanCache(),
-                         execution="fused").output
+    expected = run_tex2d(x, off, w, b, cfg, XAVIER).output
     for trial in range(3):
         pc = PlanCache()
         outs = []
 
-        def call():
-            res = run_tex2d(x, off, w, b, cfg, XAVIER, plan_cache=pc,
-                            execution="fused")
-            outs.append(res.output)
+        def call(i):
+            outs.append(run_tex2d(x, off, w, b, cfg, XAVIER,
+                                  plan_cache=pc).output)
 
         _hammer(6, call)
         assert pc.stats.fused_builds == 1, f"trial {trial}"
@@ -251,19 +246,69 @@ def test_concurrent_distinct_keys_still_build_each():
     x, _, w, b = _inputs(cfg)
     offsets = [synth_offsets(cfg, seed=s) for s in range(4)]
     pc = PlanCache()
-    idx = {"i": 0}
-    lock = threading.Lock()
-
-    def call():
-        with lock:
-            off = offsets[idx["i"] % len(offsets)]
-            idx["i"] += 1
-        run_tex2d(x, off, w, b, cfg, XAVIER, compute_output=False,
-                  plan_cache=pc)
-
-    _hammer(8, call)
+    _hammer(8, lambda i: run_tex2d(x, offsets[i % len(offsets)], w, b, cfg,
+                                   XAVIER, compute_output=False,
+                                   plan_cache=pc))
     assert pc.stats.trace_builds == len(offsets)
     assert len(pc) == len(offsets)
+
+
+def test_concurrent_mixed_lookups_with_evictions_stay_exact():
+    """8 threads drive plain and session (delta-keyed) ``run_tex2d``
+    calls plus ``run_shard`` calls over more offset tensors than the
+    cache holds, so entries — and the anchors on them — are evicted
+    mid-run.  Every output equals the one-shot (no cache) output, every
+    non-delta KernelStats equals the uncached run, every lookup counts
+    exactly one hit/miss/delta hit, and no in-flight guard is left."""
+    cfg = LayerConfig(8, 8, 16, 16, deformable_groups=2)
+    x, _, w, b = _inputs(cfg)
+    offsets = [synth_offsets(cfg, sigma=2.0, seed=s) for s in range(6)]
+    shards = [s for kind in ("rows", "channels")
+              for s in enumerate_shards(cfg, kind, (1, 1))]
+    pc = PlanCache(max_entries=8, delta_bound=0.3)
+    issued = [0] * 8
+    checks = []
+
+    def frames(i):
+        # a thread owns its session, so the stream's frames stay ordered
+        g = rng(100 + i)
+        base = offsets[i % len(offsets)]
+        for f in range(4):
+            yield base + g.uniform(-0.1, 0.1, size=base.shape).astype(
+                np.float32) * np.float32(f > 0)
+
+    def work(i):
+        for step, frame in enumerate(frames(i)):
+            # every thread's plain call of a step shares one key, so
+            # misses race and coalesce
+            off = offsets[step % len(offsets)]
+            res = run_tex2d(x, off, w, b, cfg, XAVIER, plan_cache=pc)
+            checks.append(("plain", off, None, res))
+            res = run_tex2d(x, frame, w, b, cfg, XAVIER, plan_cache=pc,
+                            session=f"s{i}")
+            checks.append(("session", frame, None, res))
+            off = offsets[(i + step) % len(offsets)]
+            shard = shards[(i + step) % len(shards)]
+            res = run_shard(x, off, cfg, XAVIER, shard, plan_cache=pc)
+            checks.append(("shard", off, shard, res))
+            issued[i] += 6   # two lookups per call
+
+    _hammer(8, work)
+    stats = pc.stats
+    assert stats.hits + stats.misses + stats.delta_hits == sum(issued)
+    assert stats.evictions > 0 and stats.delta_hits > 0
+    assert len(pc) <= pc.max_entries
+    assert not pc._building, "in-flight build guard left behind"
+    for kind, off, shard, res in checks:
+        if kind == "shard":
+            ref = run_shard(x, off, cfg, XAVIER, shard)
+            assert np.array_equal(res.cols, ref.cols)
+            assert res.sample == ref.sample and res.gemm == ref.gemm
+            continue
+        ref = run_tex2d(x, off, w, b, cfg, XAVIER)
+        assert np.array_equal(res.output, ref.output), kind
+        if kind == "plain":
+            assert _stats_dicts(res) == _stats_dicts(ref)
 
 
 # ----------------------------------------------------------------------
@@ -273,9 +318,10 @@ def test_fused_with_sampling_plan_bit_identical():
     cfg = LayerConfig(8, 8, 24, 24)
     x, off, w, b = _inputs(cfg)
     plan = SamplePlan(max_fetches=64, max_warps=8)
-    pc = PlanCache()
-    eager = run_tex2d(x, off, w, b, cfg, XAVIER, plan=plan, plan_cache=pc)
-    fused = run_tex2d(x, off, w, b, cfg, XAVIER, plan=plan, plan_cache=pc,
-                      execution="fused")
-    assert np.array_equal(fused.output, eager.output)
-    assert _stats_dicts(fused) == _stats_dicts(eager)
+    oneshot = run_tex2d(x, off, w, b, cfg, XAVIER, plan=plan)
+    cached = run_tex2d(x, off, w, b, cfg, XAVIER, plan=plan,
+                       plan_cache=PlanCache())
+    eager = eager_tex2d_forward(x, off, w, b, cfg, XAVIER)
+    assert np.array_equal(oneshot.output, eager)
+    assert np.array_equal(cached.output, eager)
+    assert _stats_dicts(cached) == _stats_dicts(oneshot)

@@ -10,8 +10,11 @@ These tests pin the contract of docs/streaming.md:
   with an unseen tile is a plain miss against its own trace;
 * deltas over the bound are rejected (and counted);
 * session state is bounded: ``end_session`` drops the anchors, LRU
-  eviction under multi-stream pressure drops them implicitly, and the
-  stream re-anchors exactly afterwards.
+  eviction drops an entry's anchors in the same step, and the stream
+  re-anchors exactly afterwards.
+
+A texture call with a plan cache makes two lookups — the fused plan and
+the perf stats — so an in-bound frame counts two delta hits.
 """
 
 import threading
@@ -21,7 +24,7 @@ import pytest
 
 from repro.gpusim import XAVIER
 from repro.kernels import LayerConfig, PlanCache, synth_offsets
-from repro.kernels.tex2d import run_tex2d, run_tex2dpp
+from repro.kernels.tex2d import eager_tex2d_forward, run_tex2d, run_tex2dpp
 from repro.models import build_classifier
 from repro.obs import MetricsRegistry
 from repro.pipeline.engine import DefconEngine
@@ -56,6 +59,9 @@ class TestDeltaHit:
     @pytest.mark.parametrize("runner", [run_tex2d, run_tex2dpp],
                              ids=["tex2d", "tex2dpp"])
     def test_eager_delta_hit_bit_identical(self, runner):
+        """One in-bound frame: the delta hit's output equals the eager
+        texture-fetch reference of that frame's offsets bit for bit,
+        while its perf counters are the anchor's and nothing rebuilds."""
         x, off0, w, b = _inputs()
         off1 = _perturb(off0, 0.2)
         pc = PlanCache(delta_bound=0.3)
@@ -63,11 +69,12 @@ class TestDeltaHit:
                         session="s0")
         hit = runner(x, off1, w, b, CFG, XAVIER, plan_cache=pc,
                      session="s0")
-        cold = runner(x, off1, w, b, CFG, XAVIER)
-        assert pc.stats.delta_hits == 1
+        eager = eager_tex2d_forward(x, off1, w, b, CFG, XAVIER,
+                                    fp16_offsets=runner is run_tex2dpp)
+        assert pc.stats.delta_hits == 2        # plan + stats lookups
         assert pc.stats.trace_builds == 1      # frame 1 never rebuilt
         # outputs are exact (recomputed from frame-1 offsets) ...
-        assert np.array_equal(hit.output, cold.output)
+        assert np.array_equal(hit.output, eager)
         # ... while the perf counters are the anchor's memoised simulation
         assert _rows(hit) == _rows(anchor)
 
@@ -76,18 +83,21 @@ class TestDeltaHit:
     def test_fused_delta_hit_bit_identical(self, runner):
         x, off0, w, b = _inputs()
         pc = PlanCache(delta_bound=0.3)
-        runner(x, off0, w, b, CFG, XAVIER, plan_cache=pc,
-               execution="fused", session="s0")
-        builds = pc.stats.fused_builds
+        anchor = runner(x, off0, w, b, CFG, XAVIER, plan_cache=pc,
+                        session="s0")
         for t in range(1, 4):      # several frames reuse one fused plan
             off_t = _perturb(off0, 0.2, seed=t)
             hit = runner(x, off_t, w, b, CFG, XAVIER, plan_cache=pc,
-                         execution="fused", session="s0")
-            cold = runner(x, off_t, w, b, CFG, XAVIER,
-                          plan_cache=PlanCache(), execution="fused")
+                         session="s0")
+            cold = runner(x, off_t, w, b, CFG, XAVIER)
+            # outputs are exact (recomputed from frame-t offsets) ...
             assert np.array_equal(hit.output, cold.output), f"frame {t}"
-        assert pc.stats.delta_hits >= 3
-        assert pc.stats.fused_builds == builds   # no new compiles
+            # ... while the perf counters are the anchor's memoised
+            # simulation
+            assert _rows(hit) == _rows(anchor), f"frame {t}"
+        assert pc.stats.delta_hits == 2 * 3
+        assert pc.stats.trace_builds == 1      # frames never rebuilt
+        assert pc.stats.fused_builds == 1      # no new compiles
 
     def test_delta_reject_over_bound(self):
         x, off0, w, b = _inputs()
@@ -207,8 +217,9 @@ class TestMultiStreamPressure:
         run_tex2d(x, offs[1], w, b, CFG, XAVIER, plan_cache=pc,
                   session="s1")
         assert pc.stats.evictions == 1
-        # s0's next in-bound frame cannot delta-hit a dead entry: the
-        # anchor is dropped and the frame rebuilds exactly ...
+        # s0's anchor died with its entry, so its next in-bound frame
+        # cannot delta-hit: the frame rebuilds exactly ...
+        assert pc.session_count == 1
         off1 = _perturb(offs[0], 0.1)
         res = run_tex2d(x, off1, w, b, CFG, XAVIER, plan_cache=pc,
                         session="s0")
@@ -219,9 +230,24 @@ class TestMultiStreamPressure:
         off2 = _perturb(off1, 0.1, seed=2)
         res2 = run_tex2d(x, off2, w, b, CFG, XAVIER, plan_cache=pc,
                          session="s0")
-        assert pc.stats.delta_hits == 1
+        assert pc.stats.delta_hits == 2
         assert np.array_equal(
             res2.output, run_tex2d(x, off2, w, b, CFG, XAVIER).output)
+
+    def test_anchors_die_with_their_entry(self):
+        """Many short streams through a tiny cache: each evicted entry
+        takes its anchors (and their session-owned fused buffers) with
+        it, so live anchors never outnumber live entries."""
+        x, _, w, b = _inputs()
+        pc = PlanCache(max_entries=2, delta_bound=0.3)
+        for s in range(50):
+            off = synth_offsets(CFG, sigma=2.0, seed=1000 + s)
+            for frame in (off, _perturb(off, 0.1, seed=s)):
+                run_tex2d(x, frame, w, b, CFG, XAVIER, plan_cache=pc,
+                          session=f"s{s}")
+        assert pc.stats.evictions == 48
+        assert pc.stats.delta_hits == 2 * 50
+        assert pc.session_count <= len(pc)
 
     def test_concurrent_sessions_coalesce_shared_builds(self):
         """K sessions racing the same digest still build the trace once

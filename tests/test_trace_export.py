@@ -49,12 +49,13 @@ def test_engine_trace_has_wall_and_sim_spans(model, images):
     sim = [e for e in trace["traceEvents"]
            if e["ph"] == "X" and e["pid"] == SIM_PID]
     # wall track: the classify span plus the plan cache building its
-    # per-geometry trace state on this cold first run
+    # per-geometry trace state and fused plans on this cold first run
     assert [e["name"] for e in wall if e.get("cat") != "plancache"
             ] == ["engine.classify"]
     plancache_spans = [e for e in wall if e.get("cat") == "plancache"]
     assert {e["name"] for e in plancache_spans} <= {
-        "plancache.build_trace", "plancache.retile"}
+        "plancache.build_trace", "plancache.build_fused",
+        "plancache.retile"}
     assert plancache_spans, "cold run must build plan-cache traces"
     # one sim span per kernel launch, each attributed to a real module path
     assert len(sim) == len(eng.log.records)
