@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.tensor import Tensor, backward_op
-from repro.nn.im2col import conv_output_size
+from repro.nn.im2col import conv_output_size, gemm_epilogue
 
 
 def _base_positions(h: int, w: int, kh: int, kw: int, stride: int,
@@ -168,10 +168,8 @@ def deform_conv2d(x: Tensor, offset: Tensor, weight: Tensor,
         x.data, offset.data, kh, stride, padding, dilation, dg, mask_data)
     l = out_h * out_w
     w2 = weight.data.reshape(c_out, c_in * k)
-    out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
-    out = out.reshape(n, c_out, out_h, out_w)
-    if bias is not None:
-        out = out + bias.data.reshape(1, c_out, 1, 1)
+    out = gemm_epilogue(w2, cols, None if bias is None else bias.data,
+                        (out_h, out_w))
 
     parents = [x, offset, weight]
     if bias is not None:

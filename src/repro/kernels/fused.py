@@ -23,11 +23,12 @@ once per call when no plan cache is supplied:
 :meth:`FusedPlan.execute` then runs offset-quantise → gather → blend →
 GEMM as one preplanned pass writing into those buffers: four
 ``np.take`` gathers blended in place into the column buffer and a
-single einsum contraction (the *same* ``"ok,nkl->nol"`` expression as
-the eager reference, so the contraction order — and therefore every
-output bit — is identical).  The conformance suite's
-``plancache.fused_bit_identical.*`` check and ``tests/test_fused.py``
-pin bit-identical outputs against the eager reference.
+single contraction through :func:`~repro.nn.im2col.gemm_epilogue` (the
+*same* ``"ok,nkl->nol"`` einsum the eager reference spells out, so the
+contraction order — and therefore every output bit — is identical).
+The conformance suite's ``plancache.fused_bit_identical.*`` check and
+``tests/test_fused.py`` pin bit-identical outputs against the eager
+reference.
 
 Plans hang off the :class:`~repro.kernels.plancache.PlanCache` trace
 entry for their offsets, sharing one LRU lifetime and one digest key
@@ -47,6 +48,7 @@ import numpy as np
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.texture import linear_filter_taps
 from repro.kernels.config import LayerConfig
+from repro.nn.im2col import gemm_epilogue
 
 
 class FusedPlan:
@@ -140,13 +142,9 @@ class FusedPlan:
                             mode="clip")
                     np.multiply(corner, self.wts[q, b], out=corner)
                     acc += corner
-            np.einsum("ok,nkl->nol", w2, self.cols, optimize=True,
-                      out=self.out)
-            out4 = self.out.reshape(self.n, cfg.out_channels,
-                                    cfg.out_height, cfg.out_width)
-            if bias is not None:
-                return out4 + bias.reshape(1, -1, 1, 1)
-            return out4.copy()
+            return gemm_epilogue(w2, self.cols, bias,
+                                 (cfg.out_height, cfg.out_width),
+                                 out=self.out)
 
 
 def build_fused_plan(cfg: LayerConfig, spec: DeviceSpec, fp16: bool,

@@ -26,6 +26,7 @@ from repro.gpusim.memory import strided_stats
 from repro.gpusim.profiler import KernelStats
 from repro.gpusim.trace import SamplePlan, deform_input_coalescing
 from repro.kernels.config import LayerConfig, OpResult
+from repro.nn.im2col import gemm_epilogue
 
 #: FLOPs per tap for software bilinear: 4 mul + 3 add (paper Section II-B).
 SOFTWARE_INTERP_FLOPS = 7
@@ -51,11 +52,8 @@ def run_reference(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
             x, offset, cfg.kernel_size, cfg.stride, cfg.padding,
             cfg.dilation, cfg.deformable_groups)
         w2 = weight.reshape(cfg.out_channels, c * k)
-        out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
-        output = out.reshape(n, cfg.out_channels, cfg.out_height,
-                             cfg.out_width)
-        if bias is not None:
-            output = output + bias.reshape(1, -1, 1, 1)
+        output = gemm_epilogue(w2, cols, bias,
+                               (cfg.out_height, cfg.out_width))
 
     # ------------------------------------------------------------------
     # performance model: kernel 1 — deformable_im2col

@@ -53,6 +53,7 @@ from repro.kernels.config import LayerConfig, OpResult
 from repro.kernels.fused import tap_tables
 from repro.kernels.reference import COORD_FLOPS
 from repro.kernels.tex2d import DEFAULT_TILE
+from repro.nn.im2col import gemm_epilogue
 
 #: Shard kinds the planner may emit.
 SHARD_KINDS = ("rows", "channels")
@@ -483,10 +484,7 @@ def stitch_columns(results: Sequence[ShardResult], weight: np.ndarray,
                          f"elements — the planner emitted a non-tiling "
                          f"split")
     w2 = weight.reshape(cfg.out_channels, c * k)
-    out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
-    output = out.reshape(n, cfg.out_channels, cfg.out_height, cfg.out_width)
-    if bias is not None:
-        output = output + bias.reshape(1, -1, 1, 1)
+    output = gemm_epilogue(w2, cols, bias, (cfg.out_height, cfg.out_width))
 
     out_bytes = float(n * cfg.out_channels * l * 4)
     gathered = float(sum(r.out_bytes for r in results))

@@ -13,7 +13,8 @@ from typing import Optional
 import numpy as np
 
 from repro.tensor import Tensor, backward_op
-from repro.nn.im2col import col2im, conv_output_size, im2col
+from repro.nn.im2col import (col2im, conv_output_size, gemm_columns,
+                              gemm_epilogue, im2col)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -34,19 +35,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     out_h = conv_output_size(h, kh, stride, padding, dilation)
     out_w = conv_output_size(w, kw, stride, padding, dilation)
 
-    cols = im2col(x.data, kh, kw, stride, padding, dilation)  # (N, C*K, L)
     l = out_h * out_w
     if groups == 1:
+        cols = gemm_columns(x.data, kh, kw, stride, padding, dilation)
         w2 = weight.data.reshape(c_out, c_in_g * kh * kw)
-        out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)
+        out = gemm_epilogue(w2, cols, None if bias is None else bias.data,
+                            (out_h, out_w))
     else:
+        cols = im2col(x.data, kh, kw, stride, padding, dilation)
         cols_g = cols.reshape(n, groups, c_in_g * kh * kw, l)
         w_g = weight.data.reshape(groups, c_out // groups, c_in_g * kh * kw)
         out = np.einsum("gok,ngkl->ngol", w_g, cols_g, optimize=True)
-        out = out.reshape(n, c_out, l)
-    out = out.reshape(n, c_out, out_h, out_w)
-    if bias is not None:
-        out = out + bias.data.reshape(1, c_out, 1, 1)
+        # via (N, O, L): the strides of size-1 dims can decide whether a
+        # later matmul calls BLAS, so they are part of the result
+        out = out.reshape(n, c_out, l).reshape(n, c_out, out_h, out_w)
+        if bias is not None:
+            out = out + bias.data.reshape(1, c_out, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 

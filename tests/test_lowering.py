@@ -1,0 +1,176 @@
+"""The window-gather lowering against the fancy-index reference, bit for bit.
+
+``tests/lowering_reference.py`` keeps the gather and einsum epilogues the
+lowering replaced.  einsum's bits depend on the memory order of its
+column operand, and later layers' reductions depend on the memory order
+of a conv's output, so the sweep checks strides as well as values.  It
+covers the layouts where a simpler rule would drift: 1x1 kernels at
+N = 1, C == 1 with a 1x1 output at N > 1, C == 1 with a 1x1 kernel at
+N > 1, grouped 1x1 convs at N = 1.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import repro.deform.deform_conv
+import repro.kernels.fused
+import repro.kernels.reference
+import repro.kernels.shards
+from repro.gpusim import XAVIER
+from repro.models import build_yolact
+from repro.nas import manual_interval_placement
+from repro.nn import functional as F
+from repro.nn.im2col import gemm_columns, im2col
+from repro.pipeline import DefconEngine
+from repro.tensor import Tensor
+
+import lowering_reference as ref
+from helpers import check_gradients, float64_tensors, rng
+
+DTYPES = (np.float32, np.float64)
+#: (H, W): 1x1 inputs and 3x3 inputs under a 3x3 kernel give 1x1 outputs
+SIZES = ((1, 1), (3, 3), (7, 6))
+#: (stride, padding, dilation)
+GEOMETRIES = tuple(itertools.product((1, 2), (0, 1), (1, 2)))
+
+
+def _conv_cases(c):
+    """(out_channels, kernel, groups, size, geometry) valid for ``c``."""
+    for o, k, groups, size, geo in itertools.product(
+            sorted({1, 4, c}), (1, 3), sorted({1, 2, c}), SIZES, GEOMETRIES):
+        stride, padding, dilation = geo
+        if c % groups or o % groups:
+            continue
+        if any(ref.conv_output_size(s, k, stride, padding, dilation) < 1
+               for s in size):
+            continue
+        yield o, k, groups, size, geo
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+@pytest.mark.parametrize("c", (1, 3, 8))
+@pytest.mark.parametrize("n", (1, 2, 4))
+def test_conv2d_forward_bit_identical_to_reference(n, c, dtype):
+    g = rng(100 * n + c)
+    with float64_tensors():
+        _sweep_conv2d(g, n, c, dtype)
+
+
+def _sweep_conv2d(g, n, c, dtype):
+    for o, k, groups, (h, w), (stride, padding, dilation) in _conv_cases(c):
+        x = g.normal(size=(n, c, h, w)).astype(dtype)
+        wt = g.normal(size=(o, c // groups, k, k)).astype(dtype)
+        b = g.normal(size=(o,)).astype(dtype)
+        for bias in (None, b):
+            expect = ref.conv2d(x, wt, bias, stride, padding, dilation, groups)
+            got = F.conv2d(Tensor(x), Tensor(wt),
+                           None if bias is None else Tensor(bias),
+                           stride=stride, padding=padding,
+                           dilation=dilation, groups=groups).data
+            case = (o, k, groups, h, w, stride, padding, dilation,
+                    bias is None)
+            assert got.dtype == expect.dtype, case
+            assert got.strides == expect.strides, case
+            assert np.array_equal(got, expect), case
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+@pytest.mark.parametrize("c", (1, 3, 8))
+@pytest.mark.parametrize("n", (1, 2, 4))
+def test_im2col_keeps_reference_values_and_memory_order(n, c, dtype):
+    x = rng(7 * n + c).normal(size=(n, c, 7, 6)).astype(dtype)
+    for k, (stride, padding, dilation) in itertools.product((1, 2, 3),
+                                                            GEOMETRIES):
+        expect = ref.im2col(x, k, k, stride, padding, dilation)
+        got = im2col(x, k, k, stride, padding, dilation)
+        case = (k, stride, padding, dilation)
+        assert got.strides == expect.strides, case
+        assert np.array_equal(got, expect), case
+        # the dense GEMM operand: same values, whatever its layout
+        assert np.array_equal(
+            gemm_columns(x, k, k, stride, padding, dilation), expect), case
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+@pytest.mark.parametrize("n", (1, 2, 4))
+def test_pooling_bit_identical_to_reference(n, dtype):
+    g = rng(n)
+    for c, (h, w), kernel, stride in itertools.product(
+            (1, 3, 8), ((1, 1), (4, 4), (7, 6)), (1, 2, 3), (None, 1, 2)):
+        if min(h, w) < kernel:
+            continue
+        x = g.normal(size=(n, c, h, w)).astype(dtype)
+        case = (c, h, w, kernel, stride)
+        for pool, expect in ((F.max_pool2d, ref.max_pool2d(x, kernel, stride)),
+                             (F.avg_pool2d, ref.avg_pool2d(x, kernel, stride))):
+            with float64_tensors():
+                got = pool(Tensor(x), kernel, stride).data
+            assert got.dtype == expect.dtype, case
+            assert got.strides == expect.strides, case
+            assert np.array_equal(got, expect), case
+
+
+@pytest.mark.parametrize("k,padding", [(1, 0), (3, 1)])
+def test_batched_conv_gradients(k, padding):
+    """N > 1 contracts a transposed view of the rows matrix; its
+    backward still matches finite differences."""
+    g = rng(11 + k)
+    x = Tensor(g.normal(size=(2, 3, 5, 5)), requires_grad=True)
+    w = Tensor(g.normal(size=(4, 3, k, k)), requires_grad=True)
+    b = Tensor(g.normal(size=(4,)), requires_grad=True)
+    check_gradients(lambda: F.conv2d(x, w, b, stride=1, padding=padding),
+                    [x, w, b])
+
+
+# ----------------------------------------------------------------------
+# whole forward
+# ----------------------------------------------------------------------
+def _reference_conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1,
+                      groups=1):
+    return Tensor(ref.conv2d(x.data, weight.data,
+                             None if bias is None else bias.data,
+                             stride, padding, dilation, groups))
+
+
+@pytest.fixture(scope="module")
+def detect_model():
+    model = build_yolact("r50s", input_size=64,
+                         placement=manual_interval_placement(9, 3),
+                         lightweight=True, bound=7.0, seed=0)
+    # non-zero offsets, so the deformable layers sample between texels
+    g = rng(5)
+    for layer in model.modules():
+        head = getattr(layer, "offset_head", None)
+        if head is not None:
+            head.pointwise.weight.data[...] = 0.05 * g.normal(
+                size=head.pointwise.weight.shape)
+    return model
+
+
+def _detect(model, images):
+    engine = DefconEngine(model, XAVIER, backend="tex2dpp")
+    return engine.detect(images, score_threshold=0.05)
+
+
+@pytest.mark.parametrize("batch", (1, 4))
+def test_whole_detect_bit_identical_to_reference_lowering(
+        detect_model, batch, monkeypatch):
+    images = rng(batch).uniform(0, 1, size=(batch, 3, 64, 64)).astype(
+        np.float32)
+    got = _detect(detect_model, images)
+    with monkeypatch.context() as m:
+        m.setattr(F, "conv2d", _reference_conv2d)
+        m.setattr(F, "im2col", ref.im2col)
+        for module in (repro.deform.deform_conv, repro.kernels.fused,
+                       repro.kernels.reference, repro.kernels.shards):
+            m.setattr(module, "gemm_epilogue", ref.gemm_epilogue)
+        expect = _detect(detect_model, images)
+    assert expect, "no detections to compare"
+    assert len(got) == len(expect)
+    for a, b in zip(got, expect):
+        assert (a.image_id, a.label) == (b.image_id, b.label)
+        assert a.score == b.score
+        assert np.array_equal(a.box, b.box)
+        assert np.array_equal(a.mask, b.mask)
