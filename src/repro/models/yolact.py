@@ -28,13 +28,10 @@ CELL_RANGE = 3.0
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-safe logistic, as float64: ``1 / (1 + e)`` for x >= 0 and
+    ``e / (1 + e)`` below, both with ``e = exp(-|x|)`` in x's dtype."""
+    e = np.exp(-np.abs(x))
+    return (np.where(x >= 0, 1.0, e) / (1.0 + e)).astype(np.float64)
 
 
 class YolactLite(Module):
@@ -73,11 +70,17 @@ class YolactLite(Module):
         return out
 
     # ------------------------------------------------------------------
-    def assemble_masks(self, proto: np.ndarray, coefs: np.ndarray
-                       ) -> np.ndarray:
-        """Linear combination + sigmoid: (K, Hp, Wp) × (M, K) → (M, Hp, Wp)."""
+    def assemble_masks(self, proto: np.ndarray, coefs: np.ndarray,
+                       rows: Sequence[int]) -> np.ndarray:
+        """Linear combination + sigmoid of the kept candidates ``rows``:
+        (K, Hp, Wp) × (M, K) → (len(rows), Hp, Wp).
+
+        The combination runs over all M candidates: a GEMM over a subset
+        of rows may round differently.  Only the elementwise sigmoid is
+        restricted to ``rows``.
+        """
         logits = np.tensordot(coefs, proto, axes=(1, 0))
-        return _sigmoid(logits + float(self.mask_bias.data[0]))
+        return _sigmoid(logits[rows] + float(self.mask_bias.data[0]))
 
     def detect(self, images: np.ndarray, score_threshold: float = 0.35,
                nms_iou: float = 0.5, max_dets: int = 8,
@@ -119,12 +122,11 @@ class YolactLite(Module):
                               cx + bw / 2, cy + bh / 2], axis=1)
             boxes = np.clip(boxes, 0, size)
             coefs = coef[i, :, gys, gxs]                        # (M, K)
-            masks_small = self.assemble_masks(proto[i], coefs)  # (M, Hp, Wp)
             keep = _per_class_nms(boxes, scores, labels, nms_iou)[:max_dets]
-            up = size // masks_small.shape[-1]
-            for j in keep:
-                mask = np.repeat(np.repeat(masks_small[j], up, axis=0),
-                                 up, axis=1) > 0.5
+            fg = self.assemble_masks(proto[i], coefs, keep) > 0.5
+            up = size // fg.shape[-1]
+            for j, fg_small in zip(keep, fg):
+                mask = np.repeat(np.repeat(fg_small, up, axis=0), up, axis=1)
                 mask = _crop_to_box(mask, boxes[j])
                 detections.append(Detection(
                     image_id=ids[i], label=int(labels[j]),
@@ -135,7 +137,14 @@ class YolactLite(Module):
 
 def _per_class_nms(boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray,
                    iou_thr: float) -> List[int]:
-    """Greedy NMS within each class; returns kept indices, best first."""
+    """Greedy NMS within each class; returns kept indices, best first.
+
+    Reads one IoU matrix over all boxes; its entries are elementwise the
+    values per-row ``box_iou`` calls give.  Pairs of empty boxes divide
+    0 by 0 there, and ``box_iou`` maps them to 0.
+    """
+    with np.errstate(invalid="ignore"):
+        iou = box_iou(boxes, boxes)
     keep: List[int] = []
     for label in np.unique(labels):
         idx = np.nonzero(labels == label)[0]
@@ -143,10 +152,7 @@ def _per_class_nms(boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray,
         while len(idx):
             best = idx[0]
             keep.append(int(best))
-            if len(idx) == 1:
-                break
-            ious = box_iou(boxes[best][None], boxes[idx[1:]])[0]
-            idx = idx[1:][ious < iou_thr]
+            idx = idx[1:][iou[best, idx[1:]] < iou_thr]
     keep.sort(key=lambda j: -scores[j])
     return keep
 

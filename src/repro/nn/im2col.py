@@ -22,6 +22,8 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.nn.channelwise import channel_ops, nhwc_dense
+
 #: Output rows per band of :func:`gemm_columns`' per-tap copy: the taps of
 #: one band re-read the same few input rows while they are still in cache.
 ROWS_BAND = 4
@@ -91,13 +93,19 @@ def gemm_columns(x: np.ndarray, kh: int, kw: int, stride: int = 1,
     rows matrix instead and returns its transposed view, which einsum
     contracts without a copy.  With N == 1 einsum takes im2col's columns
     as they are, and with C == 1 their layout is (K, L, N, C), which
-    einsum's result follows; both keep :func:`im2col`.
+    einsum's result follows; both keep :func:`im2col`.  An NHWC-dense
+    input of more than one pixel under a 1x1, stride-1, unpadded kernel
+    is already the rows matrix, and its view is returned without a copy.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kh, stride, padding, dilation)
     out_w = conv_output_size(w, kw, stride, padding, dilation)
     if n == 1 or c == 1:
         return im2col(x, kh, kw, stride, padding, dilation)
+    if (kh == kw == 1 and stride == 1 and padding == 0 and h * w > 1
+            and nhwc_dense(x)):
+        # a 1x1 conv's rows matrix is its NHWC-dense input itself
+        return x.transpose(0, 2, 3, 1).reshape(n, h * w, c).transpose(0, 2, 1)
     # NHWC copy of the padded input, then one strided copy per tap and
     # band of output rows into rows[n, y, x, c, i, j]
     xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
@@ -131,7 +139,10 @@ def gemm_epilogue(w2: np.ndarray, cols: np.ndarray, bias: Optional[np.ndarray],
     res = np.einsum("ok,nkl->nol", w2, cols, optimize=True, out=out)
     res = res.reshape(n, o, *out_hw)
     if bias is not None:
-        return res + bias.reshape(1, o, 1, 1)
+        # in place only on einsum's own result, and only without size-1
+        # dims, whose strides a fresh ``res + bias`` would choose anew
+        return channel_ops(res, ((np.add, bias),),
+                           in_place=out is None and min(res.shape) > 1)
     return res if out is None else res.copy()
 
 

@@ -19,8 +19,6 @@ import repro.kernels.fused
 import repro.kernels.reference
 import repro.kernels.shards
 from repro.gpusim import XAVIER
-from repro.models import build_yolact
-from repro.nas import manual_interval_placement
 from repro.nn import functional as F
 from repro.nn.im2col import gemm_columns, im2col
 from repro.pipeline import DefconEngine
@@ -36,10 +34,10 @@ SIZES = ((1, 1), (3, 3), (7, 6))
 GEOMETRIES = tuple(itertools.product((1, 2), (0, 1), (1, 2)))
 
 
-def _conv_cases(c):
+def _conv_cases(c, sizes=SIZES):
     """(out_channels, kernel, groups, size, geometry) valid for ``c``."""
     for o, k, groups, size, geo in itertools.product(
-            sorted({1, 4, c}), (1, 3), sorted({1, 2, c}), SIZES, GEOMETRIES):
+            sorted({1, 4, c}), (1, 3), sorted({1, 2, c}), sizes, GEOMETRIES):
         stride, padding, dilation = geo
         if c % groups or o % groups:
             continue
@@ -58,9 +56,28 @@ def test_conv2d_forward_bit_identical_to_reference(n, c, dtype):
         _sweep_conv2d(g, n, c, dtype)
 
 
-def _sweep_conv2d(g, n, c, dtype):
-    for o, k, groups, (h, w), (stride, padding, dilation) in _conv_cases(c):
-        x = g.normal(size=(n, c, h, w)).astype(dtype)
+#: (H, W) of NHWC-ordered inputs: H·W == 1, and size-1 dims with H·W > 1
+NHWC_SIZES = ((1, 1), (1, 5), (4, 1), (3, 3), (7, 6))
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+@pytest.mark.parametrize("c", (1, 3, 8))
+@pytest.mark.parametrize("n", (2, 4))
+def test_conv2d_nhwc_inputs_bit_identical_to_reference(n, c, dtype):
+    """Batched convs mostly read NHWC-ordered activations (einsum's
+    result order); a 1x1 conv contracts such an input as it lies."""
+    g = rng(200 * n + c)
+    with float64_tensors():
+        _sweep_conv2d(g, n, c, dtype, NHWC_SIZES, nhwc=True)
+
+
+def _sweep_conv2d(g, n, c, dtype, sizes=SIZES, nhwc=False):
+    for o, k, groups, (h, w), (stride, padding, dilation) in _conv_cases(
+            c, sizes):
+        if nhwc:
+            x = g.normal(size=(n, h, w, c)).astype(dtype).transpose(0, 3, 1, 2)
+        else:
+            x = g.normal(size=(n, c, h, w)).astype(dtype)
         wt = g.normal(size=(o, c // groups, k, k)).astype(dtype)
         b = g.normal(size=(o,)).astype(dtype)
         for bias in (None, b):
@@ -132,21 +149,6 @@ def _reference_conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1,
     return Tensor(ref.conv2d(x.data, weight.data,
                              None if bias is None else bias.data,
                              stride, padding, dilation, groups))
-
-
-@pytest.fixture(scope="module")
-def detect_model():
-    model = build_yolact("r50s", input_size=64,
-                         placement=manual_interval_placement(9, 3),
-                         lightweight=True, bound=7.0, seed=0)
-    # non-zero offsets, so the deformable layers sample between texels
-    g = rng(5)
-    for layer in model.modules():
-        head = getattr(layer, "offset_head", None)
-        if head is not None:
-            head.pointwise.weight.data[...] = 0.05 * g.normal(
-                size=head.pointwise.weight.shape)
-    return model
 
 
 def _detect(model, images):

@@ -145,9 +145,11 @@ class TestYolact:
     def test_assemble_masks_sigmoid_range(self, model):
         proto = rng(13).normal(size=(6, 16, 16))
         coefs = rng(14).normal(size=(3, 6))
-        masks = model.assemble_masks(proto, coefs)
-        assert masks.shape == (3, 16, 16)
+        masks = model.assemble_masks(proto, coefs, [2, 0])
+        assert masks.shape == (2, 16, 16)
         assert (masks > 0).all() and (masks < 1).all()
+        every = model.assemble_masks(proto, coefs, [0, 1, 2])
+        assert np.array_equal(masks, every[[2, 0]])
 
 
 class TestDetectHelpers:

@@ -9,7 +9,7 @@ from repro.tensor import Tensor
 from repro.tensor.autograd import unbroadcast
 from repro.tensor.tensor import concat, stack
 
-from helpers import check_gradients, rng
+from helpers import check_gradients, float64_tensors, rng
 
 
 class TestArithmetic:
@@ -88,6 +88,20 @@ class TestElementwise:
     def test_relu_zeroes_negatives(self):
         a = Tensor([-1.0, 0.5])
         assert np.allclose(a.relu().data, [0.0, 0.5])
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_relu_bits_are_the_mask_product(self, dtype):
+        """ReLU is ``x * (x > 0)``: negatives give -0.0 and -inf gives
+        NaN, where ``np.maximum(x, 0)`` gives +0.0 and 0.0; detections
+        are pinned to these bits."""
+        x = np.array([-1.0, -0.0, 0.0, 1.0, np.inf, -np.inf, 1e-45, -1e-45],
+                     dtype=dtype)
+        with float64_tensors(), np.errstate(invalid="ignore"):
+            got = Tensor(x).relu().data
+            expect = x * (x > 0)
+        assert got.dtype == dtype
+        uint = f"u{x.itemsize}"
+        assert np.array_equal(got.view(uint), expect.view(uint))
 
     def test_clamp_values_and_gradient(self):
         a = Tensor([-3.0, 0.0, 5.0], requires_grad=True)
