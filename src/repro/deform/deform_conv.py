@@ -17,6 +17,7 @@ for deformable group ``g`` and tap ``k``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.tensor import Tensor, backward_op
 from repro.nn.im2col import conv_output_size, gemm_epilogue
 
 
+@lru_cache(maxsize=32)
 def _base_positions(h: int, w: int, kh: int, kw: int, stride: int,
                     padding: int, dilation: int
                     ) -> Tuple[np.ndarray, np.ndarray, int, int]:
@@ -32,6 +34,8 @@ def _base_positions(h: int, w: int, kh: int, kw: int, stride: int,
 
     Returns float32 arrays of shape (K, OH*OW) — may be negative or exceed
     the image (the padding band), which the bilinear sampler zero-fills.
+    They depend on the geometry alone, so they are built once per
+    geometry and shared read-only.
     """
     out_h = conv_output_size(h, kh, stride, padding, dilation)
     out_w = conv_output_size(w, kw, stride, padding, dilation)
@@ -41,6 +45,7 @@ def _base_positions(h: int, w: int, kh: int, kw: int, stride: int,
     o_c = (stride * np.tile(np.arange(out_w), out_h) - padding).astype(np.float32)
     base_y = k_r[:, None] + o_r[None, :]
     base_x = k_c[:, None] + o_c[None, :]
+    base_y.flags.writeable = base_x.flags.writeable = False
     return base_y, base_x, out_h, out_w
 
 
@@ -63,7 +68,7 @@ def sampling_positions(offset: np.ndarray, in_hw: Tuple[int, int],
     off = offset.reshape(n, deformable_groups, k, 2, out_h * out_w)
     py = base_y[None, None] + off[:, :, :, 0]
     px = base_x[None, None] + off[:, :, :, 1]
-    return py.astype(np.float32), px.astype(np.float32)
+    return py.astype(np.float32, copy=False), px.astype(np.float32, copy=False)
 
 
 def _corners(py: np.ndarray, px: np.ndarray):

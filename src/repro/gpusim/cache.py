@@ -26,6 +26,25 @@ import numpy as np
 from repro.gpusim.device import DeviceSpec
 
 
+#: largest key space :func:`unique_keys` tabulates regardless of key count
+TABLE_BOUND = 1 << 24
+
+
+def unique_keys(keys: np.ndarray, space: int) -> np.ndarray:
+    """``np.unique(keys)`` for int64 ``keys`` in ``[0, space)``.
+
+    A key space within :data:`TABLE_BOUND`, or within 16 slots per key,
+    is marked in a boolean table and read back in ascending order by
+    ``np.flatnonzero``: exact counting, no sort, the same values and
+    dtype as ``np.unique``.  A sparser space sorts.
+    """
+    if space > max(TABLE_BOUND, 16 * keys.size):
+        return np.unique(keys)
+    seen = np.zeros(space, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen)
+
+
 @dataclass(frozen=True)
 class TextureCacheStats:
     """Aggregate results of a cache simulation."""
@@ -188,7 +207,8 @@ class TextureCacheModel:
         # (pixel, line) pair set and the raw per-pixel read counts are all
         # any CTA grouping of pixels needs.
         line_space = int(lines.max()) + 1
-        pair_key = np.unique(pix4 * line_space + lines)
+        pair_key = unique_keys(pix4 * line_space + lines,
+                               (int(pix4.max()) + 1) * line_space)
         return TexelLineTrace(lines=lines, pixel=pix4, requests=requests,
                               dedup_pixel=pair_key // line_space,
                               dedup_lines=pair_key % line_space,
@@ -216,22 +236,16 @@ class TextureCacheModel:
         num_ctas = int(cta_of_pixel.max()) + 1
         space = trace.line_space
         # Raw per-CTA access counts: sum the per-pixel read counts of the
-        # pixels each CTA owns (integer-exact).
-        accesses = np.zeros(num_ctas, dtype=np.int64)
-        np.add.at(accesses, cta_of_pixel[:trace.pixel_counts.size],
-                  trace.pixel_counts)
-        pair_key = cta_of_pixel[trace.dedup_pixel] * space + trace.dedup_lines
-        bins = num_ctas * space
-        if bins <= max(1 << 24, 16 * pair_key.size):
-            seen = np.bincount(pair_key, minlength=bins) > 0
-            unique_pairs = int(seen.sum())
-            uniq_per_cta = seen.reshape(num_ctas, space).sum(axis=1)
-        else:   # key space too sparse to tabulate: sort the deduped pairs
-            uniq = np.unique(pair_key)
-            unique_pairs = uniq.size
-            uniq_per_cta = np.bincount(uniq // space, minlength=num_ctas)
+        # pixels each CTA owns (float64 sums of ints below 2**53: exact).
+        accesses = np.bincount(cta_of_pixel[:trace.pixel_counts.size],
+                               weights=trace.pixel_counts,
+                               minlength=num_ctas).astype(np.int64)
+        uniq = unique_keys(
+            cta_of_pixel[trace.dedup_pixel] * space + trace.dedup_lines,
+            num_ctas * space)
+        uniq_per_cta = np.bincount(uniq // space, minlength=num_ctas)
         present = accesses > 0
-        return self._finish(unique_pairs, accesses[present],
+        return self._finish(uniq.size, accesses[present],
                             uniq_per_cta[present].astype(np.int64),
                             trace.requests, trace.texel_reads)
 

@@ -77,7 +77,9 @@ def linear_filter_taps(y: np.ndarray, x: np.ndarray, h: int, w: int,
     texel indices plus the 1.8 fixed-point blend weight with the
     out-of-bounds mask already folded in (border reads contribute zero).
     Both the eager fetch path and the fused execution plans consume this
-    helper, so their corner numerics can never drift apart.
+    helper, so their corner numerics can never drift apart.  The two
+    rows, the two columns and the (1 − α), (1 − β) factors are resolved
+    once and shared by the corners that use them.
     """
     # Linear filtering: xB = x − 0.5; i = floor(xB); α = frac(xB) in 1.8
     # fixed point (CUDA Programming Guide, appendix on texture fetching).
@@ -89,15 +91,13 @@ def linear_filter_taps(y: np.ndarray, x: np.ndarray, h: int, w: int,
     beta = quantize_fraction(xb - j0)
     i0 = i0.astype(np.int64)
     j0 = j0.astype(np.int64)
-    taps = []
-    for dy, dx, wq in ((0, 0, (1 - alpha) * (1 - beta)),
-                       (0, 1, (1 - alpha) * beta),
-                       (1, 0, alpha * (1 - beta)),
-                       (1, 1, alpha * beta)):
-        iy, ok_y = _apply_address_mode(i0 + dy, h, address_mode, normalized)
-        jx, ok_x = _apply_address_mode(j0 + dx, w, address_mode, normalized)
-        taps.append((iy, jx, wq * (ok_y & ok_x)))
-    return taps
+    rows = [_apply_address_mode(i0 + d, h, address_mode, normalized) + (wy,)
+            for d, wy in ((0, 1 - alpha), (1, alpha))]
+    cols = [_apply_address_mode(j0 + d, w, address_mode, normalized) + (wx,)
+            for d, wx in ((0, 1 - beta), (1, beta))]
+    # corners (0, 0), (0, 1), (1, 0), (1, 1)
+    return [(iy, jx, wy * wx * (ok_y & ok_x))
+            for iy, ok_y, wy in rows for jx, ok_x, wx in cols]
 
 
 def _apply_address_mode(coord: np.ndarray, extent: int, mode: str,

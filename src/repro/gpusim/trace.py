@@ -15,6 +15,7 @@ error, while keeping even 512-channel × 138² layers sub-second.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -103,12 +104,19 @@ def cta_ids_for_tile(out_h: int, out_w: int,
     This is the *only* tile-dependent ingredient of a texture fetch trace,
     which is what makes one-pass re-tiling
     (:meth:`~repro.gpusim.cache.TextureCacheModel.simulate_retiled`) work.
+    The map is built once per (out_h, out_w, tile) and shared read-only.
     """
-    ty, tx = tile
+    return _cta_ids(int(out_h), int(out_w), int(tile[0]), int(tile[1]))
+
+
+@lru_cache(maxsize=64)
+def _cta_ids(out_h: int, out_w: int, ty: int, tx: int) -> np.ndarray:
     oy = np.repeat(np.arange(out_h), out_w)
     ox = np.tile(np.arange(out_w), out_h)
     tiles_x = -(-out_w // tx)
-    return (oy // ty) * tiles_x + (ox // tx)
+    ids = (oy // ty) * tiles_x + (ox // tx)
+    ids.flags.writeable = False
+    return ids
 
 
 def sample_trace_ctas(y0: np.ndarray, x0: np.ndarray, cta: np.ndarray,

@@ -201,9 +201,12 @@ def tap_tables(py: np.ndarray, px: np.ndarray, h: int, w: int,
     if fp16:
         y = y.astype(np.float16).astype(np.float32)
         x = x.astype(np.float16).astype(np.float32)
-    taps = linear_filter_taps(y, x, h, w, "border", False)
-    idx = np.stack([(iy * w + jx).reshape(n * dg, s)
-                    for iy, jx, _ in taps])
-    wts = np.stack([wq.astype(np.float32, copy=False).reshape(
-        n * dg, 1, s) for _, _, wq in taps])
+    idx = np.empty((4, n * dg, s), dtype=np.int64)
+    wts = np.empty((4, n * dg, 1, s), dtype=np.float32)
+    for q, (iy, jx, wq) in enumerate(
+            linear_filter_taps(y, x, h, w, "border", False)):
+        flat = idx[q].reshape(y.shape)
+        np.multiply(iy, w, out=flat)
+        flat += jx
+        wts[q] = wq.reshape(n * dg, 1, s)
     return idx, wts

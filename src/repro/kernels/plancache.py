@@ -337,7 +337,8 @@ class PlanCache:
                   spec: DeviceSpec, tile: Tuple[int, int], fp16: bool,
                   plan: Optional[SamplePlan], concurrent_layers: int,
                   positions: Callable[[], Tuple[np.ndarray, np.ndarray]],
-                  session: Optional[str] = None
+                  session: Optional[str] = None,
+                  digest: Optional[str] = None
                   ) -> Tuple[TextureCacheStats, float]:
         """Memoised equivalent of trace-build + ``simulate`` for one call.
 
@@ -354,6 +355,10 @@ class PlanCache:
         positions callable is never invoked).  A known digest with an
         unseen (tile, concurrency) combination is a plain miss that
         simulates against its own trace.
+
+        ``digest`` is ``offsets_digest(offset)`` when the caller already
+        has it, so a call that looks up both stats and its fused plan
+        hashes its offsets once.
         """
         plan = plan or SamplePlan()
         tile = (int(tile[0]), int(tile[1]))
@@ -375,7 +380,8 @@ class PlanCache:
                 return entry.stats.setdefault(sub, result)
 
         return self._get_or_build(
-            self._trace_key(offsets_digest(offset), cfg, spec, fp16, plan),
+            self._trace_key(digest or offsets_digest(offset), cfg, spec,
+                            fp16, plan),
             "stats", sub, simulate,
             lambda: self._build_entry(cfg, spec, plan, positions),
             session, offset, from_anchor)
@@ -384,7 +390,8 @@ class PlanCache:
                    spec: DeviceSpec, fp16: bool,
                    plan: Optional[SamplePlan],
                    positions: Callable[[], Tuple[np.ndarray, np.ndarray]],
-                   session: Optional[str] = None) -> FusedPlan:
+                   session: Optional[str] = None,
+                   digest: Optional[str] = None) -> FusedPlan:
         """Get-or-compile the fused execution plan for one call.
 
         ``positions`` lazily supplies the **full** (N, dg, K, L)
@@ -399,7 +406,7 @@ class PlanCache:
         fixed-point blend weights) are recomputed from the **current**
         frame's positions — so execution stays bit-identical to a cold
         compile — while the preallocated gather/column/output buffers are
-        reused across the stream.
+        reused across the stream.  ``digest`` is as in :meth:`tex_stats`.
         """
         plan = plan or SamplePlan()
         fkey = (cfg.in_channels, cfg.out_channels)
@@ -409,7 +416,8 @@ class PlanCache:
                 return build_fused_plan(cfg, spec, fp16, positions)
 
         return self._get_or_build(
-            self._trace_key(offsets_digest(offset), cfg, spec, fp16, plan),
+            self._trace_key(digest or offsets_digest(offset), cfg, spec,
+                            fp16, plan),
             "fused", fkey, build,
             lambda: self._build_entry(cfg, spec, plan, lambda: tuple(
                 p[0, 0] for p in positions())),

@@ -93,6 +93,13 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
                 cfg.padding, cfg.dilation, dg))
         return _pos[0]
 
+    digest = None
+    if plan_cache is not None:
+        # one hash of the quantised offsets keys both lookups (imported
+        # here: plancache imports this module through kernels.shards)
+        from repro.kernels.plancache import offsets_digest
+        digest = offsets_digest(off)
+
     # ------------------------------------------------------------------
     # functional result through the texture unit
     # ------------------------------------------------------------------
@@ -100,7 +107,8 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
     if compute_output:
         if plan_cache is not None:
             fplan = plan_cache.fused_plan(off, cfg, spec, fp16_offsets, plan,
-                                          positions, session=session)
+                                          positions, session=session,
+                                          digest=digest)
         else:
             fplan = build_fused_plan(cfg, spec, fp16_offsets, positions)
         output = fplan.execute(x, weight, bias)
@@ -117,7 +125,7 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
         tex_stats, scale = plan_cache.tex_stats(
             off, cfg, spec, tile, fp16_offsets, plan, concurrent_layers,
             lambda: (positions()[0][0, 0], positions()[1][0, 0]),
-            session=session)
+            session=session, digest=digest)
     else:
         py, px = positions()
         y0, x0, cta, scale = texture_fetch_trace(py[0, 0], px[0, 0],

@@ -35,12 +35,15 @@ def channel_ops(x: np.ndarray, steps: Sequence[Tuple[np.ufunc, np.ndarray]],
     elsewhere may differ in the strides of its size-1 dims, so pass
     ``in_place`` only for an array without them.
 
-    The ops run on the (N·H, W·C) view only when no dim is 1 and ``x``
-    is NHWC-dense: there NumPy's own result is NHWC-dense too.
+    The ops run on the (N·H, W·C) view only when C, H and W exceed 1
+    and ``x`` is NHWC-dense: there NumPy's own result is NHWC-dense too.
+    At N = 1 that holds whatever the N stride (einsum's result at N = 1
+    carries one of its own), as NumPy's contiguity flags have it.
     """
     n, c, h, w = x.shape
-    wide = min(x.shape) > 1 and nhwc_dense(x)
-    a = x.transpose(0, 2, 3, 1).reshape(n * h, w * c) if wide else x
+    nhwc = x.transpose(0, 2, 3, 1)
+    wide = min(c, h, w) > 1 and nhwc.flags.c_contiguous
+    a = nhwc.reshape(n * h, w * c) if wide else x
     for ufunc, v in steps:
         # v[None].repeat(w, 0) is np.tile(v, w) at a fifth of the cost
         v = v[None].repeat(w, 0).ravel() if wide else v.reshape(1, c, 1, 1)

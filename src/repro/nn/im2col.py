@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from repro.nn.channelwise import channel_ops, nhwc_dense
 
@@ -64,14 +64,21 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0,
     reshaped to columns, the reference ``tests/lowering_reference.py``
     keeps.
     """
-    n, c = x.shape[:2]
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kh, stride, padding, dilation)
+    out_w = conv_output_size(w, kw, stride, padding, dilation)
+    if out_h < 1 or out_w < 1:
+        raise ValueError(f"{kh}x{kw} window (dilation {dilation}) larger "
+                         f"than the {h}x{w} input padded by {padding}")
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    span = (dilation * (kh - 1) + 1, dilation * (kw - 1) + 1)
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x
+        x = xp
     # (N, C, out_h, out_w, kh, kw) view of every tap at every output pixel
-    win = sliding_window_view(x, span, axis=(2, 3))[
-        :, :, ::stride, ::stride, ::dilation, ::dilation]
-    out_h, out_w = win.shape[2:4]
+    sn, sc, sh, sw = x.strides
+    win = as_strided(x, (n, c, out_h, out_w, kh, kw),
+                     (sn, sc, sh * stride, sw * stride, sh * dilation,
+                      sw * dilation), writeable=False)
     k, l = kh * kw, out_h * out_w
     if k == 1 or c == 1:
         buf = np.empty((kh, kw, out_h, out_w, n, c), dtype=x.dtype)

@@ -187,8 +187,9 @@ class TextureRuntime:
         """Run one layer on this runtime's own backend (no sharding)."""
         tile = self.lookup_tile(cfg)
         bias = layer.bias.data if layer.bias is not None else None
-        res = run_deform_op(self.backend, x.data.astype(np.float32),
-                            offsets.data.astype(np.float32),
+        res = run_deform_op(self.backend,
+                            x.data.astype(np.float32, copy=False),
+                            offsets.data.astype(np.float32, copy=False),
                             layer.weight.data, bias, cfg, self.spec,
                             tile=tile, compute_output=True,
                             layer=getattr(layer, "layer_name", ""),
@@ -196,7 +197,7 @@ class TextureRuntime:
                             session=self.session)
         for k in res.kernels:
             self.log.add(k)
-        return Tensor(res.output.astype(np.float32))
+        return Tensor(res.output.astype(np.float32, copy=False))
 
 
 class DefconEngine:

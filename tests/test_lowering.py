@@ -60,24 +60,37 @@ def test_conv2d_forward_bit_identical_to_reference(n, c, dtype):
 NHWC_SIZES = ((1, 1), (1, 5), (4, 1), (3, 3), (7, 6))
 
 
+def _input(g, shape, layout, dtype):
+    """A (N, C, H, W) array laid out as ``layout``: "NCHW" (C order),
+    "NHWC" (einsum's result order) or "sliced" (a view into a larger
+    buffer, offset in C, H and W, with W read backwards)."""
+    n, c, h, w = shape
+    if layout == "NHWC":
+        return g.normal(size=(n, h, w, c)).astype(dtype).transpose(0, 3, 1, 2)
+    if layout == "sliced":
+        big = g.normal(size=(n, c + 1, h + 2, 2 * w + 1)).astype(dtype)
+        return big[:, 1:, 1:-1, -2::-2]
+    return g.normal(size=shape).astype(dtype)
+
+
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
 @pytest.mark.parametrize("c", (1, 3, 8))
-@pytest.mark.parametrize("n", (2, 4))
+@pytest.mark.parametrize("n", (1, 2, 4))
 def test_conv2d_nhwc_inputs_bit_identical_to_reference(n, c, dtype):
     """Batched convs mostly read NHWC-ordered activations (einsum's
-    result order); a 1x1 conv contracts such an input as it lies."""
+    result order); a 1x1 conv contracts such an input as it lies.  At
+    N = 1 the window view reads its strides from the input itself, so
+    NHWC-ordered and sliced, non-contiguous inputs sweep it too."""
     g = rng(200 * n + c)
     with float64_tensors():
-        _sweep_conv2d(g, n, c, dtype, NHWC_SIZES, nhwc=True)
+        for layout in ("NHWC", "sliced"):
+            _sweep_conv2d(g, n, c, dtype, NHWC_SIZES, layout)
 
 
-def _sweep_conv2d(g, n, c, dtype, sizes=SIZES, nhwc=False):
+def _sweep_conv2d(g, n, c, dtype, sizes=SIZES, layout="NCHW"):
     for o, k, groups, (h, w), (stride, padding, dilation) in _conv_cases(
             c, sizes):
-        if nhwc:
-            x = g.normal(size=(n, h, w, c)).astype(dtype).transpose(0, 3, 1, 2)
-        else:
-            x = g.normal(size=(n, c, h, w)).astype(dtype)
+        x = _input(g, (n, c, h, w), layout, dtype)
         wt = g.normal(size=(o, c // groups, k, k)).astype(dtype)
         b = g.normal(size=(o,)).astype(dtype)
         for bias in (None, b):
@@ -86,7 +99,7 @@ def _sweep_conv2d(g, n, c, dtype, sizes=SIZES, nhwc=False):
                            None if bias is None else Tensor(bias),
                            stride=stride, padding=padding,
                            dilation=dilation, groups=groups).data
-            case = (o, k, groups, h, w, stride, padding, dilation,
+            case = (layout, o, k, groups, h, w, stride, padding, dilation,
                     bias is None)
             assert got.dtype == expect.dtype, case
             assert got.strides == expect.strides, case
@@ -110,16 +123,28 @@ def test_im2col_keeps_reference_values_and_memory_order(n, c, dtype):
             gemm_columns(x, k, k, stride, padding, dilation), expect), case
 
 
+def test_im2col_rejects_a_window_larger_than_its_padded_input():
+    x = np.zeros((1, 2, 3, 3), dtype=np.float32)
+    with pytest.raises(ValueError):
+        im2col(x, 4, 4, padding=0)      # no output pixel: (3 - 4) // 1 + 1
+    with pytest.raises(ValueError):
+        im2col(x, 5, 5, padding=0)
+    with pytest.raises(ValueError):
+        im2col(x, 3, 3, padding=0, dilation=2)
+    assert im2col(x, 5, 5, padding=1).shape == (1, 50, 1)
+
+
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
 @pytest.mark.parametrize("n", (1, 2, 4))
 def test_pooling_bit_identical_to_reference(n, dtype):
     g = rng(n)
-    for c, (h, w), kernel, stride in itertools.product(
-            (1, 3, 8), ((1, 1), (4, 4), (7, 6)), (1, 2, 3), (None, 1, 2)):
+    for layout, c, (h, w), kernel, stride in itertools.product(
+            ("NCHW", "NHWC", "sliced"), (1, 3, 8),
+            ((1, 1), (1, 5), (4, 4), (7, 6)), (1, 2, 3), (None, 1, 2)):
         if min(h, w) < kernel:
             continue
-        x = g.normal(size=(n, c, h, w)).astype(dtype)
-        case = (c, h, w, kernel, stride)
+        x = _input(g, (n, c, h, w), layout, dtype)
+        case = (layout, c, h, w, kernel, stride)
         for pool, expect in ((F.max_pool2d, ref.max_pool2d(x, kernel, stride)),
                              (F.avg_pool2d, ref.avg_pool2d(x, kernel, stride))):
             with float64_tensors():
