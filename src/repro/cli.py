@@ -243,8 +243,7 @@ def cmd_serve(args) -> int:
 
     engine = DefconEngine(model, spec, backend=args.backend,
                           autotune=autotune, tune_budget=args.tune_budget,
-                          tile_store=store, registry=registry, tracer=tracer,
-                          plan_cache=False if args.no_plan_cache else None)
+                          tile_store=store, registry=registry, tracer=tracer)
     if autotune:
         print(f"autotune: {len(engine.tiles)} tile(s) bound, "
               f"{engine.tune_evaluations} objective evaluation(s)"
@@ -267,8 +266,7 @@ def cmd_serve(args) -> int:
     seq_engine = DefconEngine(model, spec, backend=args.backend,
                               autotune=autotune,
                               tune_budget=args.tune_budget, tile_store=store,
-                              plan_cache=engine.plan_cache
-                              if engine.plan_cache is not None else False)
+                              plan_cache=engine.plan_cache)
     for img in images:
         if args.task == "detect":
             seq_engine.detect(img[None], **task_kwargs)
@@ -285,10 +283,9 @@ def cmd_serve(args) -> int:
     print(f"tile cache: {stats.hits} hits, {stats.near_hits} near-hits, "
           f"{stats.misses} misses")
     pstats = engine.plan_cache_stats
-    if pstats is not None:
-        print(f"plan cache: {pstats.hits} hits, {pstats.misses} misses, "
-              f"{pstats.trace_builds} trace builds "
-              f"({pstats.hit_rate:.1f}% hit rate)")
+    print(f"plan cache: {pstats.hits} hits, {pstats.misses} misses, "
+          f"{pstats.trace_builds} trace builds "
+          f"({pstats.hit_rate:.1f}% hit rate)")
     if tracer is not None:
         tracer.write(args.trace)
         print(f"wrote Chrome trace to {args.trace} "
@@ -889,10 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also export a Chrome trace JSON of the run")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="also export the metrics registry as JSON")
-    p.add_argument("--no-plan-cache", action="store_true",
-                   help="disable the perf-model plan cache: every layer "
-                        "compiles a one-shot FusedPlan (for A/B "
-                        "comparison; see docs/performance.md)")
 
     p = sub.add_parser(
         "trace", help="trace a serving session (Chrome trace + metrics)")

@@ -18,17 +18,23 @@ once per call when no plan cache is supplied:
   :func:`~repro.gpusim.texture.linear_filter_taps` helper the eager
   fetch uses, so the numerics cannot drift;
 * **preallocated buffers** — a per-corner gather buffer, the im2col
-  column buffer, and the GEMM output buffer, reused across calls.
+  column buffer, and (whole layers) the GEMM output buffer, reused
+  across calls.
 
-:meth:`FusedPlan.execute` then runs offset-quantise → gather → blend →
-GEMM as one preplanned pass writing into those buffers: four
-``np.take`` gathers blended in place into the column buffer and a
-single contraction through :func:`~repro.nn.im2col.gemm_epilogue` (the
-*same* ``"ok,nkl->nol"`` einsum the eager reference spells out, so the
-contraction order — and therefore every output bit — is identical).
-The conformance suite's ``plancache.fused_bit_identical.*`` check and
-``tests/test_fused.py`` pin bit-identical outputs against the eager
-reference.
+One plan covers any (channel, pixel) slice of the column matrix.  A
+whole layer is the full slice: :meth:`FusedPlan.execute` runs
+gather → blend → GEMM as one preplanned pass writing into those
+buffers — four ``np.take`` gathers blended in place into the column
+buffer and a single contraction through
+:func:`~repro.nn.im2col.gemm_epilogue` (the *same* ``"ok,nkl->nol"``
+einsum the eager reference spells out, so the contraction order — and
+therefore every output bit — is identical).  A fleet shard
+(:mod:`repro.kernels.shards`) is a row band or channel slice of the same
+design: :meth:`FusedPlan.gather` fills only its slice of the columns,
+bitwise equal to that slice of the whole layer's, for the coordinator to
+stitch.  The conformance suite's ``plancache.fused_bit_identical.*`` and
+``shard.bit_identical.*`` checks and ``tests/test_fused.py`` pin
+bit-identical outputs against the eager reference.
 
 Plans hang off the :class:`~repro.kernels.plancache.PlanCache` trace
 entry for their offsets, sharing one LRU lifetime and one digest key
@@ -41,7 +47,7 @@ worker thread and the caller's thread concurrently.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -50,39 +56,58 @@ from repro.gpusim.texture import linear_filter_taps
 from repro.kernels.config import LayerConfig
 from repro.nn.im2col import gemm_epilogue
 
+if TYPE_CHECKING:
+    from repro.kernels.shards import ShardSpec
+
 
 class FusedPlan:
-    """One compiled tex2D/tex2D++ forward for a fixed (offsets, geometry).
+    """One compiled tex2D/tex2D++ gather for a fixed (offsets, geometry,
+    slice), plus the GEMM when the slice is the whole layer.
 
-    Built from the full sampling-position arrays by
-    :func:`build_fused_plan`; executed against per-call ``(x, weight,
-    bias)`` tensors by :meth:`execute`.  All offset-dependent work —
+    A plan covers one (channel, pixel) slice of the layer's im2col
+    column matrix: per-group input channels ``[c0, c1)`` by output pixels
+    ``[l0, l1)``.  The whole layer is the full slice; a
+    :class:`~repro.kernels.shards.ShardSpec` selects a row band (the
+    pixels of output rows ``[lo, hi)``) or a channel slice (the same
+    channels in every deformable group).  All offset-dependent work —
     coordinate quantisation, address-mode resolution, fixed-point blend
-    weights — happened at build time; execute only gathers, blends and
-    contracts.
+    weights — happened at build time (:func:`build_fused_plan`);
+    :meth:`gather` only gathers and blends, and :meth:`execute` (whole
+    layers) adds the contraction.
     """
 
     def __init__(self, cfg: LayerConfig, fp16: bool,
-                 idx: np.ndarray, wts: np.ndarray):
-        n, dg = cfg.batch, cfg.deformable_groups
-        c, k, l = cfg.in_channels, cfg.taps, cfg.out_pixels
+                 idx: np.ndarray, wts: np.ndarray,
+                 shard: Optional["ShardSpec"] = None):
+        n, dg, k = cfg.batch, cfg.deformable_groups, cfg.taps
         self.cfg = cfg
+        self.shard = shard
         self.fp16 = bool(fp16)
-        self.n, self.dg, self.cpg = n, dg, c // dg
-        self.kl = k * l
+        self.n, self.dg, self.cpg = n, dg, cfg.in_channels // dg
         self.hw = cfg.height * cfg.width
-        #: (4, n·dg, K·L) flat corner texel indices into one layer
+        self.c0, self.c1, self.l0, self.l1 = _slice_bounds(cfg, shard)
+        self.csel, self.lsel = self.c1 - self.c0, self.l1 - self.l0
+        #: (4, n·dg, K·lsel) flat corner texel indices into one layer
         self.idx = idx
-        #: (4, n·dg, 1, K·L) blend weights, border mask folded in
+        #: (4, n·dg, 1, K·lsel) blend weights, border mask folded in
         self.wts = wts
+        #: rows of the full column matrix a channel slice fills
+        self.dest_rows = None
+        if shard is not None and shard.kind == "channels":
+            self.dest_rows = np.concatenate([
+                np.arange((g * self.cpg + self.c0) * k,
+                          (g * self.cpg + self.c1) * k) for g in range(dg)])
         # Preallocated execution buffers, reused across calls.  ``cols``
-        # is the im2col column matrix the GEMM consumes; viewed per
-        # (batch, group) for the blend.  ``corner`` stages one corner's
-        # gathered texels; ``out`` receives the einsum contraction.
-        self.cols = np.empty((n, c * k, l), dtype=np.float32)
-        self._cols_bg = self.cols.reshape(n * dg, self.cpg, self.kl)
-        self.corner = np.empty((self.cpg, self.kl), dtype=np.float32)
-        self.out = np.empty((n, cfg.out_channels, l), dtype=np.float32)
+        # is the slice's im2col column matrix; viewed per (batch, group)
+        # for the blend.  ``corner`` stages one corner's gathered texels;
+        # ``out`` receives a whole layer's einsum contraction (a shard
+        # only gathers, so it has none).
+        self.cols = np.empty((n, dg * self.csel * k, self.lsel),
+                             dtype=np.float32)
+        self._cols_bg = self.cols.reshape(n * dg, self.csel, k * self.lsel)
+        self.corner = np.empty((self.csel, k * self.lsel), dtype=np.float32)
+        self.out = None if shard is not None else np.empty(
+            (n, cfg.out_channels, cfg.out_pixels), dtype=np.float32)
         #: buffers are shared mutable state — one execution at a time
         self._lock = threading.Lock()
 
@@ -90,7 +115,8 @@ class FusedPlan:
     def nbytes(self) -> int:
         """Resident bytes of the precomputed state + reusable buffers."""
         return (self.idx.nbytes + self.wts.nbytes + self.cols.nbytes
-                + self.corner.nbytes + self.out.nbytes)
+                + self.corner.nbytes
+                + (self.out.nbytes if self.out is not None else 0))
 
     def retarget(self, idx: np.ndarray, wts: np.ndarray) -> "FusedPlan":
         """Swap in freshly computed tap tables, keeping the buffers.
@@ -113,50 +139,95 @@ class FusedPlan:
         return self
 
     # ------------------------------------------------------------------
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """Gather/blend this plan's column slice from the full input.
+
+        Returns the reused ``cols`` buffer — consume (stitch) it before
+        the plan runs again.  Execution is against the *full* input
+        feature map: border addressing is resolved in the tap tables
+        against full-image extents, so a physically cropped input would
+        change semantics.
+        """
+        xf = self._texels(x)
+        with self._lock:
+            return self._gather(xf)
+
     def execute(self, x: np.ndarray, weight: np.ndarray,
                 bias: Optional[np.ndarray]) -> np.ndarray:
-        """Run the fused forward; returns a fresh (N, OC, OH, OW) array.
+        """Run a whole layer's forward; returns a fresh (N, OC, OH, OW)
+        array.
 
         Bit-identical to the eager reference: the gather/blend replays
         :meth:`LayeredTexture2D.fetch`'s corner accumulation order and
         the contraction is the same einsum expression.
         """
+        if self.out is None:
+            raise ValueError(f"shard plan {self.shard.label()} only "
+                             f"gathers; stitch its columns instead")
         cfg = self.cfg
-        if x.shape != cfg.input_shape():
-            raise ValueError(f"fused plan compiled for input "
-                             f"{cfg.input_shape()}, got {x.shape}")
-        xf = np.ascontiguousarray(x, dtype=np.float32).reshape(
-            self.n * self.dg, self.cpg, self.hw)
+        xf = self._texels(x)
         w2 = weight.reshape(cfg.out_channels, cfg.in_channels * cfg.taps)
         with self._lock:
-            cols, corner = self._cols_bg, self.corner
-            for b in range(self.n * self.dg):
-                xb, acc = xf[b], cols[b]
-                # corner 0 lands straight in the column buffer; corners
-                # 1-3 stage through ``corner`` and accumulate — the same
-                # ((t0 + t1) + t2) + t3 order as the eager fetch.
-                np.take(xb, self.idx[0, b], axis=1, out=acc, mode="clip")
-                acc *= self.wts[0, b]
-                for q in (1, 2, 3):
-                    np.take(xb, self.idx[q, b], axis=1, out=corner,
-                            mode="clip")
-                    np.multiply(corner, self.wts[q, b], out=corner)
-                    acc += corner
-            return gemm_epilogue(w2, self.cols, bias,
+            return gemm_epilogue(w2, self._gather(xf), bias,
                                  (cfg.out_height, cfg.out_width),
                                  out=self.out)
 
+    def _texels(self, x: np.ndarray) -> np.ndarray:
+        if x.shape != self.cfg.input_shape():
+            raise ValueError(f"fused plan compiled for input "
+                             f"{self.cfg.input_shape()}, got {x.shape}")
+        return np.ascontiguousarray(x, dtype=np.float32).reshape(
+            self.n * self.dg, self.cpg, self.hw)
+
+    def _gather(self, xf: np.ndarray) -> np.ndarray:
+        """The gather/blend loop over the slice (execution lock held)."""
+        cols, corner = self._cols_bg, self.corner
+        c0, c1 = self.c0, self.c1
+        for b in range(self.n * self.dg):
+            xb, acc = xf[b, c0:c1], cols[b]
+            # corner 0 lands straight in the column buffer; corners 1-3
+            # stage through ``corner`` and accumulate — the same
+            # ((t0 + t1) + t2) + t3 order as the eager fetch.
+            np.take(xb, self.idx[0, b], axis=1, out=acc, mode="clip")
+            acc *= self.wts[0, b]
+            for q in (1, 2, 3):
+                np.take(xb, self.idx[q, b], axis=1, out=corner, mode="clip")
+                np.multiply(corner, self.wts[q, b], out=corner)
+                acc += corner
+        return self.cols
+
+
+def _slice_bounds(cfg: LayerConfig, shard: Optional["ShardSpec"]
+                  ) -> Tuple[int, int, int, int]:
+    """``(c0, c1, l0, l1)``: the per-group channel and output-pixel ranges
+    of a plan's slice — everything for a whole layer (``shard=None``)."""
+    cpg = cfg.in_channels // cfg.deformable_groups
+    if shard is None:
+        return 0, cpg, 0, cfg.out_pixels
+    if shard.kind == "rows":
+        if shard.hi > cfg.out_height:
+            raise ValueError(f"row shard {shard.label()} exceeds "
+                             f"out_height {cfg.out_height}")
+        return 0, cpg, shard.lo * cfg.out_width, shard.hi * cfg.out_width
+    if shard.hi > cpg:
+        raise ValueError(f"channel shard {shard.label()} exceeds "
+                         f"channels-per-group {cpg}")
+    return shard.lo, shard.hi, 0, cfg.out_pixels
+
 
 def build_fused_plan(cfg: LayerConfig, spec: DeviceSpec, fp16: bool,
-                     positions: Callable[[], Tuple[np.ndarray, np.ndarray]]
-                     ) -> FusedPlan:
-    """Compile a :class:`FusedPlan` from the full sampling positions.
+                     positions: Callable[[], Tuple[np.ndarray, np.ndarray]],
+                     shard: Optional["ShardSpec"] = None) -> FusedPlan:
+    """Compile a :class:`FusedPlan` for a whole layer or one shard of it.
 
-    ``positions`` supplies the (N, dg, K, L) fractional sampling
-    positions (already fp16-quantised offsets for tex2D++).  The corner
+    ``positions`` supplies the full (N, dg, K, L) fractional sampling
+    positions (already fp16-quantised offsets for tex2D++).  A row band
+    slices them along L before building its tables; a channel slice
+    keeps them whole (all channels of a group share them).  The corner
     indices and weights reproduce the eager reference exactly: pixel →
     texture coordinate shift, fp16 coordinate quantisation, then
-    :func:`~repro.gpusim.texture.linear_filter_taps`.
+    :func:`~repro.gpusim.texture.linear_filter_taps`.  Only whole-layer
+    plans check the device's texture extent.
     """
     n, dg = cfg.batch, cfg.deformable_groups
     h, w = cfg.height, cfg.width
@@ -164,25 +235,26 @@ def build_fused_plan(cfg: LayerConfig, spec: DeviceSpec, fp16: bool,
         raise ValueError(f"in_channels {cfg.in_channels} not divisible by "
                          f"deformable_groups {dg}")
     max_h, max_w, max_layers = spec.max_texture_extent
-    if h > max_h or w > max_w or n * cfg.in_channels > max_layers:
+    if shard is None and (h > max_h or w > max_w
+                          or n * cfg.in_channels > max_layers):
         raise ValueError(
             f"texture extent {(n * cfg.in_channels, h, w)} exceeds device "
             f"limit {spec.max_texture_extent} — partition the mini-batch "
             f"(paper Section III-B)")
+    _, _, l0, l1 = _slice_bounds(cfg, shard)
     py, px = positions()
-    idx, wts = tap_tables(py, px, h, w, fp16)
-    return FusedPlan(cfg, fp16, idx, wts)
+    idx, wts = tap_tables(py[..., l0:l1], px[..., l0:l1], h, w, fp16)
+    return FusedPlan(cfg, fp16, idx, wts, shard)
 
 
 def tap_tables(py: np.ndarray, px: np.ndarray, h: int, w: int,
                fp16: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Corner index/weight tables for arbitrary (N, dg, ...) positions.
 
-    The one compilation step shared by :func:`build_fused_plan` (full
-    layer) and the per-shard gather plans of
-    :mod:`repro.kernels.shards` (a row-band or channel slice of the same
-    positions): pixel coords → texture coords (+0.5), the tex2D++ fp16
-    coordinate quantisation, then
+    The one compilation step of :func:`build_fused_plan` (a whole layer
+    or a row-band or channel slice of the same positions) and of the
+    plan cache's streaming retarget: pixel coords → texture coords
+    (+0.5), the tex2D++ fp16 coordinate quantisation, then
     :func:`~repro.gpusim.texture.linear_filter_taps` — exactly
     ``fetch_at_pixel_coords`` + ``fetch``.  Because every operation is
     elementwise, tables built from a *slice* of the positions are

@@ -17,10 +17,10 @@ The :class:`PlanCache` memoises that state at two levels:
   :class:`~repro.gpusim.cache.TextureCacheStats` for every CTA tile ever
   requested against that trace, the compiled
   :class:`~repro.kernels.fused.FusedPlan` per channel shape, and the
-  shard gather plans.  New tiles are served by the one-pass re-tiled
-  simulation (one cheap regrouping, no trace rebuild), so a tuner sweep
-  over K tiles costs one trace plus K regroupings instead of K full
-  simulations.
+  slice plans of fleet shards.  New tiles are served by the one-pass
+  re-tiled simulation (one cheap regrouping, no trace rebuild), so a
+  tuner sweep over K tiles costs one trace plus K regroupings instead of
+  K full simulations.
 
 Returned stats are **bit-identical** to an uncached simulation — the
 re-tiled path replays the exact accounting of ``simulate()`` — so the
@@ -66,7 +66,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -76,9 +76,10 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.trace import SamplePlan, cta_ids_for_tile, sample_trace_ctas
 from repro.kernels.config import LayerConfig
 from repro.kernels.fused import FusedPlan, build_fused_plan, tap_tables
-from repro.kernels.shards import (ShardGatherPlan, ShardSpec,
-                                  build_shard_gather_plan)
 from repro.obs.tracer import maybe_span
+
+if TYPE_CHECKING:
+    from repro.kernels.shards import ShardSpec
 
 #: Default bound on distinct (offsets, geometry) trace entries kept live.
 DEFAULT_MAX_ENTRIES = 64
@@ -153,8 +154,8 @@ class _TraceEntry:
                 Tuple[TextureCacheStats, float]] = field(default_factory=dict)
     #: (in_channels, out_channels) → compiled fused execution plan
     fused: Dict[Tuple[int, int], FusedPlan] = field(default_factory=dict)
-    #: (shard descriptor, in_channels) → compiled shard gather plan
-    shards: Dict[tuple, ShardGatherPlan] = field(default_factory=dict)
+    #: (shard descriptor, in_channels) → compiled shard slice plan
+    shards: Dict[tuple, FusedPlan] = field(default_factory=dict)
 
 
 @dataclass
@@ -427,10 +428,11 @@ class PlanCache:
 
     def shard_plan(self, offset: np.ndarray, cfg: LayerConfig,
                    spec: DeviceSpec, fp16: bool,
-                   plan: Optional[SamplePlan], shard: ShardSpec,
-                   positions: Callable[[], Tuple[np.ndarray, np.ndarray]]
-                   ) -> ShardGatherPlan:
-        """Get-or-compile the gather plan for one shard of one layer.
+                   plan: Optional[SamplePlan], shard: "ShardSpec",
+                   positions: Callable[[], Tuple[np.ndarray, np.ndarray]],
+                   digest: Optional[str] = None) -> FusedPlan:
+        """Get-or-compile the slice :class:`FusedPlan` for one shard of
+        one layer (counted on ``shard_builds``, not ``fused_builds``).
 
         Keyed off the **full-layer** trace entry (full-offset digest +
         geometry), with the shard descriptor — kind, index/count and the
@@ -438,16 +440,17 @@ class PlanCache:
         and a channel slice of the same layer, or two different bands,
         can never collide with each other or with the whole-layer fused
         plan.  Same LRU lifetime and in-flight build coalescing as
-        :meth:`fused_plan`.
+        :meth:`fused_plan`; ``digest`` is as in :meth:`tex_stats`.
         """
         plan = plan or SamplePlan()
 
-        def build(entry: _TraceEntry) -> ShardGatherPlan:
+        def build(entry: _TraceEntry) -> FusedPlan:
             with self._timed_build("shard", cfg, shard=shard.label()):
-                return build_shard_gather_plan(cfg, fp16, shard, positions)
+                return build_fused_plan(cfg, spec, fp16, positions, shard)
 
         return self._get_or_build(
-            self._trace_key(offsets_digest(offset), cfg, spec, fp16, plan),
+            self._trace_key(digest or offsets_digest(offset), cfg, spec,
+                            fp16, plan),
             "shards", (shard.descriptor(), cfg.in_channels), build,
             lambda: self._build_entry(cfg, spec, plan, lambda: tuple(
                 p[0, 0] for p in positions())))
@@ -660,8 +663,10 @@ class PlanCache:
                 return model.simulate_retiled(entry.lines, cta_of_pixel), 1.0
             # Sampled trace: CTA sampling depends on the tile, so replay
             # it exactly as texture_fetch_trace would (bit-identical
-            # fallback).
-            cta = np.broadcast_to(cta_of_pixel, (entry.k, entry.l)).ravel()
+            # fallback; a row band's trace covers the top-aligned first
+            # ``l`` pixels of the grid).
+            cta = np.broadcast_to(cta_of_pixel[:entry.l],
+                                  (entry.k, entry.l)).ravel()
             y0, x0, cta, scale = sample_trace_ctas(
                 entry.y0, entry.x0, cta, entry.k * entry.l, plan)
             stats = model.simulate(y0, x0, cta, cfg.height, cfg.width)

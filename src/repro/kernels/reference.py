@@ -112,17 +112,31 @@ def run_reference(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
     # ------------------------------------------------------------------
     # kernel 2 — implicit GEMM (identical across backends)
     # ------------------------------------------------------------------
-    gemm = gemm_cost(cfg.out_channels, n * l, c * k)
-    gemm_launch = LaunchConfig(
-        grid=max(1, -(-(cfg.out_channels * n * l) // (128 * 64))), block=256)
-    gemm_stats = KernelStats(
-        name="implicit_gemm",
-        duration_ms=estimate_time_ms(gemm, gemm_launch, spec),
+    gemm_stats = gemm_kernel_stats(cfg.out_channels, n * l, c * k, spec)
+    return OpResult(output=output, kernels=[sample_stats, gemm_stats])
+
+
+def gemm_kernel_stats(m: int, n: int, k: int, spec: DeviceSpec,
+                      name: str = "implicit_gemm",
+                      write_bytes: float = 0.0) -> KernelStats:
+    """The implicit GEMM every backend launches after its sampling kernel.
+
+    An (m × k)·(k × n) product — filters times the (C·K, N·L) column
+    matrix, or a shard's slice of it — at cuBLAS-grade efficiency, one
+    256-thread CTA per 128×64 output tile.  ``write_bytes`` is the output
+    a shard ships to the coordinator; a whole layer's output stays on
+    its device and is not priced here.
+    """
+    gemm = gemm_cost(m, n, k)
+    launch = LaunchConfig(grid=max(1, -(-(m * n) // (128 * 64))), block=256)
+    loads = strided_stats(int(gemm.dram_bytes // 4), 4, spec)
+    return KernelStats(
+        name=name,
+        duration_ms=estimate_time_ms(gemm, launch, spec),
         flop_count_sp=gemm.flops,
-        gld_requests=strided_stats(int(gemm.dram_bytes // 4), 4, spec).requests,
-        gld_transactions=strided_stats(int(gemm.dram_bytes // 4), 4,
-                                       spec).transactions,
+        gld_requests=loads.requests,
+        gld_transactions=loads.transactions,
         gld_bytes_requested=gemm.dram_bytes,
         dram_read_bytes=gemm.dram_bytes,
+        dram_write_bytes=write_bytes,
     )
-    return OpResult(output=output, kernels=[sample_stats, gemm_stats])

@@ -23,22 +23,22 @@ fp32 reference is faithfully reproduced (and bounded by tests).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.deform.deform_conv import sampling_positions
-from repro.gpusim.cache import TextureCacheModel
+from repro.gpusim.cache import TextureCacheModel, TextureCacheStats
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.kernel import (KernelCost, LaunchConfig, estimate_time_ms,
-                                 gemm_cost)
+from repro.gpusim.kernel import KernelCost, LaunchConfig, estimate_time_ms
 from repro.gpusim.memory import strided_stats
 from repro.gpusim.profiler import KernelStats
 from repro.gpusim.texture import LayeredTexture2D, TextureDescriptor
 from repro.gpusim.trace import SamplePlan, texture_fetch_trace
+from repro.kernels import plancache
 from repro.kernels.config import LayerConfig, OpResult
 from repro.kernels.fused import build_fused_plan
-from repro.kernels.reference import COORD_FLOPS
+from repro.kernels.reference import COORD_FLOPS, gemm_kernel_stats
 
 #: Default CTA tile (output pixels per block) — overridden by the autotuner.
 DEFAULT_TILE = (16, 16)
@@ -61,8 +61,9 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
     :class:`~repro.kernels.plancache.PlanCache`) memoises that plan, the
     fetch trace and the cache simulation across calls with identical
     offsets, geometry and tile; without one, a one-shot plan is compiled
-    for this call.  Outputs and kernel stats are bit-identical either way,
-    and the outputs bit-identical to :func:`eager_tex2d_forward`.
+    and the trace simulated for this call — the uncached reference.
+    Outputs and kernel stats are bit-identical either way, and the
+    outputs bit-identical to :func:`eager_tex2d_forward`.
 
     ``session`` names the video stream this call belongs to; on a plan
     cache with a ``delta_bound`` it unlocks delta-keyed lookups — an
@@ -72,33 +73,9 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
     bit-identical to a cold miss (see docs/streaming.md).
     """
     plan = plan or SamplePlan()
-    ty, tx = tile
-    if ty <= 0 or tx <= 0 or ty * tx > spec.max_threads_per_block:
-        raise ValueError(f"tile {tile} invalid for {spec.name}")
-    n, c, k, l = cfg.batch, cfg.in_channels, cfg.taps, cfg.out_pixels
-    dg, cpg = cfg.deformable_groups, cfg.in_channels // cfg.deformable_groups
-
-    off = offset
-    if fp16_offsets:
-        off = offset.astype(np.float16).astype(np.float32)
-
-    # Sampling positions are needed only to compile a plan or build a
-    # trace — compute lazily so steady-state cache hits skip them.
-    _pos: list = []
-
-    def positions() -> Tuple[np.ndarray, np.ndarray]:
-        if not _pos:
-            _pos.append(sampling_positions(
-                off, (cfg.height, cfg.width), cfg.kernel_size, cfg.stride,
-                cfg.padding, cfg.dilation, dg))
-        return _pos[0]
-
-    digest = None
-    if plan_cache is not None:
-        # one hash of the quantised offsets keys both lookups (imported
-        # here: plancache imports this module through kernels.shards)
-        from repro.kernels.plancache import offsets_digest
-        digest = offsets_digest(off)
+    off, positions = launch_inputs(offset, cfg, spec, tile, fp16_offsets)
+    # one hash of the quantised offsets keys both lookups
+    digest = None if plan_cache is None else plancache.offsets_digest(off)
 
     # ------------------------------------------------------------------
     # functional result through the texture unit
@@ -114,44 +91,114 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
         output = fplan.execute(x, weight, bias)
 
     # ------------------------------------------------------------------
-    # performance model: kernel 1 — tex2d sampling
+    # performance model: kernel 1 — tex2d sampling, kernel 2 — the
+    # implicit GEMM (identical to the reference backend)
     # ------------------------------------------------------------------
-    concurrent_layers = min(cpg, 4)
+    texture = texture_stats(
+        off, cfg, spec, tile, fp16_offsets, plan, plan_cache,
+        lambda: tuple(p[0, 0] for p in positions()),
+        session=session, digest=digest)
+    name = "deformable_tex2dpp" if fp16_offsets else "deformable_tex2d"
+    sample_stats = sample_kernel_stats(
+        cfg, spec, texture, cfg.in_channels // cfg.deformable_groups,
+        cfg.out_pixels, cfg.out_height, tile, fp16_offsets, name)
+    gemm_stats = gemm_kernel_stats(cfg.out_channels,
+                                   cfg.batch * cfg.out_pixels,
+                                   cfg.in_channels * cfg.taps, spec)
+    return OpResult(output=output, kernels=[sample_stats, gemm_stats])
+
+
+def launch_inputs(offset: np.ndarray, cfg: LayerConfig, spec: DeviceSpec,
+                  tile: Tuple[int, int], fp16: bool
+                  ) -> Tuple[np.ndarray, Callable[[], Tuple[np.ndarray,
+                                                            np.ndarray]]]:
+    """Check one texture launch's CTA tile and prepare its offsets.
+
+    Returns the offsets as sampled — fp16-quantised for tex2D++ — and a
+    ``positions()`` callable giving their full (N, dg, K, L) sampling
+    positions.  The positions are needed only to compile a plan or build
+    a trace, so they are computed lazily, once: steady-state cache hits
+    skip them.
+    """
+    ty, tx = tile
+    if ty <= 0 or tx <= 0 or ty * tx > spec.max_threads_per_block:
+        raise ValueError(f"tile {tile} invalid for {spec.name}")
+    off = offset.astype(np.float16).astype(np.float32) if fp16 else offset
+    memo: list = []
+
+    def positions() -> Tuple[np.ndarray, np.ndarray]:
+        if not memo:
+            memo.append(sampling_positions(
+                off, (cfg.height, cfg.width), cfg.kernel_size, cfg.stride,
+                cfg.padding, cfg.dilation, cfg.deformable_groups))
+        return memo[0]
+
+    return off, positions
+
+
+def texture_stats(off: np.ndarray, cfg: LayerConfig, spec: DeviceSpec,
+                  tile: Tuple[int, int], fp16: bool, plan: SamplePlan,
+                  plan_cache: Optional["PlanCache"],
+                  rep: Callable[[], Tuple[np.ndarray, np.ndarray]],
+                  session: Optional[str] = None,
+                  digest: Optional[str] = None
+                  ) -> Tuple[TextureCacheStats, float]:
+    """Texture-cache counters of one representative channel, and the
+    trace's sampling scale.
+
+    ``rep`` lazily supplies that channel's (K, pixels) sampling
+    positions.  With a plan cache the result is memoised under ``off``
+    (the *quantised* offsets the launch samples through — two fp32
+    offset tensors that quantise to the same fp16 values are the same
+    tex2D++ launch and share one entry); without one, the fetch trace is
+    built and simulated for this call, the uncached reference the cache
+    is bit-identical to.
+    """
+    layers = min(cfg.in_channels // cfg.deformable_groups, 4)
     if plan_cache is not None:
-        # Key on the *quantised* offsets (``off``) — the functional path
-        # samples through them, so two fp32 offset tensors that quantise
-        # to the same fp16 values must share one cache entry and one
-        # trace build (they are the same tex2D++ launch).
-        tex_stats, scale = plan_cache.tex_stats(
-            off, cfg, spec, tile, fp16_offsets, plan, concurrent_layers,
-            lambda: (positions()[0][0, 0], positions()[1][0, 0]),
-            session=session, digest=digest)
-    else:
-        py, px = positions()
-        y0, x0, cta, scale = texture_fetch_trace(py[0, 0], px[0, 0],
-                                                 cfg.out_width, tile, plan)
-        cache = TextureCacheModel(spec, concurrent_layers=concurrent_layers)
-        tex_stats = cache.simulate(y0, x0, cta, cfg.height, cfg.width)
-    # One representative (batch, group, channel); all channels share the
-    # trace, so counters scale by n·dg·cpg (cache behaviour per layer is
-    # identical — each layer's lines are distinct but isomorphic).
-    tex_stats = tex_stats.scaled(scale * n * dg * cpg)
+        return plan_cache.tex_stats(off, cfg, spec, tile, fp16, plan, layers,
+                                    rep, session=session, digest=digest)
+    py, px = rep()
+    y0, x0, cta, scale = texture_fetch_trace(py, px, cfg.out_width, tile,
+                                             plan)
+    cache = TextureCacheModel(spec, concurrent_layers=layers)
+    return cache.simulate(y0, x0, cta, cfg.height, cfg.width), scale
+
+
+def sample_kernel_stats(cfg: LayerConfig, spec: DeviceSpec,
+                        texture: Tuple[TextureCacheStats, float],
+                        channels: int, pixels: int, rows: int,
+                        tile: Tuple[int, int], fp16: bool,
+                        name: str) -> KernelStats:
+    """The tex2D sampling kernel over ``channels`` per-group input
+    channels × ``pixels`` output pixels spanning ``rows`` output rows —
+    a whole layer, or one shard of it.
+
+    ``texture`` is :func:`texture_stats`'s representative-channel result;
+    every channel of every (batch, group) shares that trace, so its
+    counters scale by ``n·dg·channels`` (cache behaviour per layer is
+    identical — each layer's lines are distinct but isomorphic).
+    """
+    n, k, dg = cfg.batch, cfg.taps, cfg.deformable_groups
+    ty, tx = tile
+    tex_stats, scale = texture
+    tex_stats = tex_stats.scaled(scale * n * dg * channels)
 
     # Channel blocks are spread across the grid's z dimension so channel
     # count contributes parallelism, not per-CTA serialisation.
-    channel_blocks = max(1, -(-cpg // spec.offset_channel_block))
+    channel_blocks = max(1, -(-channels // spec.offset_channel_block))
 
     # Offsets are re-read once per channel block a CTA processes; fp16
     # storage (tex2D++) halves this stream — the paper's bandwidth saving.
     # The re-read count is the *ceil* block count, matching the launch
     # grid: a partial trailing block still issues a full offset read.
-    offset_bytes = 2 if fp16_offsets else 4
-    offs = strided_stats(n * 2 * k * l * dg, offset_bytes, spec)
+    offset_bytes = 2 if fp16 else 4
+    offs = strided_stats(n * 2 * k * pixels * dg, offset_bytes, spec)
     offs_traffic = offs.bytes_transferred * channel_blocks
-    col_bytes = float(n * c * k * l * 4)
+    col_bytes = float(n * dg * channels * k * pixels * 4)
 
-    coord_flops = float(n * c * k * l * COORD_FLOPS)
-    tiles = -(-cfg.out_height // ty) * -(-cfg.out_width // tx)
+    coord_flops = float(n * dg * channels * k * pixels * COORD_FLOPS)
+    tiles = -(-rows // ty) * -(-cfg.out_width // tx)
     launch = LaunchConfig(grid=max(1, tiles * n * dg * channel_blocks),
                           block=ty * tx)
     sample_cost = KernelCost(
@@ -162,8 +209,7 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
         cta_prologue_cycles=500.0,
         compute_efficiency=0.35,
     )
-    name = "deformable_tex2dpp" if fp16_offsets else "deformable_tex2d"
-    sample_stats = KernelStats(
+    return KernelStats(
         name=name,
         duration_ms=estimate_time_ms(sample_cost, launch, spec),
         flop_count_sp=coord_flops,
@@ -176,24 +222,6 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
         dram_read_bytes=tex_stats.miss_bytes + offs_traffic,
         dram_write_bytes=col_bytes,
     )
-
-    # ------------------------------------------------------------------
-    # kernel 2 — implicit GEMM (identical to the reference backend)
-    # ------------------------------------------------------------------
-    gemm = gemm_cost(cfg.out_channels, n * l, c * k)
-    gemm_launch = LaunchConfig(
-        grid=max(1, -(-(cfg.out_channels * n * l) // (128 * 64))), block=256)
-    gemm_loads = strided_stats(int(gemm.dram_bytes // 4), 4, spec)
-    gemm_stats = KernelStats(
-        name="implicit_gemm",
-        duration_ms=estimate_time_ms(gemm, gemm_launch, spec),
-        flop_count_sp=gemm.flops,
-        gld_requests=gemm_loads.requests,
-        gld_transactions=gemm_loads.transactions,
-        gld_bytes_requested=gemm.dram_bytes,
-        dram_read_bytes=gemm.dram_bytes,
-    )
-    return OpResult(output=output, kernels=[sample_stats, gemm_stats])
 
 
 def run_tex2dpp(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,

@@ -113,11 +113,11 @@ class TextureRuntime:
     spec: DeviceSpec
     backend: str
     log: ProfileLog
+    #: perf-model plan cache shared by every layer execution
+    plan_cache: PlanCache
     tiles: Dict[TileKey, Tuple[int, int]] = field(default_factory=dict)
     default_tile: Tuple[int, int] = DEFAULT_TILE
     cache_stats: TileCacheStats = field(default_factory=TileCacheStats)
-    #: perf-model plan cache shared by every layer execution (None = off)
-    plan_cache: Optional[PlanCache] = None
     #: active video-stream session stamped on texture-backend calls; with
     #: a delta-bounded plan cache this unlocks delta-keyed lookups
     #: (see docs/streaming.md)
@@ -222,8 +222,9 @@ class DefconEngine:
     the steady state of serving.  ``None`` (default) creates a private
     :class:`~repro.kernels.plancache.PlanCache`; pass an existing one to
     share plans across engines (e.g. a batched and a sequential engine
-    over the same model), or ``False`` to disable caching (every call
-    then compiles a one-shot plan; outputs are bit-identical).  Hit/miss
+    over the same model).  The cache is always on: the uncached
+    simulation it is bit-identical to is ``run_tex2d(plan_cache=None)``,
+    the reference that conformance and tests compare against.  Hit/miss
     counters land on the registry as ``plan_cache_lookups{result=...}``.
 
     ``delta_bound`` enables the streaming delta-keyed plan-cache mode on
@@ -241,7 +242,8 @@ class DefconEngine:
                  registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[SpanTracer] = None,
                  max_log_records: Optional[int] = ProfileLog.DEFAULT_MAX_RECORDS,
-                 plan_cache=None, delta_bound: Optional[float] = None):
+                 plan_cache: Optional[PlanCache] = None,
+                 delta_bound: Optional[float] = None):
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; choose from {BACKENDS}")
@@ -253,15 +255,12 @@ class DefconEngine:
         self.tune_evaluations = 0
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
-        if plan_cache is False:
-            if delta_bound is not None:
-                raise ValueError("delta_bound requires a plan cache — "
-                                 "delta-keyed lookups live on PlanCache "
-                                 "(see docs/streaming.md)")
-            self.plan_cache: Optional[PlanCache] = None
-        elif plan_cache is None:
+        if plan_cache is None:
             self.plan_cache = PlanCache(registry=self.registry, tracer=tracer,
                                         delta_bound=delta_bound)
+        elif not isinstance(plan_cache, PlanCache):
+            raise ValueError(f"plan_cache={plan_cache!r}: the uncached mode "
+                             f"was removed; pass None or a PlanCache")
         else:
             if delta_bound is not None \
                     and plan_cache.delta_bound != delta_bound:
@@ -305,14 +304,10 @@ class DefconEngine:
         backend load straight from disk — the tuner objective is never
         evaluated for them.
         """
-        # plan_cache=False on the engine disables trace reuse everywhere,
-        # including inside the tuner's candidate evaluations.
         tuner = TileTuner(self.spec, backend=self.backend, budget=budget,
                           seed=seed, store=self.tile_store,
                           registry=self.registry,
-                          plan_cache=(self.plan_cache
-                                      if self.plan_cache is not None
-                                      else False))
+                          plan_cache=self.plan_cache)
         backbone = getattr(self.model, "backbone", None)
         if backbone is None:
             return
@@ -355,10 +350,9 @@ class DefconEngine:
         return self._runtime.cache_stats
 
     @property
-    def plan_cache_stats(self) -> Optional[PlanCacheStats]:
-        """Hit/miss/build counters of the perf-model plan cache (None =
-        caching disabled)."""
-        return self.plan_cache.stats if self.plan_cache is not None else None
+    def plan_cache_stats(self) -> PlanCacheStats:
+        """Hit/miss/build counters of the perf-model plan cache."""
+        return self.plan_cache.stats
 
     # -- streaming sessions (docs/streaming.md) ------------------------
     def set_session(self, session: Optional[str]) -> None:
@@ -377,8 +371,6 @@ class DefconEngine:
         stream; returns the number of anchors released."""
         if self._runtime.session == session:
             self._runtime.session = None
-        if self.plan_cache is None:
-            return 0
         return self.plan_cache.end_session(session)
 
     # ------------------------------------------------------------------

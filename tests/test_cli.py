@@ -184,3 +184,14 @@ class TestServeAndTiles:
         assert main(["serve", "--requests", "2", "--max-batch", "2",
                      "--tune-budget", "3", "--store", store]) == 0
         assert "warm start" in capsys.readouterr().out
+
+    def test_serve_always_reports_plan_cache(self, capsys):
+        assert main(["serve", "--requests", "1", "--max-batch", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "plan cache: 6 hits, 6 misses, 3 trace builds" in out
+
+    def test_serve_no_plan_cache_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--no-plan-cache"])
+        assert exc.value.code == 2
+        assert "--no-plan-cache" in capsys.readouterr().err

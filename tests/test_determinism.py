@@ -120,16 +120,20 @@ class TestPlanCacheDeterminism:
                 assert _stats_rows(base[backend]) == _stats_rows(
                     cached[backend])
 
-    def test_engine_plan_cache_on_off_bit_identical(self):
-        """Same-seed engine runs are bit-identical with the plan cache
-        enabled (default) and disabled, in both outputs and latency."""
+    def test_engine_plan_cache_on_off_bit_identical(self, monkeypatch):
+        """Same-seed engine runs are bit-identical in outputs and latency
+        on a cold plan cache, on a warm second pass over that cache, and
+        uncached — every layer call made with ``plan_cache=None``, the
+        reference the cache must reproduce."""
+        import repro.pipeline.engine as engine_mod
         from repro.nas import manual_interval_placement
         from repro.pipeline import DefconEngine
 
         images = rng(9).uniform(0, 1, size=(2, 3, 64, 64)
                                 ).astype(np.float32)
         outputs, latencies = [], []
-        for plan_cache in (None, False):
+
+        def run(plan_cache=None):
             model = build_classifier(
                 "r50s", placement=manual_interval_placement(9, 3),
                 bound=7.0, seed=5)
@@ -137,9 +141,27 @@ class TestPlanCacheDeterminism:
                                plan_cache=plan_cache)
             outputs.append(eng.classify(images))
             latencies.append(eng.deformable_latency_ms())
+            return eng
+
+        cold = run()
+        misses = cold.plan_cache_stats.misses
+        run(cold.plan_cache)
+        assert cold.plan_cache_stats.misses == misses
+        assert cold.plan_cache_stats.hits == misses
+
+        real_op = engine_mod.run_deform_op
+
+        def uncached_op(*args, **kwargs):
+            kwargs["plan_cache"] = None
+            return real_op(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "run_deform_op", uncached_op)
+        uncached = run()
+        assert uncached.plan_cache_stats.lookups == 0
         assert latencies[0] > 0
-        assert np.array_equal(outputs[0], outputs[1])
-        assert latencies[0] == latencies[1]
+        for out, latency in zip(outputs[1:], latencies[1:]):
+            assert np.array_equal(outputs[0], out)
+            assert latencies[0] == latency
 
     def test_sweep_parallel_vs_serial_same_tile(self):
         """`sweep --workers N` must pick the same tile (and the same

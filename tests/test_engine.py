@@ -99,6 +99,16 @@ class TestTileCacheKeyUnification:
         with pytest.raises(ValueError, match="unknown backend 'cuda'"):
             DefconEngine(yolact, XAVIER, backend="cuda")
 
+    def test_uncached_mode_removed(self, yolact):
+        """The engine always caches; asking for the old uncached mode
+        fails loudly instead of silently caching anyway."""
+        with pytest.raises(ValueError, match="uncached mode was removed"):
+            DefconEngine(yolact, XAVIER, plan_cache=False)
+        eng = DefconEngine(yolact, XAVIER)
+        assert eng.plan_cache is not None
+        assert eng.plan_cache_stats is eng.plan_cache.stats
+        assert eng.end_session("never-started") == 0
+
 
 class TestTileStoreWarmStart:
     def test_second_engine_performs_zero_tuner_evaluations(self, tmp_path):
