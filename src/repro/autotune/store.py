@@ -16,6 +16,13 @@ Robustness rules:
 * **Stale entries** — records written by a different ``TUNER_VERSION`` or
   file format are preserved on disk but never served, so bumping the tuner
   invalidates old tiles without deleting anybody's data.
+
+Observability: a store counts ``tile_store_lookups{result=hit|miss}``,
+``tile_store_saves`` and the per-window lookup rate
+``tile_store_lookup_events`` only on the
+:class:`~repro.obs.registry.MetricsRegistry` it is built with (a private
+one when none is passed); the engines and tuners reading it never re-bind
+it.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.autotune.bayesopt import TuneResult
 from repro.kernels.config import LayerConfig
+from repro.obs.registry import MetricsRegistry
 
 logger = logging.getLogger(__name__)
 
@@ -64,44 +72,32 @@ class TileStore:
 
     ``path=None`` gives an in-memory store with the same interface (useful
     for tests and for engines that want sharing without persistence).
+    ``registry`` is where its lookups and saves count (see above).
     """
 
     def __init__(self, path: Optional[Union[str, Path]] = None,
-                 tuner_version: int = TUNER_VERSION, registry=None):
+                 tuner_version: int = TUNER_VERSION,
+                 registry: Optional[MetricsRegistry] = None):
         self.path = Path(path) if path is not None else None
         self.tuner_version = tuner_version
         #: raw JSON payloads, including stale-version entries (kept, unserved)
         self._entries: Dict[str, dict] = {}
-        self._lookup_counter = None
-        self._save_counter = None
-        self._lookup_window = None
-        if registry is not None:
-            self.bind_registry(registry)
+        registry = registry if registry is not None else MetricsRegistry()
+        self._lookups = registry.counter(
+            "tile_store_lookups",
+            help="persistent tile-store lookups by result")
+        self._saves = registry.counter(
+            "tile_store_saves", help="persistent tile-store writes")
+        self._lookup_window = registry.windowed_histogram(
+            "tile_store_lookup_events",
+            help="tile-store lookups per wall-clock window by result "
+                 "(per-window count == lookup rate)")
         if self.path is not None:
             self.load()
 
-    def bind_registry(self, registry) -> "TileStore":
-        """Register the store's counters onto a shared MetricsRegistry
-        (``tile_store_lookups{result=hit|miss}``, ``tile_store_saves``)
-        plus a windowed lookup-rate series (count per wall-clock window
-        on ``tile_store_lookup_events`` — see docs/observability.md)."""
-        if self._lookup_counter is None:
-            self._lookup_counter = registry.counter(
-                "tile_store_lookups",
-                help="persistent tile-store lookups by result")
-            self._save_counter = registry.counter(
-                "tile_store_saves", help="persistent tile-store writes")
-            self._lookup_window = registry.windowed_histogram(
-                "tile_store_lookup_events",
-                help="tile-store lookups per wall-clock window by result "
-                     "(per-window count == lookup rate)")
-        return self
-
     def _count_lookup(self, result: str) -> None:
-        if self._lookup_counter is not None:
-            self._lookup_counter.inc(result=result)
-        if self._lookup_window is not None:
-            self._lookup_window.observe(1.0, result=result)
+        self._lookups.inc(result=result)
+        self._lookup_window.observe(1.0, result=result)
 
     # ------------------------------------------------------------------
     # persistence
@@ -209,8 +205,7 @@ class TileStore:
             "evaluations": result.evaluations,
             "result": result.to_dict(),
         }
-        if self._save_counter is not None:
-            self._save_counter.inc()
+        self._saves.inc()
         self.save()
 
     # ------------------------------------------------------------------

@@ -31,6 +31,7 @@ from repro.kernels.config import LayerConfig, synth_offsets
 from repro.kernels.dispatch import run_deform_op
 from repro.kernels.plancache import PlanCache
 from repro.kernels.tiling import enumerate_tiles
+from repro.obs.registry import MetricsRegistry
 
 logger = logging.getLogger(__name__)
 
@@ -45,7 +46,7 @@ class TuneKey:
 def _evaluate_tiles(spec: DeviceSpec, backend: str, cfg: LayerConfig,
                     tiles: Sequence[Tuple[int, int]], seed: int,
                     offset_sigma: float, bound: Optional[float],
-                    plan_cache: Optional[PlanCache]) -> List[float]:
+                    plan_cache: PlanCache) -> List[float]:
     """Simulated sampling-kernel latency for each candidate tile.
 
     Deterministic given (spec, backend, cfg, seed, sigma, bound): the
@@ -85,13 +86,17 @@ class TileTuner:
     evaluating the objective — a populated store means **zero** objective
     evaluations — and writes fresh results back.
     ``objective_evaluations`` counts every simulator call this tuner
-    actually made, so warm starts are observable.
+    actually made, so warm starts are observable.  It is a per-tuner int
+    on purpose: an engine reads it as its own warm-start evidence, which
+    must not include another tuner's work on a shared registry.  The
+    registry (a private one when None) carries
+    ``autotune_objective_evaluations`` and ``autotune_store_warm_hits``.
 
     ``plan_cache`` controls trace reuse across candidate tiles:
     ``None`` (default) gives each search a private
     :class:`~repro.kernels.plancache.PlanCache`; pass a shared instance to
-    pool traces with an engine, or ``False`` to force the legacy
-    full-simulation-per-candidate behaviour.
+    pool traces with an engine.  The uncached reference the cache is
+    bit-identical to is ``run_tex2d(plan_cache=None)``.
     ``workers`` > 1 evaluates ``sweep`` candidates on a process pool.
     """
 
@@ -102,6 +107,9 @@ class TileTuner:
                  workers: int = 0):
         if backend not in ("tex2d", "tex2dpp"):
             raise ValueError("tile tuning applies to the texture backends")
+        if plan_cache is not None and not isinstance(plan_cache, PlanCache):
+            raise ValueError(f"plan_cache={plan_cache!r}: the uncached mode "
+                             f"was removed; pass None or a PlanCache")
         self.spec = spec
         self.backend = backend
         self.budget = budget
@@ -114,25 +122,17 @@ class TileTuner:
         self.objective_evaluations = 0
         self._pool = None                  # lazy, persistent process pool
         self._cache: Dict[TuneKey, TuneResult] = {}
-        # mirror tuning effort onto the shared metrics registry, and give
-        # the backing store a home for its own counters if it has none
-        self._eval_counter = None
-        self._warm_counter = None
-        if registry is not None:
-            self._eval_counter = registry.counter(
-                "autotune_objective_evaluations",
-                help="simulator calls made by the tile tuner")
-            self._warm_counter = registry.counter(
-                "autotune_store_warm_hits",
-                help="tunings satisfied from the tile store (zero evals)")
-            if store is not None:
-                store.bind_registry(registry)
+        registry = registry if registry is not None else MetricsRegistry()
+        self._eval_counter = registry.counter(
+            "autotune_objective_evaluations",
+            help="simulator calls made by the tile tuner")
+        self._warm_counter = registry.counter(
+            "autotune_store_warm_hits",
+            help="tunings satisfied from the tile store (zero evals)")
 
     # ------------------------------------------------------------------
-    def _search_plan_cache(self) -> Optional[PlanCache]:
+    def _search_plan_cache(self) -> PlanCache:
         """The plan cache one search should evaluate through."""
-        if self.plan_cache is False:
-            return None
         if self.plan_cache is None:
             # Private per-search cache: candidate tiles share one trace.
             return PlanCache(max_entries=4)
@@ -140,8 +140,7 @@ class TileTuner:
 
     def _count_evaluations(self, n: int) -> None:
         self.objective_evaluations += n
-        if self._eval_counter is not None:
-            self._eval_counter.inc(n, backend=self.backend)
+        self._eval_counter.inc(n, backend=self.backend)
 
     def objective(self, cfg: LayerConfig):
         """Build the latency objective for one layer (shared inputs)."""
@@ -244,7 +243,7 @@ class TileTuner:
         Lookup order: in-memory cache → backing store (warm start, zero
         objective evaluations) → fresh search (written back to the store).
         ``sweep`` is the exhaustive oracle on the one-pass re-tiled fast
-        path; ``grid`` keeps the legacy per-candidate objective.
+        path; ``grid`` calls the objective once per candidate.
         """
         key = TuneKey(cfg, self.spec.name, f"{self.backend}:{method}")
         if key in self._cache:
@@ -252,8 +251,7 @@ class TileTuner:
         if self.store is not None:
             stored = self.store.get(cfg, self.spec.name, self.backend)
             if stored is not None:
-                if self._warm_counter is not None:
-                    self._warm_counter.inc(backend=self.backend)
+                self._warm_counter.inc(backend=self.backend)
                 self._cache[key] = stored
                 return stored
         if method == "bayes":

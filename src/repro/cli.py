@@ -236,9 +236,9 @@ def cmd_serve(args) -> int:
     spec = get_device(args.device)
     model, task_kwargs = _build_task_model(args.arch, args.task,
                                            args.input_size, args.seed)
-    store = TileStore(args.store) if args.store else None
-    autotune = args.autotune or store is not None
     registry = MetricsRegistry()
+    store = TileStore(args.store, registry=registry) if args.store else None
+    autotune = args.autotune or store is not None
     tracer = SpanTracer() if args.trace else None
 
     engine = DefconEngine(model, spec, backend=args.backend,
@@ -360,8 +360,8 @@ def cmd_trace(args) -> int:
     spec = get_device(args.device)
     model, task_kwargs = _build_task_model(args.model, args.task,
                                            args.input_size, args.seed)
-    store = TileStore(args.store) if args.store else None
     registry = MetricsRegistry()
+    store = TileStore(args.store, registry=registry) if args.store else None
     tracer = SpanTracer()
 
     engine = DefconEngine(model, spec, backend=args.backend,
@@ -572,8 +572,9 @@ def _build_fleet_from_args(args):
     model, task_kwargs = _build_task_model(args.arch, args.task,
                                            args.input_size, args.seed)
     devices = [d.strip() for d in args.devices.split(",") if d.strip()]
-    store = TileStore(args.store) if getattr(args, "store", None) else None
     registry = MetricsRegistry()
+    store = TileStore(args.store, registry=registry) \
+        if getattr(args, "store", None) else None
     # --slo needs a tracer even without --trace: exemplars carry span ids
     want_tracer = (getattr(args, "trace", None)
                    or getattr(args, "slo", False))

@@ -13,9 +13,11 @@ The classic pattern, on the fleet's simulated clock:
   restarts the cooldown.
 
 Every transition is appended to :attr:`CircuitBreaker.transitions`
-(timestamped, so tests can assert the exact state machine walk) and
-mirrored to a ``fleet_breaker_transitions{worker=,to=}`` counter plus a
-``fleet_breaker_open{worker=}`` gauge when a registry is bound.
+(timestamped, so tests can assert the exact state machine walk).  The
+breaker holds no registry: the
+:class:`~repro.fleet.scheduler.FleetScheduler` publishes the entries a
+batch added as ``fleet_breaker_transitions{worker=,to=}`` and the state
+as the ``fleet_breaker_open{worker=}`` gauge.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class CircuitBreaker:
     """Failure-counting breaker for one worker's primary engine."""
 
     def __init__(self, name: str = "", failure_threshold: int = 3,
-                 cooldown_ms: float = 50.0, registry=None):
+                 cooldown_ms: float = 50.0):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if cooldown_ms < 0:
@@ -44,21 +46,6 @@ class CircuitBreaker:
         self.opened_at_ms: Optional[float] = None
         #: (sim_ms, from_state, to_state) history of every transition
         self.transitions: List[Tuple[float, str, str]] = []
-        self._counter = None
-        self._gauge = None
-        if registry is not None:
-            self.bind_registry(registry)
-
-    def bind_registry(self, registry) -> "CircuitBreaker":
-        self._counter = registry.counter(
-            "fleet_breaker_transitions",
-            help="breaker state transitions by worker and target state")
-        self._gauge = registry.gauge(
-            "fleet_breaker_open",
-            help="1 while a worker's breaker is open or half-open")
-        self._gauge.set(0.0 if self.state == CLOSED else 1.0,
-                        worker=self.name)
-        return self
 
     # ------------------------------------------------------------------
     def _transition(self, now_ms: float, to_state: str) -> None:
@@ -66,11 +53,6 @@ class CircuitBreaker:
             return
         self.transitions.append((now_ms, self.state, to_state))
         self.state = to_state
-        if self._counter is not None:
-            self._counter.inc(worker=self.name, to=to_state)
-        if self._gauge is not None:
-            self._gauge.set(0.0 if to_state == CLOSED else 1.0,
-                            worker=self.name)
 
     # ------------------------------------------------------------------
     # outcomes

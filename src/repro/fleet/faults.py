@@ -32,6 +32,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence
 
+from repro.obs.registry import MetricsRegistry
+
 
 class WorkerCrashed(RuntimeError):
     """Injected crash of a fleet worker's engine."""
@@ -96,27 +98,19 @@ def parse_fault(text: str) -> FaultSpec:
 class FaultInjector:
     """Evaluates the scripted faults against a worker + sim time."""
 
-    def __init__(self, faults: Sequence[FaultSpec] = (), registry=None):
+    def __init__(self, faults: Sequence[FaultSpec] = (),
+                 registry: Optional[MetricsRegistry] = None):
         self.faults: List[FaultSpec] = list(faults)
-        self._counter = None
-        if registry is not None:
-            self.bind_registry(registry)
-
-    def bind_registry(self, registry) -> "FaultInjector":
+        registry = registry if registry is not None else MetricsRegistry()
         self._counter = registry.counter(
             "fleet_faults_injected",
             help="fault activations by worker and kind")
-        return self
 
     def _active(self, worker: str, now_ms: float,
                 kind: str) -> Iterable[FaultSpec]:
         return (f for f in self.faults
                 if f.worker == worker and f.kind == kind
                 and f.active(now_ms))
-
-    def _count(self, worker: str, kind: str) -> None:
-        if self._counter is not None:
-            self._counter.inc(worker=worker, kind=kind)
 
     def crash_active(self, worker: str, now_ms: float) -> bool:
         return next(iter(self._active(worker, now_ms, "crash")), None) \
@@ -131,16 +125,16 @@ class FaultInjector:
         for f in self._active(worker, now_ms, "latency"):
             factor *= f.factor
         if factor != 1.0:
-            self._count(worker, "latency")
+            self._counter.inc(worker=worker, kind="latency")
         return factor
 
     def check(self, worker: str, now_ms: float) -> None:
         """Raise the active crash/wedge fault for ``worker``, if any."""
         if self.wedge_active(worker, now_ms):
-            self._count(worker, "wedge")
+            self._counter.inc(worker=worker, kind="wedge")
             raise WorkerWedged(f"worker {worker} wedged (injected)")
         if self.crash_active(worker, now_ms):
-            self._count(worker, "crash")
+            self._counter.inc(worker=worker, kind="crash")
             raise WorkerCrashed(f"worker {worker} crashed (injected)")
 
 

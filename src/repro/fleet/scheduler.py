@@ -43,7 +43,7 @@ from repro.fleet.queueing import (REASON_CLOSED, REASON_EXPIRED,
                                   REASON_RETRIES, FleetRejection,
                                   FleetRequest)
 from repro.fleet.router import Router, make_router
-from repro.fleet.worker import FleetWorker
+from repro.fleet.worker import BatchOutcome, FleetWorker
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import SLO
 from repro.obs.timeseries import Exemplar
@@ -160,9 +160,6 @@ class FleetScheduler:
         self._next_id = 0
         self._closed = False
 
-        for w in self.workers:
-            if w._batches is None:
-                w.bind_registry(self.registry)
         self._submitted = self.registry.counter(
             "fleet_requests_submitted", help="requests offered to the fleet")
         self._completed = self.registry.counter(
@@ -222,6 +219,26 @@ class FleetScheduler:
             "fleet_sessions_ended",
             help="video-stream sessions whose per-session state was "
                  "evicted at stream end")
+        # per-worker series: workers hold no registry, so the scheduler
+        # publishes what each served batch did (see _serve)
+        self._batches = self.registry.counter(
+            "fleet_batches",
+            help="served fleet batches by worker and engine kind")
+        self._batch_sim_ms = self.registry.histogram(
+            "fleet_batch_sim_ms",
+            help="simulated device milliseconds per fleet batch")
+        self._batch_failures = self.registry.counter(
+            "fleet_batch_failures", help="failed fleet batches by worker")
+        self._queue_depth = self.registry.gauge(
+            "fleet_queue_depth", help="queued requests per worker")
+        self._breaker_transitions = self.registry.counter(
+            "fleet_breaker_transitions",
+            help="breaker state transitions by worker and target state")
+        self._breaker_open = self.registry.gauge(
+            "fleet_breaker_open",
+            help="1 while a worker's breaker is open or half-open")
+        for w in self.workers:
+            self._publish_breaker(w)
 
     # ------------------------------------------------------------------
     # submission + routing
@@ -342,6 +359,34 @@ class FleetScheduler:
             worker.enqueue(req)
         except FleetRejection as exc:       # defensive: capacity raced away
             self._reject(req, exc.reason, exc.detail)
+        else:
+            self._publish_depth(worker)
+
+    def _publish_depth(self, worker: FleetWorker) -> None:
+        self._queue_depth.set(len(worker.queue), worker=worker.name)
+
+    def _publish_breaker(self, worker: FleetWorker) -> None:
+        self._breaker_open.set(0.0 if worker.breaker.closed else 1.0,
+                               worker=worker.name)
+
+    def _serve(self, worker: FleetWorker, batch: List[FleetRequest],
+               start: float, ctx) -> BatchOutcome:
+        """Serve one batch on ``worker`` and publish what it did: the
+        outcome's batch series, the breaker transitions it caused and
+        the queue depth it left."""
+        seen = len(worker.breaker.transitions)
+        outcome = worker.serve_batch(batch, start, shard_ctx=ctx)
+        name = worker.name
+        self._batches.inc(worker=name, engine=outcome.engine,
+                          ok=str(outcome.ok).lower())
+        self._batch_sim_ms.observe(outcome.sim_ms, worker=name)
+        if not outcome.ok:
+            self._batch_failures.inc(worker=name)
+        for _, _, to_state in worker.breaker.transitions[seen:]:
+            self._breaker_transitions.inc(worker=name, to=to_state)
+        self._publish_breaker(worker)
+        self._publish_depth(worker)
+        return outcome
 
     def _reject(self, req: FleetRequest, reason: str,
                 detail: str = "") -> None:
@@ -432,13 +477,13 @@ class FleetScheduler:
             self._reject(r, REASON_EXPIRED,
                          f"deadline {r.deadline_ms:.1f}ms passed at "
                          f"{start:.1f}ms while queued on {worker.name}")
-        worker._set_depth()
+        self._publish_depth(worker)
         if not len(worker.queue):
             return True
 
         batch = worker.queue.pop_batch(worker.max_batch_size)
         ctx = self._plan_shards(worker, batch, start)
-        outcome = worker.serve_batch(batch, start, shard_ctx=ctx)
+        outcome = self._serve(worker, batch, start, ctx)
         worker.busy_until_ms = start + outcome.sim_ms
         done = worker.busy_until_ms
         if ctx is not None:
@@ -549,8 +594,7 @@ class FleetScheduler:
             raise RuntimeError("cannot add workers to a closed fleet")
         if any(w.name == worker.name for w in self.workers):
             raise ValueError(f"duplicate worker name {worker.name!r}")
-        if worker._batches is None:
-            worker.bind_registry(self.registry)
+        self._publish_breaker(worker)
         self.workers.append(worker)
 
     def remove_worker(self, name: str) -> FleetWorker:
@@ -666,7 +710,7 @@ class FleetScheduler:
             changed = True
         for r in kept:
             worker.queue.push(r)
-        worker._set_depth()
+        self._publish_depth(worker)
         return changed
 
     def _handle_failure(self, req: FleetRequest, worker: FleetWorker,
@@ -817,7 +861,7 @@ class FleetScheduler:
         for w in self.workers:
             for r in w.queue.drain():
                 self._reject(r, REASON_CLOSED, "fleet closed while queued")
-            w._set_depth()
+            self._publish_depth(w)
             w.batcher.close(flush=False)
             if w._fallback_batcher is not None:
                 w._fallback_batcher.close(flush=False)
@@ -836,16 +880,15 @@ def build_worker(name: str, spec, model, *, backend: str = "tex2dpp",
                  degrade: bool = True, breaker_threshold: int = 3,
                  breaker_cooldown_ms: float = 50.0,
                  wedge_timeout_ms: float = 100.0, injector=None,
-                 registry: Optional[MetricsRegistry] = None, tracer=None,
-                 **task_kwargs) -> FleetWorker:
+                 tracer=None, **task_kwargs) -> FleetWorker:
     """Assemble one full fleet member: a DefconEngine on ``spec`` with
     its breaker and (unless degraded serving is off or the fleet already
     runs the reference backend) a lazy pytorch fallback.
 
     This is the per-worker body of :func:`build_fleet`, split out so the
     autoscaler's :func:`~repro.fleet.autoscale.engine_worker_provider`
-    can provision identical members mid-run.  When ``registry`` is None
-    the worker binds its metrics at :meth:`FleetScheduler.add_worker`.
+    can provision identical members mid-run.  The worker holds no
+    registry: the scheduler it joins publishes its series.
     """
     from repro.pipeline.engine import DefconEngine
 
@@ -858,12 +901,11 @@ def build_worker(name: str, spec, model, *, backend: str = "tex2dpp",
             lambda spec=spec: DefconEngine(model, spec,
                                            backend="pytorch"))
     breaker = CircuitBreaker(name, failure_threshold=breaker_threshold,
-                             cooldown_ms=breaker_cooldown_ms,
-                             registry=registry)
+                             cooldown_ms=breaker_cooldown_ms)
     return FleetWorker(
         name, engine, task=task, max_batch_size=max_batch_size,
         queue_capacity=queue_capacity, breaker=breaker,
-        injector=injector, registry=registry, tracer=tracer,
+        injector=injector, tracer=tracer,
         fallback_factory=fallback_factory,
         wedge_timeout_ms=wedge_timeout_ms, **task_kwargs)
 
@@ -934,7 +976,7 @@ def build_fleet(model, devices: Sequence[Union[str, object]] = ("xavier",
             degrade=degrade, breaker_threshold=breaker_threshold,
             breaker_cooldown_ms=breaker_cooldown_ms,
             wedge_timeout_ms=wedge_timeout_ms, injector=injector,
-            registry=registry, tracer=tracer, **task_kwargs))
+            tracer=tracer, **task_kwargs))
     return FleetScheduler(workers, router=router, clock=clock,
                           registry=registry, tracer=tracer,
                           max_attempts=max_attempts, seed=seed,

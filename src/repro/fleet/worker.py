@@ -23,6 +23,10 @@ A worker owns:
 ``predict_ms(shape, batch)`` is the per-worker cost model — an
 :class:`~repro.fleet.router.EngineCostModel` for real engines, or any
 injected callable in tests.
+
+A worker holds no metrics registry: the
+:class:`~repro.fleet.scheduler.FleetScheduler` that drives it publishes
+its batch, queue-depth and breaker series from each :class:`BatchOutcome`.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from repro.fleet.breaker import CircuitBreaker
 from repro.fleet.faults import FaultInjector, FaultyEngine, WorkerWedged
 from repro.fleet.queueing import BoundedDeadlineQueue, FleetRequest
 from repro.fleet.router import EngineCostModel, Predictor
+from repro.obs.tracer import maybe_span
 from repro.serve import RequestBatcher, ServingMetrics
 
 
@@ -75,10 +80,13 @@ class FleetWorker:
                  fallback_predictor: Optional[Predictor] = None,
                  breaker: Optional[CircuitBreaker] = None,
                  injector: Optional[FaultInjector] = None,
-                 registry=None, tracer=None,
+                 tracer=None,
                  wedge_timeout_ms: float = 100.0,
                  failure_ms: float = 1.0,
                  **task_kwargs):
+        if "registry" in task_kwargs:   # would reach the engine's detect()
+            raise TypeError("FleetWorker takes no registry: the scheduler "
+                            "it joins publishes its series")
         self.name = name
         self.engine = engine
         self.task = task
@@ -127,28 +135,6 @@ class FleetWorker:
             served_engine, task=task, max_batch_size=max_batch_size,
             max_wait_s=0.0, metrics=self.serving_metrics, tracer=tracer,
             **task_kwargs)
-
-        self._batches = None
-        self._batch_sim_ms = None
-        self._batch_failures = None
-        self._depth_gauge = None
-        if registry is not None:
-            self.bind_registry(registry)
-
-    def bind_registry(self, registry) -> "FleetWorker":
-        self._batches = registry.counter(
-            "fleet_batches",
-            help="served fleet batches by worker and engine kind")
-        self._batch_sim_ms = registry.histogram(
-            "fleet_batch_sim_ms",
-            help="simulated device milliseconds per fleet batch")
-        self._batch_failures = registry.counter(
-            "fleet_batch_failures", help="failed fleet batches by worker")
-        self._depth_gauge = registry.gauge(
-            "fleet_queue_depth", help="queued requests per worker")
-        if self.breaker._counter is None:
-            self.breaker.bind_registry(registry)
-        return self
 
     # ------------------------------------------------------------------
     # routing views
@@ -237,11 +223,6 @@ class FleetWorker:
     def enqueue(self, req: FleetRequest) -> None:
         req.predicted_ms = self.predict_ms(req.shape, 1)
         self.queue.push(req)        # raises FleetRejection when full
-        self._set_depth()
-
-    def _set_depth(self) -> None:
-        if self._depth_gauge is not None:
-            self._depth_gauge.set(len(self.queue), worker=self.name)
 
     def end_session(self, session: str) -> int:
         """Release this worker's per-session plan-cache state for one
@@ -314,23 +295,17 @@ class FleetWorker:
         if not use_primary or probe:
             shard_ctx = None
 
-        if self.tracer is not None:
-            with self.tracer.span(
-                    "fleet.batch", cat="fleet", worker=self.name,
-                    size=len(batch),
-                    requests=[r.id for r in batch],
-                    engine="primary" if use_primary else "fallback",
-                    probe=probe, start_sim_ms=round(now_ms, 3),
-                    shard_plan=(shard_ctx.plan.label
-                                if shard_ctx is not None else None)):
-                outcome = self._serve_batch_inner(batch, now_ms,
-                                                  use_primary, probe,
-                                                  shard_ctx)
-                outcome.span_id = self.tracer.current_span_id()
-        else:
+        with maybe_span(self.tracer, "fleet.batch", cat="fleet",
+                        worker=self.name, size=len(batch),
+                        requests=[r.id for r in batch],
+                        engine="primary" if use_primary else "fallback",
+                        probe=probe, start_sim_ms=round(now_ms, 3),
+                        shard_plan=(shard_ctx.plan.label
+                                    if shard_ctx is not None else None)):
             outcome = self._serve_batch_inner(batch, now_ms, use_primary,
                                               probe, shard_ctx)
-        self._set_depth()
+            if self.tracer is not None:
+                outcome.span_id = self.tracer.current_span_id()
         return outcome
 
     def _serve_batch_inner(self, batch: List[FleetRequest], now_ms: float,
@@ -357,8 +332,6 @@ class FleetWorker:
                       else self.failure_ms)
             if use_primary:
                 self.breaker.record_failure(now_ms)
-            if self._batch_failures is not None:
-                self._batch_failures.inc(worker=self.name)
             outcome = BatchOutcome(batch, None, error, sim_ms,
                                    "primary" if use_primary else "fallback",
                                    probe)
@@ -383,11 +356,6 @@ class FleetWorker:
             outcome = BatchOutcome(batch, results, None, sim_ms,
                                    "primary" if use_primary else "fallback",
                                    probe, shard=shard_summary)
-        if self._batches is not None:
-            self._batches.inc(worker=self.name, engine=outcome.engine,
-                              ok=str(outcome.ok).lower())
-        if self._batch_sim_ms is not None:
-            self._batch_sim_ms.observe(outcome.sim_ms, worker=self.name)
         return outcome
 
     def __repr__(self) -> str:

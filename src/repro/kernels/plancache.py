@@ -47,11 +47,13 @@ is the documented temporal-coherence approximation.  An anchor lives no
 longer than its entry: evicting the entry drops it.  See
 ``docs/streaming.md``.
 
-Observability: bind a :class:`~repro.obs.registry.MetricsRegistry` to get
-the :data:`COUNTERS` (``plan_cache_lookups{result=hit|miss}``,
+Observability: the :data:`COUNTERS` (``plan_cache_lookups{result=hit|miss}``,
 ``plan_cache_trace_builds``, ``plan_cache_evictions``,
 ``plan_cache_delta_hits`` / ``plan_cache_delta_rejects``, ...;
-``repro serve --metrics-out`` surfaces them), and a
+``repro serve --metrics-out`` surfaces them) count only on the
+:class:`~repro.obs.registry.MetricsRegistry` the cache is built with — a
+private one, exposed as ``cache.registry``, when none is passed — and
+``cache.stats`` reads them back from there.  Pass a
 :class:`~repro.obs.tracer.SpanTracer` to see ``plancache.build_trace`` /
 ``plancache.build_fused`` / ``plancache.build_shard`` /
 ``plancache.retile`` spans on the wall timeline.  See
@@ -76,6 +78,7 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.trace import SamplePlan, cta_ids_for_tile, sample_trace_ctas
 from repro.kernels.config import LayerConfig
 from repro.kernels.fused import FusedPlan, build_fused_plan, tap_tables
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import maybe_span
 
 if TYPE_CHECKING:
@@ -177,58 +180,39 @@ class _SessionAnchor:
 
 
 class PlanCacheStats:
-    """Hit/miss/build counters of one :class:`PlanCache` (thread-safe).
+    """Hit/miss/build counters of one :class:`PlanCache`.
 
-    Each :data:`COUNTERS` name is a plain ``int`` attribute (``hits``,
-    ``misses``, ``trace_builds``, ...) advanced only by :meth:`record`;
-    once a registry is bound every increment is mirrored onto its
-    registry counter.
+    The registry is the only store: each :data:`COUNTERS` name (``hits``,
+    ``misses``, ``trace_builds``, ...) reads back as an ``int`` from its
+    registry counter, which :meth:`record` advances (``Counter.inc`` holds
+    the metric's lock).  Two caches on one registry share its totals.
     """
 
-    def __init__(self):
-        for name in COUNTERS:
-            setattr(self, name, 0)
-        self._lock = threading.Lock()
-        #: counter name → (registry Counter, labels); empty until bound
-        self._mirrors: Dict[str, tuple] = {}
-        self._build_window = None
+    def __init__(self, registry: MetricsRegistry):
+        #: counter name → (registry Counter, labels)
+        self._counters = {
+            name: (registry.counter(metric, help=text), labels)
+            for name, (metric, labels, text) in COUNTERS.items()}
+        self._build_window = registry.windowed_histogram(
+            "plan_cache_build_ms",
+            help="wall ms spent compiling plans (trace/fused), "
+                 "windowed on the wall clock — a build spike in a "
+                 "serving window means new offset digests arrived")
 
-    @property
-    def bound(self) -> bool:
-        """Whether the counters already publish to some registry."""
-        with self._lock:
-            return bool(self._mirrors)
-
-    def bind_registry(self, registry) -> "PlanCacheStats":
-        """Mirror counters onto a MetricsRegistry, re-publishing history."""
-        with self._lock:
-            for name, (metric, labels, text) in COUNTERS.items():
-                counter = registry.counter(metric, help=text)
-                self._mirrors[name] = (counter, labels)
-                if getattr(self, name):
-                    counter.inc(getattr(self, name), **labels)
-            self._build_window = registry.windowed_histogram(
-                "plan_cache_build_ms",
-                help="wall ms spent compiling plans (trace/fused), "
-                     "windowed on the wall clock — a build spike in a "
-                     "serving window means new offset digests arrived")
-        return self
+    def __getattr__(self, name: str) -> int:
+        if name not in COUNTERS:
+            raise AttributeError(name)
+        counter, labels = self._counters[name]
+        return int(counter.value(**labels))
 
     def record(self, name: str) -> None:
         """Count one event on the :data:`COUNTERS` counter ``name``."""
-        with self._lock:
-            setattr(self, name, getattr(self, name) + 1)
-            mirror = self._mirrors.get(name)
-        if mirror is not None:
-            counter, labels = mirror
-            counter.inc(**labels)
+        counter, labels = self._counters[name]
+        counter.inc(**labels)
 
     def record_build_ms(self, kind: str, duration_ms: float) -> None:
         """Windowed build-duration sample (``kind`` = trace|fused|...)."""
-        with self._lock:
-            window = self._build_window
-        if window is not None:
-            window.observe(float(duration_ms), kind=kind)
+        self._build_window.observe(float(duration_ms), kind=kind)
 
     @property
     def lookups(self) -> int:
@@ -263,12 +247,15 @@ class PlanCache:
         reused whenever ``max|offset - anchor_offset|`` (measured on the
         offsets as passed — already fp16-quantised for tex2D++) stays
         within this bound.  ``None`` (default) keeps lookups exact-only.
-    registry / tracer:
-        Optional observability hooks — see the module docstring.
+    registry:
+        The :class:`~repro.obs.registry.MetricsRegistry` the cache counts
+        on (a private one when None); exposed as ``registry``.
+    tracer:
+        Optional span hook — see the module docstring.
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES,
-                 registry=None, tracer=None,
+                 registry: Optional[MetricsRegistry] = None, tracer=None,
                  delta_bound: Optional[float] = None):
         if max_entries < 1:
             raise ValueError("plan cache needs max_entries >= 1")
@@ -277,7 +264,9 @@ class PlanCache:
                              "exact-only keying)")
         self.max_entries = max_entries
         self.delta_bound = delta_bound
-        self.stats = PlanCacheStats()
+        self.registry = registry if registry is not None \
+            else MetricsRegistry()
+        self.stats = PlanCacheStats(self.registry)
         self.tracer = tracer
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, _TraceEntry]" = OrderedDict()
@@ -286,12 +275,6 @@ class PlanCache:
         self._building: Dict[tuple, threading.Event] = {}
         #: (session, offset shape, geometry...) → _SessionAnchor
         self._anchors: Dict[tuple, _SessionAnchor] = {}
-        if registry is not None:
-            self.stats.bind_registry(registry)
-
-    def bind_registry(self, registry) -> "PlanCache":
-        self.stats.bind_registry(registry)
-        return self
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

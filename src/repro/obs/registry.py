@@ -103,12 +103,20 @@ class Metric:
         self._series: Dict[LabelKey, object] = {}
 
     def _get_series(self, labels: Dict[str, str]):
+        """The label set's series, created on first use (writers only)."""
         key = _label_key(labels)
         series = self._series.get(key)
         if series is None:
             series = self._new_series()
             self._series[key] = series
         return series
+
+    def _read_series(self, labels: Dict[str, str]):
+        """The label set's series, or an empty one that is *not* stored —
+        reading never adds a series, so snapshots reflect observations
+        only."""
+        series = self._series.get(_label_key(labels))
+        return series if series is not None else self._new_series()
 
     def _new_series(self):
         raise NotImplementedError
@@ -153,7 +161,7 @@ class Counter(Metric):
 
     def value(self, **labels) -> float:
         with self._lock:
-            return float(self._get_series(labels)[0])
+            return float(self._read_series(labels)[0])
 
     def _series_snapshot(self, series) -> dict:
         return {"value": series[0]}
@@ -186,7 +194,7 @@ class Gauge(Metric):
 
     def value(self, **labels) -> float:
         with self._lock:
-            return float(self._get_series(labels)[0])
+            return float(self._read_series(labels)[0])
 
     def _series_snapshot(self, series) -> dict:
         return {"value": series[0]}
@@ -212,23 +220,23 @@ class Histogram(Metric):
 
     def reservoir(self, **labels) -> BoundedReservoir:
         with self._lock:
-            return self._get_series(labels)
+            return self._read_series(labels)
 
     def count(self, **labels) -> int:
         with self._lock:
-            return self._get_series(labels).count
+            return self._read_series(labels).count
 
     def sum(self, **labels) -> float:
         with self._lock:
-            return self._get_series(labels).total
+            return self._read_series(labels).total
 
     def mean(self, **labels) -> float:
         with self._lock:
-            return self._get_series(labels).mean
+            return self._read_series(labels).mean
 
     def percentile(self, q: float, **labels) -> float:
         with self._lock:
-            return self._get_series(labels).percentile(q)
+            return self._read_series(labels).percentile(q)
 
     def _series_snapshot(self, series: BoundedReservoir) -> dict:
         return series.snapshot()

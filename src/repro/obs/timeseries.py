@@ -406,11 +406,11 @@ class WindowedHistogram(Metric):
 
     def series(self, **labels) -> WindowedSeries:
         with self._lock:
-            return self._get_series(labels)
+            return self._read_series(labels)
 
     def count(self, **labels) -> int:
         with self._lock:
-            return self._get_series(labels).count
+            return self._read_series(labels).count
 
     def _series_snapshot(self, series: WindowedSeries) -> dict:
         return series.snapshot()

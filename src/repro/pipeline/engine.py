@@ -13,11 +13,13 @@ unit, so the engine simultaneously produces:
   that launched it, so ``per_layer_rows()`` reproduces the paper's
   Table II/IV per-layer breakdown for any model.
 
-Observability (docs/observability.md): pass a
-:class:`~repro.obs.registry.MetricsRegistry` to share one metrics home
-with the serving layer (the engine registers its tile-cache and autotune
-counters onto it), and a :class:`~repro.obs.tracer.SpanTracer` to stream
-every kernel launch onto the simulated-GPU trace timeline.
+Observability (docs/observability.md): the engine counts only on the
+:class:`~repro.obs.registry.MetricsRegistry` it is built with (a private
+one when none is passed) — its tile-cache, plan-cache and autotune
+counters live there and ``tile_cache_stats`` / ``plan_cache_stats`` read
+them back from there; pass the serving layer's registry to share one
+metrics home.  A :class:`~repro.obs.tracer.SpanTracer` streams every
+kernel launch onto the simulated-GPU trace timeline.
 """
 
 from __future__ import annotations
@@ -56,46 +58,38 @@ class TileCacheStats:
     * ``misses`` — nothing tuned is applicable and the untuned
       ``DEFAULT_TILE`` ran (each distinct geometry is also logged once).
 
-    Increments are lock-protected (the serving worker thread and the
-    caller's thread may both drive the engine) and mirrored onto a
-    :class:`~repro.obs.registry.MetricsRegistry` counter
-    (``engine_tile_cache_lookups{result=...}``) when one is bound.
+    A view over ``engine_tile_cache_lookups{result=...}`` on a
+    :class:`~repro.obs.registry.MetricsRegistry` (a private one when none
+    is passed): lookups count there and the attributes read back from
+    there, so two views over one registry share its totals.
     """
 
-    def __init__(self):
-        self.hits = 0
-        self.near_hits = 0
-        self.misses = 0
-        self._lock = threading.Lock()
-        self._counter = None
-
-    def bind_registry(self, registry: MetricsRegistry) -> "TileCacheStats":
-        with self._lock:
-            self._counter = registry.counter(
-                "engine_tile_cache_lookups",
-                help="runtime tile lookups by result (hit/near_hit/miss)")
-            # re-publish anything counted before binding
-            for result, n in (("hit", self.hits), ("near_hit", self.near_hits),
-                              ("miss", self.misses)):
-                if n:
-                    self._counter.inc(n, result=result)
-        return self
-
-    def _record(self, attr: str, result: str) -> None:
-        with self._lock:
-            setattr(self, attr, getattr(self, attr) + 1)
-            counter = self._counter
-        if counter is not None:
-            counter.inc(result=result)
+    def __init__(self, registry: Optional[MetricsRegistry] = None):
+        registry = registry if registry is not None else MetricsRegistry()
+        self._lookups = registry.counter(
+            "engine_tile_cache_lookups",
+            help="runtime tile lookups by result (hit/near_hit/miss)")
 
     def record_hit(self) -> None:
-        self._record("hits", "hit")
+        self._lookups.inc(result="hit")
 
     def record_near_hit(self) -> None:
-        self._record("near_hits", "near_hit")
+        self._lookups.inc(result="near_hit")
 
     def record_miss(self) -> None:
-        self._record("misses", "miss")
+        self._lookups.inc(result="miss")
+
+    @property
+    def hits(self) -> int:
+        return int(self._lookups.value(result="hit"))
+
+    @property
+    def near_hits(self) -> int:
+        return int(self._lookups.value(result="near_hit"))
+
+    @property
+    def misses(self) -> int:
+        return int(self._lookups.value(result="miss"))
 
     @property
     def lookups(self) -> int:
@@ -225,7 +219,8 @@ class DefconEngine:
     over the same model).  The cache is always on: the uncached
     simulation it is bit-identical to is ``run_tex2d(plan_cache=None)``,
     the reference that conformance and tests compare against.  Hit/miss
-    counters land on the registry as ``plan_cache_lookups{result=...}``.
+    counters land as ``plan_cache_lookups{result=...}`` on the registry
+    the cache was built with — the engine's own when the engine built it.
 
     ``delta_bound`` enables the streaming delta-keyed plan-cache mode on
     the engine's private cache (see docs/streaming.md): with a session
@@ -268,15 +263,12 @@ class DefconEngine:
                     f"shared plan cache has delta_bound="
                     f"{plan_cache.delta_bound!r}, engine asked for "
                     f"{delta_bound!r} — configure the bound on the cache")
-            # A shared cache keeps publishing to whichever registry bound
-            # it first — a second engine must not steal its counters.
+            # a shared cache counts on the registry it was built with
             self.plan_cache = plan_cache
-            if not plan_cache.stats.bound:
-                plan_cache.bind_registry(self.registry)
-        self._runtime = TextureRuntime(spec=spec, backend=backend,
-                                       log=self.log,
-                                       plan_cache=self.plan_cache)
-        self._runtime.cache_stats.bind_registry(self.registry)
+        self._runtime = TextureRuntime(
+            spec=spec, backend=backend, log=self.log,
+            plan_cache=self.plan_cache,
+            cache_stats=TileCacheStats(self.registry))
         self._layers = [m for m in model.modules()
                         if isinstance(m, DeformConv2d)]
         self._name_deformable_layers(model)

@@ -42,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs.tracer import maybe_span
 from repro.serve.metrics import ServingMetrics
 
 
@@ -183,37 +184,31 @@ class RequestBatcher:
             return batch
 
     def _serve_batch(self, batch: List[_Request]) -> None:
-        if self.tracer is not None:
-            with self.tracer.span("serve.batch", cat="serve",
-                                  size=len(batch),
-                                  first_request=batch[0].id):
-                self._serve_batch_inner(batch)
-        else:
-            self._serve_batch_inner(batch)
-
-    def _serve_batch_inner(self, batch: List[_Request]) -> None:
-        images = np.stack([r.image for r in batch])
-        t0 = self._clock()
-        waits = [t0 - r.submit_t for r in batch]
-        sim0 = self._engine_sim_ms()
-        try:
-            if self.task == "classify":
-                labels = self.engine.classify(images)
-                results = [labels[i] for i in range(len(batch))]
-            else:
-                dets = self.engine.detect(images, **self.task_kwargs)
-                results = self._split_detections(dets, batch)
-        except BaseException as exc:   # propagate to exactly this batch
-            for r in batch:
-                r.future.set_exception(exc)
-            self.metrics.record_batch(len(batch), waits,
-                                      self._clock() - t0, 0.0, failed=True)
-            return
-        sim_ms = self._engine_sim_ms() - sim0
-        self.metrics.record_batch(len(batch), waits, self._clock() - t0,
-                                  sim_ms)
-        for r, res in zip(batch, results):
-            r.future.set_result(res)
+        with maybe_span(self.tracer, "serve.batch", cat="serve",
+                        size=len(batch), first_request=batch[0].id):
+            images = np.stack([r.image for r in batch])
+            t0 = self._clock()
+            waits = [t0 - r.submit_t for r in batch]
+            sim0 = self._engine_sim_ms()
+            try:
+                if self.task == "classify":
+                    labels = self.engine.classify(images)
+                    results = [labels[i] for i in range(len(batch))]
+                else:
+                    dets = self.engine.detect(images, **self.task_kwargs)
+                    results = self._split_detections(dets, batch)
+            except BaseException as exc:   # propagate to exactly this batch
+                for r in batch:
+                    r.future.set_exception(exc)
+                self.metrics.record_batch(len(batch), waits,
+                                          self._clock() - t0, 0.0,
+                                          failed=True)
+                return
+            sim_ms = self._engine_sim_ms() - sim0
+            self.metrics.record_batch(len(batch), waits, self._clock() - t0,
+                                      sim_ms)
+            for r, res in zip(batch, results):
+                r.future.set_result(res)
 
     def _engine_sim_ms(self) -> float:
         log = getattr(self.engine, "log", None)

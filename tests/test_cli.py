@@ -195,3 +195,21 @@ class TestServeAndTiles:
             main(["serve", "--no-plan-cache"])
         assert exc.value.code == 2
         assert "--no-plan-cache" in capsys.readouterr().err
+
+    def test_fleet_run_store_counts_on_the_fleet_registry(self, tmp_path,
+                                                           capsys):
+        """A fleet's shared tile store counts on the fleet's registry, so
+        ``--metrics-out`` carries its lookups (not one worker's private
+        engine registry)."""
+        import json
+
+        metrics = tmp_path / "m.json"
+        assert main(["fleet", "run", "--requests", "4", "--max-batch", "2",
+                     "--store", str(tmp_path / "tiles.json"),
+                     "--metrics-out", str(metrics)]) == 0
+        snap = json.loads(metrics.read_text())
+        lookups = sum(s["value"]
+                      for s in snap["tile_store_lookups"]["series"])
+        assert lookups > 0
+        saves = snap["tile_store_saves"]["series"]
+        assert saves and saves[0]["value"] > 0

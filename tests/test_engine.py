@@ -95,6 +95,28 @@ class TestTileCacheKeyUnification:
         assert stats.hits == 0 and stats.near_hits == 0
         assert stats.misses == sum(PLACEMENT)
 
+    def test_engines_on_one_registry_share_its_totals(self, yolact,
+                                                      images):
+        """Tile-cache stats are a view over the engine's registry: two
+        engines built on one registry read the same totals, an engine on
+        its own registry reads only its own lookups."""
+        from repro.obs import MetricsRegistry
+
+        shared = MetricsRegistry()
+        a = DefconEngine(yolact, XAVIER, backend="tex2d", registry=shared)
+        b = DefconEngine(yolact, XAVIER, backend="tex2d", registry=shared)
+        alone = DefconEngine(yolact, XAVIER, backend="tex2d")
+        for eng in (a, b, alone):
+            eng.detect(images, score_threshold=0.05)
+        n = sum(PLACEMENT)
+        assert a.tile_cache_stats.misses == b.tile_cache_stats.misses == 2 * n
+        assert alone.tile_cache_stats.misses == n
+        assert shared.get("engine_tile_cache_lookups").value(
+            result="miss") == 2 * n
+        # each engine built its own plan cache on the shared registry
+        assert a.plan_cache_stats.misses == b.plan_cache_stats.misses \
+            == 2 * alone.plan_cache_stats.misses
+
     def test_bad_backend_rejected_at_construction(self, yolact):
         with pytest.raises(ValueError, match="unknown backend 'cuda'"):
             DefconEngine(yolact, XAVIER, backend="cuda")

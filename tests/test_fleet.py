@@ -219,9 +219,16 @@ class TestCircuitBreaker:
             b.begin_probe(0.0)
 
     def test_registry_mirrors_transitions(self):
+        # the breaker holds no registry: the scheduler publishes the
+        # transitions a served batch caused, and the gauge from join on
         reg = MetricsRegistry()
-        b = CircuitBreaker("w", failure_threshold=1, registry=reg)
-        b.record_failure(0.0)
+        w = worker("w", 1.0,
+                   injector=FaultInjector([parse_fault("w=crash")]),
+                   breaker=CircuitBreaker("w", failure_threshold=1))
+        sched = FleetScheduler([w], registry=reg, max_attempts=1)
+        assert reg.get("fleet_breaker_open").value(worker="w") == 0.0
+        sched.submit(IMG)
+        sched.step()
         counter = reg.get("fleet_breaker_transitions")
         assert counter.value(worker="w", to=OPEN) == 1
         assert reg.get("fleet_breaker_open").value(worker="w") == 1.0
@@ -539,6 +546,27 @@ class TestFleetScheduler:
         names = [e["name"] for e in tracer.chrome_trace()["traceEvents"]
                  if e.get("ph") == "X"]
         assert "fleet.batch" in names
+
+    def test_scheduler_publishes_series_of_a_late_member(self):
+        # workers and breakers hold no registry: a member joining via
+        # add_worker gets its breaker gauge at join, and its batch and
+        # queue-depth series from the scheduler that serves it
+        reg = MetricsRegistry()
+        sched = FleetScheduler([worker("a", 1.0)], registry=reg)
+        sched.add_worker(worker("b", 0.5))
+        assert reg.get("fleet_breaker_open").value(worker="b") == 0.0
+        sched.submit(IMG)               # the cost router picks faster b
+        depth = reg.get("fleet_queue_depth")
+        assert depth.value(worker="b") == 1.0
+        sched.drain()
+        assert reg.get("fleet_batches").value(
+            worker="b", engine="primary", ok="true") == 1.0
+        assert reg.get("fleet_batch_sim_ms").count(worker="b") == 1
+        assert depth.value(worker="b") == 0.0
+        with pytest.raises(TypeError):
+            CircuitBreaker("c", registry=reg)
+        with pytest.raises(TypeError, match="takes no registry"):
+            worker("c", 1.0, registry=reg)
 
     def test_determinism_same_seed_same_run(self):
         def run():

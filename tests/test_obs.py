@@ -206,6 +206,29 @@ def test_snapshot_json_is_byte_stable_across_insertion_order():
     assert a.to_prometheus() == b.to_prometheus()
 
 
+def test_reads_of_unseen_label_sets_create_no_series():
+    """Reading a label set nobody observed returns an empty value and
+    leaves the snapshot as it was — only observations create series."""
+    reg = MetricsRegistry()
+    reg.counter("c").inc(worker="a")
+    reg.gauge("g").set(2.0, worker="a")
+    reg.histogram("h").observe(1.0, worker="a")
+    reg.windowed_histogram("w").observe(1.0, worker="a")
+    before = reg.to_json()
+    assert reg.get("c").value(worker="w") == 0.0
+    assert reg.get("g").value(worker="w") == 0.0
+    h = reg.get("h")
+    assert (h.count(worker="w"), h.sum(worker="w"), h.mean(worker="w"),
+            h.percentile(99, worker="w")) == (0, 0.0, 0.0, 0.0)
+    assert h.reservoir(worker="w").count == 0
+    w = reg.get("w")
+    assert w.count(worker="w") == 0 and not len(w.series(worker="w"))
+    assert reg.to_json() == before
+    # reads of an observed label set still see its series
+    assert reg.get("c").value(worker="a") == 1.0
+    assert w.count(worker="a") == 1
+
+
 def test_prometheus_exposition_basics():
     reg = MetricsRegistry()
     reg.counter("hits", help="tile cache hits").inc(5, backend="tex2d")

@@ -13,7 +13,7 @@ from repro.gpusim import XAVIER
 from repro.gpusim.cache import TextureCacheModel
 from repro.gpusim.trace import (SamplePlan, cta_ids_for_tile,
                                 texture_fetch_trace)
-from repro.autotune import TileTuner
+from repro.autotune import TileTuner, grid_search
 from repro.deform.deform_conv import sampling_positions
 from repro.kernels import LayerConfig, PlanCache, offsets_digest, synth_offsets
 from repro.kernels.tex2d import run_tex2d
@@ -211,27 +211,59 @@ def test_shared_plan_cache_keeps_first_registry():
     assert "plan_cache_lookups" not in second.registry.snapshot()
 
 
-def test_plan_cache_bind_registry_republishes_history():
+def test_plan_cache_counts_on_its_registry_from_the_first_call():
+    """A cache counts every lookup on the registry it is built with from
+    the first call; one built without a registry counts on its own
+    ``cache.registry``; ``cache.stats`` reads both back as ints."""
     cfg = GEOMETRIES[0]
     x, off, w = _inputs(cfg)
-    cache = PlanCache()
-    for _ in range(2):
-        run_tex2d(x, off, w, None, cfg, XAVIER, compute_output=False,
-                  plan_cache=cache)
-    registry = MetricsRegistry()      # bound *after* the activity
-    cache.bind_registry(registry)
-    snap = registry.snapshot()
-    total = sum(s["value"] for s in snap["plan_cache_lookups"]["series"])
-    assert total == 2.0
+    registry = MetricsRegistry()
+    bound = PlanCache(registry=registry)
+    private = PlanCache()
+    assert bound.registry is registry
+    assert private.registry is not registry
+    for cache in (bound, private):
+        lookups = cache.registry.get("plan_cache_lookups")
+        for call in range(2):
+            run_tex2d(x, off, w, None, cfg, XAVIER, compute_output=False,
+                      plan_cache=cache)
+            assert lookups.value(result="miss") == 1.0
+            assert lookups.value(result="hit") == float(call)
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.trace_builds) == (1, 1, 1)
+        assert all(type(getattr(stats, name)) is int
+                   for name in ("hits", "misses", "trace_builds",
+                                "fused_builds", "delta_hits",
+                                "delta_rejects", "evictions"))
+    # the private cache's lookups never reached the other registry
+    assert registry.get("plan_cache_lookups").value(result="miss") == 1.0
 
 
 # ----------------------------------------------------------------------
 # tuner: re-tiled sweep and process-parallel sweep
 # ----------------------------------------------------------------------
+def _uncached_grid(cfg):
+    """Grid search with one full, uncached simulation per candidate tile
+    (the tuner's objective inputs, no plan cache)."""
+    tuner = TileTuner(XAVIER, seed=0)
+    off = synth_offsets(cfg, sigma=tuner.offset_sigma, bound=tuner.bound,
+                        seed=0)
+    x = np.zeros(cfg.input_shape(), dtype=np.float32)
+    w = np.zeros(cfg.weight_shape(), dtype=np.float32)
+    plan = SamplePlan(seed=0)
+
+    def objective(tile):
+        return run_tex2d(x, off, w, None, cfg, XAVIER, tile=tuple(tile),
+                         plan=plan, compute_output=False
+                         ).sample_kernel.duration_ms
+
+    return grid_search(tuner.space(cfg), objective)
+
+
 def test_sweep_matches_legacy_grid_exactly():
     cfg = LayerConfig(16, 16, 28, 28)
     fast = TileTuner(XAVIER, seed=0).tune(cfg, "sweep")
-    legacy = TileTuner(XAVIER, seed=0, plan_cache=False).tune(cfg, "grid")
+    legacy = _uncached_grid(cfg)
     assert fast.best_point == legacy.best_point
     assert fast.best_value == legacy.best_value
     assert dict(fast.history) == dict(legacy.history)
@@ -243,6 +275,11 @@ def test_parallel_sweep_identical_to_serial():
     parallel = TileTuner(XAVIER, seed=0, workers=2).tune(cfg, "sweep")
     assert parallel.best_point == serial.best_point
     assert parallel.history == serial.history
+
+
+def test_tuner_uncached_mode_removed():
+    with pytest.raises(ValueError, match="uncached mode was removed"):
+        TileTuner(XAVIER, plan_cache=False)
 
 
 def test_parallel_sweep_falls_back_to_serial(monkeypatch):

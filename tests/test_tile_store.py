@@ -10,6 +10,7 @@ from repro.autotune import (TUNER_VERSION, TileStore, TileTuner, TuneResult,
 from repro.autotune.store import FORMAT_VERSION, entry_key
 from repro.gpusim import RTX_2080TI, XAVIER
 from repro.kernels import LayerConfig
+from repro.obs import MetricsRegistry
 
 CFG = LayerConfig(16, 16, 24, 24)
 CFG2 = LayerConfig(32, 32, 12, 12)
@@ -75,6 +76,27 @@ class TestWarmStart:
         tuner.tune(CFG)
         tuner.tune(CFG2)
         assert len(TileStore(store_path)) == 2
+
+
+    def test_store_counts_on_its_own_registry_not_the_tuners(self):
+        """A store counts on the registry it is built with; a tuner with
+        another registry (an engine's) never re-binds it, and the tuner's
+        own counters stay on the tuner's registry."""
+        store_reg, tuner_reg = MetricsRegistry(), MetricsRegistry()
+        store = TileStore(registry=store_reg)
+        for _ in range(2):
+            TileTuner(XAVIER, budget=3, seed=0, store=store,
+                      registry=tuner_reg).tune(CFG)
+        lookups = store_reg.get("tile_store_lookups")
+        assert lookups.value(result="miss") == 1.0
+        assert lookups.value(result="hit") == 1.0
+        assert store_reg.get("tile_store_saves").value() == 1.0
+        assert store_reg.get("tile_store_lookup_events").count(
+            result="hit") == 1
+        assert tuner_reg.get("tile_store_lookups") is None
+        assert tuner_reg.get("autotune_store_warm_hits").value(
+            backend="tex2d") == 1.0
+        assert store_reg.get("autotune_objective_evaluations") is None
 
 
 class TestCorruptionAndStaleness:

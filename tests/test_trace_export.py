@@ -181,6 +181,37 @@ def test_tile_cache_stats_concurrent_increments():
     assert stats.lookups == 2 * 6 * 300
 
 
+def test_plan_cache_stats_concurrent_records():
+    """The registry counter's own lock is the stats' only lock: many
+    threads recording on one registry lose no update."""
+    import sys
+
+    from repro.kernels import PlanCacheStats
+
+    stats = PlanCacheStats(MetricsRegistry())
+    start = threading.Barrier(8)
+
+    def work():
+        start.wait(timeout=30)          # all threads contend at once
+        for _ in range(1000):
+            stats.record("hits")
+            stats.record("evictions")
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert stats.hits == stats.evictions == 8 * 1000
+    assert stats.lookups == 8 * 1000
+
+
 # ----------------------------------------------------------------------
 # serving + registry end to end
 # ----------------------------------------------------------------------
