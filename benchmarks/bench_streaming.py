@@ -5,9 +5,9 @@ Not a paper figure — this bench guards the streaming-video subsystem
 frame, so the exact-keyed plan cache rebuilds its fetch trace, re-runs
 the cache simulation and recompiles the fused plan per frame.  The
 delta-keyed mode anchors each session once and serves in-bound frames by
-retargeting the session's fused plan — outputs stay bit-identical (the
-tap tables are recomputed from each frame's real offsets), only the
-memoised perf simulation is reused.
+compiling only each frame's tap tables, run on the session's warm work
+buffers — outputs stay bit-identical (the tables come from each frame's
+real offsets), only the memoised perf simulation is reused.
 
 Three measurements:
 

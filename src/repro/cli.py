@@ -817,7 +817,7 @@ def cmd_fleet(args) -> int:
                   f"with: repro trace --open {trace_hint} --span-id <sNN>"
                   + ("" if args.trace else
                      " (re-run with --trace PATH to export the spans)"))
-    if tracer is not None:
+    if tracer is not None and args.trace:
         tracer.write(args.trace)
         print(f"wrote Chrome trace to {args.trace} "
               f"({tracer.num_events} events)")

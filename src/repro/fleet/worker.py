@@ -84,9 +84,6 @@ class FleetWorker:
                  wedge_timeout_ms: float = 100.0,
                  failure_ms: float = 1.0,
                  **task_kwargs):
-        if "registry" in task_kwargs:   # would reach the engine's detect()
-            raise TypeError("FleetWorker takes no registry: the scheduler "
-                            "it joins publishes its series")
         self.name = name
         self.engine = engine
         self.task = task

@@ -88,28 +88,28 @@ class TexelLineTrace:
     tile sweep re-runs just the cheap regrouping
     (:meth:`TextureCacheModel.simulate_retiled`) per candidate tile.
 
-    ``lines``/``pixel`` are parallel arrays over the valid corner texels in
-    the exact order ``simulate(corners=True)`` visits them.  The remaining
-    fields cache pixel-granular reductions the per-tile accounting needs —
-    neighbouring taps of one output pixel mostly share lines, so the
-    deduplicated ``(pixel, line)`` pair list is several times shorter than
-    the raw trace, and per-tile work shrinks with it.
+    It keeps only what the per-tile accounting reads: counts and
+    pixel-granular reductions of the raw (output pixel, line) stream over
+    the valid corner texels, never that stream itself (up to 4·K·L
+    entries).  Neighbouring taps of one output pixel mostly share lines,
+    so the deduplicated ``(pixel, line)`` pair list is several times
+    shorter than the raw stream, and per-tile work shrinks with it.
     """
 
-    lines: np.ndarray        # (M,) block-linear line id per valid corner texel
-    pixel: np.ndarray        # (M,) output-pixel index that issued the fetch
     requests: int            # bilinear fetches in the trace (pre-expansion)
+    texel_reads: int         # valid corner texels in the raw stream
     #: unique (pixel, line) pairs of the trace, pixel-major ascending
     dedup_pixel: np.ndarray
     dedup_lines: np.ndarray
     #: raw texel reads issued per output pixel (length = max pixel + 1)
     pixel_counts: np.ndarray
-    #: line-id space bound: every id in ``lines`` is < ``line_space``
+    #: line-id space bound: every line id in the trace is < ``line_space``
     line_space: int
 
     @property
-    def texel_reads(self) -> int:
-        return int(self.lines.size)
+    def nbytes(self) -> int:
+        return (self.dedup_pixel.nbytes + self.dedup_lines.nbytes
+                + self.pixel_counts.nbytes)
 
 
 class TextureCacheModel:
@@ -199,7 +199,7 @@ class TextureCacheModel:
         y4, x4, pix4 = y4[valid], x4[valid], pix4[valid]
         if y4.size == 0:
             empty = np.empty(0, dtype=np.int64)
-            return TexelLineTrace(lines=empty, pixel=pix4, requests=requests,
+            return TexelLineTrace(requests=requests, texel_reads=0,
                                   dedup_pixel=empty, dedup_lines=empty,
                                   pixel_counts=empty, line_space=1)
         lines = self.line_ids(y4, x4, tex_w)
@@ -209,7 +209,7 @@ class TextureCacheModel:
         line_space = int(lines.max()) + 1
         pair_key = unique_keys(pix4 * line_space + lines,
                                (int(pix4.max()) + 1) * line_space)
-        return TexelLineTrace(lines=lines, pixel=pix4, requests=requests,
+        return TexelLineTrace(requests=requests, texel_reads=int(lines.size),
                               dedup_pixel=pair_key // line_space,
                               dedup_lines=pair_key % line_space,
                               pixel_counts=np.bincount(pix4),

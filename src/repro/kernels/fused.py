@@ -16,17 +16,21 @@ once per call when no plan cache is supplied:
 * **fixed-point blend weights** — the 1.8 fixed-point corner weights
   with the out-of-bounds (border) mask folded in, via the same
   :func:`~repro.gpusim.texture.linear_filter_taps` helper the eager
-  fetch uses, so the numerics cannot drift;
-* **preallocated buffers** — a per-corner gather buffer, the im2col
-  column buffer, and (whole layers) the GEMM output buffer, reused
-  across calls.
+  fetch uses, so the numerics cannot drift.
+
+A plan holds those tables and nothing else: the corner buffer, the
+im2col columns and the GEMM work buffer are allocated per call, like
+:func:`~repro.nn.im2col.im2col`'s rows, so a cached plan keeps only
+what a later call reads, and the columns a call returns are its
+caller's.  The one exception is a delta-keyed stream of the plan cache,
+whose frames run on work buffers its session keeps (through the
+``_work_buffers`` hook; docs/streaming.md).
 
 One plan covers any (channel, pixel) slice of the column matrix.  A
 whole layer is the full slice: :meth:`FusedPlan.execute` runs
-gather → blend → GEMM as one preplanned pass writing into those
-buffers — four ``np.take`` gathers blended in place into the column
-buffer and a single contraction through
-:func:`~repro.nn.im2col.gemm_epilogue` (the *same* ``"ok,nkl->nol"``
+gather → blend → GEMM as one preplanned pass — four ``np.take`` gathers
+blended in place into the call's column buffer and a single contraction
+through :func:`~repro.nn.im2col.gemm_epilogue` (the *same* ``"ok,nkl->nol"``
 einsum the eager reference spells out, so the contraction order — and
 therefore every output bit — is identical).  A fleet shard
 (:mod:`repro.kernels.shards`) is a row band or channel slice of the same
@@ -38,15 +42,14 @@ bit-identical outputs against the eager reference.
 
 Plans hang off the :class:`~repro.kernels.plancache.PlanCache` trace
 entry for their offsets, sharing one LRU lifetime and one digest key
-with the memoised fetch trace; eviction drops the buffers and the next
-call rebuilds cleanly.  Execution is serialised per plan (the buffers
-are shared mutable state), so one plan may be driven from the serving
-worker thread and the caller's thread concurrently.
+with the memoised fetch trace; eviction drops the tables and the next
+call rebuilds cleanly.  A plan never changes after it is built, so the
+serving worker thread and the caller's thread may run one plan
+concurrently without a lock.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
@@ -97,60 +100,27 @@ class FusedPlan:
             self.dest_rows = np.concatenate([
                 np.arange((g * self.cpg + self.c0) * k,
                           (g * self.cpg + self.c1) * k) for g in range(dg)])
-        # Preallocated execution buffers, reused across calls.  ``cols``
-        # is the slice's im2col column matrix; viewed per (batch, group)
-        # for the blend.  ``corner`` stages one corner's gathered texels;
-        # ``out`` receives a whole layer's einsum contraction (a shard
-        # only gathers, so it has none).
-        self.cols = np.empty((n, dg * self.csel * k, self.lsel),
-                             dtype=np.float32)
-        self._cols_bg = self.cols.reshape(n * dg, self.csel, k * self.lsel)
-        self.corner = np.empty((self.csel, k * self.lsel), dtype=np.float32)
-        self.out = None if shard is not None else np.empty(
-            (n, cfg.out_channels, cfg.out_pixels), dtype=np.float32)
-        #: buffers are shared mutable state — one execution at a time
-        self._lock = threading.Lock()
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the precomputed state + reusable buffers."""
-        return (self.idx.nbytes + self.wts.nbytes + self.cols.nbytes
-                + self.corner.nbytes
-                + (self.out.nbytes if self.out is not None else 0))
-
-    def retarget(self, idx: np.ndarray, wts: np.ndarray) -> "FusedPlan":
-        """Swap in freshly computed tap tables, keeping the buffers.
-
-        The delta-keyed streaming path of the plan cache recomputes the
-        corner indices and fixed-point blend weights for every frame (the
-        exactness guarantee) but reuses this plan's preallocated
-        gather/column/output buffers across the stream.  Taken under the
-        execution lock, so an in-flight :meth:`execute` never sees a
-        half-swapped table pair.
-        """
-        if idx.shape != self.idx.shape or wts.shape != self.wts.shape:
-            raise ValueError(
-                f"retarget tables {idx.shape}/{wts.shape} do not match the "
-                f"compiled plan {self.idx.shape}/{self.wts.shape} — the "
-                f"session anchor should have pinned the geometry")
-        with self._lock:
-            self.idx = idx
-            self.wts = wts
-        return self
+        """Resident bytes: the tap tables (and a channel slice's rows)."""
+        return (self.idx.nbytes + self.wts.nbytes
+                + (self.dest_rows.nbytes if self.dest_rows is not None
+                   else 0))
 
     # ------------------------------------------------------------------
     def gather(self, x: np.ndarray) -> np.ndarray:
         """Gather/blend this plan's column slice from the full input.
 
-        Returns the reused ``cols`` buffer — consume (stitch) it before
-        the plan runs again.  Execution is against the *full* input
-        feature map: border addressing is resolved in the tap tables
-        against full-image extents, so a physically cropped input would
-        change semantics.
+        Returns a fresh (N, dg·csel·K, lsel) column matrix, owned by the
+        caller.  Execution is against the *full* input feature map:
+        border addressing is resolved in the tap tables against
+        full-image extents, so a physically cropped input would change
+        semantics.
         """
-        xf = self._texels(x)
-        with self._lock:
-            return self._gather(xf)
+        cols = np.empty(self._cols_shape(), dtype=np.float32)
+        corner = np.empty(self._corner_shape(), dtype=np.float32)
+        return self._gather(self._texels(x), cols, corner)
 
     def execute(self, x: np.ndarray, weight: np.ndarray,
                 bias: Optional[np.ndarray]) -> np.ndarray:
@@ -161,16 +131,26 @@ class FusedPlan:
         :meth:`LayeredTexture2D.fetch`'s corner accumulation order and
         the contraction is the same einsum expression.
         """
-        if self.out is None:
+        if self.shard is not None:
             raise ValueError(f"shard plan {self.shard.label()} only "
                              f"gathers; stitch its columns instead")
         cfg = self.cfg
         xf = self._texels(x)
+        cols, corner, out = self._work_buffers()
         w2 = weight.reshape(cfg.out_channels, cfg.in_channels * cfg.taps)
-        with self._lock:
-            return gemm_epilogue(w2, self._gather(xf), bias,
-                                 (cfg.out_height, cfg.out_width),
-                                 out=self.out)
+        return gemm_epilogue(w2, self._gather(xf, cols, corner), bias,
+                             (cfg.out_height, cfg.out_width), out=out)
+
+    def _work_buffers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One :meth:`execute` call's (columns, corner, GEMM work) arrays,
+        fresh: a plan keeps none.  The GEMM work buffer is C-ordered
+        (N, O, L): einsum's result strides, which later layers' bits
+        follow, depend on it."""
+        cfg = self.cfg
+        return (np.empty(self._cols_shape(), dtype=np.float32),
+                np.empty(self._corner_shape(), dtype=np.float32),
+                np.empty((self.n, cfg.out_channels, cfg.out_pixels),
+                         dtype=np.float32))
 
     def _texels(self, x: np.ndarray) -> np.ndarray:
         if x.shape != self.cfg.input_shape():
@@ -179,12 +159,19 @@ class FusedPlan:
         return np.ascontiguousarray(x, dtype=np.float32).reshape(
             self.n * self.dg, self.cpg, self.hw)
 
-    def _gather(self, xf: np.ndarray) -> np.ndarray:
-        """The gather/blend loop over the slice (execution lock held)."""
-        cols, corner = self._cols_bg, self.corner
+    def _cols_shape(self) -> Tuple[int, int, int]:
+        return self.n, self.dg * self.csel * self.cfg.taps, self.lsel
+
+    def _corner_shape(self) -> Tuple[int, int]:
+        return self.csel, self.cfg.taps * self.lsel
+
+    def _gather(self, xf: np.ndarray, cols: np.ndarray,
+                corner: np.ndarray) -> np.ndarray:
+        """The gather/blend loop over the slice, into ``cols``."""
+        cols_bg = cols.reshape(self.n * self.dg, self.csel, -1)
         c0, c1 = self.c0, self.c1
         for b in range(self.n * self.dg):
-            xb, acc = xf[b, c0:c1], cols[b]
+            xb, acc = xf[b, c0:c1], cols_bg[b]
             # corner 0 lands straight in the column buffer; corners 1-3
             # stage through ``corner`` and accumulate — the same
             # ((t0 + t1) + t2) + t3 order as the eager fetch.
@@ -194,7 +181,7 @@ class FusedPlan:
                 np.take(xb, self.idx[q, b], axis=1, out=corner, mode="clip")
                 np.multiply(corner, self.wts[q, b], out=corner)
                 acc += corner
-        return self.cols
+        return cols
 
 
 def _slice_bounds(cfg: LayerConfig, shard: Optional["ShardSpec"]
@@ -253,7 +240,7 @@ def tap_tables(py: np.ndarray, px: np.ndarray, h: int, w: int,
 
     The one compilation step of :func:`build_fused_plan` (a whole layer
     or a row-band or channel slice of the same positions) and of the
-    plan cache's streaming retarget: pixel coords → texture coords
+    plan cache's delta-keyed streaming hits: pixel coords → texture coords
     (+0.5), the tex2D++ fp16 coordinate quantisation, then
     :func:`~repro.gpusim.texture.linear_filter_taps` — exactly
     ``fetch_at_pixel_coords`` + ``fetch``.  Because every operation is

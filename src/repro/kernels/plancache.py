@@ -10,9 +10,9 @@ repeated benchmark iterations.
 The :class:`PlanCache` memoises that state at two levels:
 
 * a **trace entry** per (offset digest, geometry, device, sample plan,
-  fp16) — the floored fetch positions plus the tile-independent
-  texel→line mapping (:class:`~repro.gpusim.cache.TexelLineTrace`),
-  computed once per distinct offset tensor;
+  fp16) — the tile-independent texel→line mapping
+  (:class:`~repro.gpusim.cache.TexelLineTrace`), or for a sampled trace
+  the floored fetch positions, computed once per distinct offset tensor;
 * **per-entry memos** inside each entry — the simulated
   :class:`~repro.gpusim.cache.TextureCacheStats` for every CTA tile ever
   requested against that trace, the compiled
@@ -21,6 +21,10 @@ The :class:`PlanCache` memoises that state at two levels:
   re-tiled simulation (one cheap regrouping, no trace rebuild), so a
   tuner sweep over K tiles costs one trace plus K regroupings instead of
   K full simulations.
+
+An entry keeps only what a later lookup reads (execution scratch is per
+call); the ``plan_cache_resident_bytes`` gauge sums
+:attr:`_TraceEntry.nbytes` over live entries.
 
 Returned stats are **bit-identical** to an uncached simulation — the
 re-tiled path replays the exact accounting of ``simulate()`` — so the
@@ -38,22 +42,24 @@ whose digests never repeat but whose values barely move.  With a bound
 configured, an exact-digest miss probes the session's *anchor* — the
 entry built for the stream's last exactly-keyed frame — and when the
 quantised offset delta stays within the bound the anchor's memoised
-trace/tile simulation and preallocated fused buffers are reused instead
-of rebuilding everything.  Functional outputs stay **bit-identical** to
-a cold miss: the fixed-point blend weights and corner indices are always
-recomputed from the *current* frame's positions (only the buffers are
-recycled); the per-tile perf simulation is served from the anchor, which
-is the documented temporal-coherence approximation.  An anchor lives no
-longer than its entry: evicting the entry drops it.  See
+trace/tile simulation is reused instead of rebuilding everything.
+Functional outputs stay **bit-identical** to a cold miss: a delta hit
+compiles a fused plan from the *current* frame's positions (corner
+indices and blend weights, never the trace); the per-tile perf
+simulation is served from the anchor, which is the documented
+temporal-coherence approximation.  Every fused frame of a stream runs
+on work buffers the anchor keeps warm across frames.  An anchor lives
+no longer than its entry: evicting the entry drops it.  See
 ``docs/streaming.md``.
 
 Observability: the :data:`COUNTERS` (``plan_cache_lookups{result=hit|miss}``,
 ``plan_cache_trace_builds``, ``plan_cache_evictions``,
 ``plan_cache_delta_hits`` / ``plan_cache_delta_rejects``, ...;
-``repro serve --metrics-out`` surfaces them) count only on the
+``repro serve --metrics-out`` surfaces them) and the
+``plan_cache_resident_bytes`` gauge count only on the
 :class:`~repro.obs.registry.MetricsRegistry` the cache is built with — a
 private one, exposed as ``cache.registry``, when none is passed — and
-``cache.stats`` reads them back from there.  Pass a
+``cache.stats`` reads the counters back from there.  Pass a
 :class:`~repro.obs.tracer.SpanTracer` to see ``plancache.build_trace`` /
 ``plancache.build_fused`` / ``plancache.build_shard`` /
 ``plancache.retile`` spans on the wall timeline.  See
@@ -77,7 +83,7 @@ from repro.gpusim.cache import (TexelLineTrace, TextureCacheModel,
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.trace import SamplePlan, cta_ids_for_tile, sample_trace_ctas
 from repro.kernels.config import LayerConfig
-from repro.kernels.fused import FusedPlan, build_fused_plan, tap_tables
+from repro.kernels.fused import FusedPlan, build_fused_plan
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import maybe_span
 
@@ -112,8 +118,8 @@ COUNTERS = {
     "delta_hits": (
         "plan_cache_delta_hits", {},
         "exact-digest misses served from a session anchor (trace/tile "
-        "simulation and fused buffers reused; blend weights recomputed "
-        "for the current frame)"),
+        "simulation reused; tap tables recomputed for the current "
+        "frame)"),
     "delta_rejects": (
         "plan_cache_delta_rejects", {},
         "session-anchor probes whose quantised offset delta exceeded the "
@@ -145,8 +151,10 @@ class _TraceEntry:
     fused plan can never outlive (or lag behind) the trace it belongs to.
     """
 
-    y0: np.ndarray                     # (k·l,) floored fetch rows
-    x0: np.ndarray                     # (k·l,) floored fetch cols
+    #: (k·l,) floored fetch rows/cols — kept only for a sampled trace
+    #: (``lines is None``), whose tiles replay the sampling from them
+    y0: Optional[np.ndarray]
+    x0: Optional[np.ndarray]
     lines: Optional[TexelLineTrace]    # None when the trace needs sampling
     k: int
     l: int
@@ -160,6 +168,36 @@ class _TraceEntry:
     #: (shard descriptor, in_channels) → compiled shard slice plan
     shards: Dict[tuple, FusedPlan] = field(default_factory=dict)
 
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes: trace arrays plus every fused and shard plan
+        (per-tile stats are a few ints each and are not counted)."""
+        held = [a for a in (self.y0, self.x0, self.lines) if a is not None]
+        return sum(a.nbytes for a in held) + sum(
+            p.nbytes for plans in (self.fused, self.shards)
+            for p in plans.values())
+
+
+class _StreamPlan(FusedPlan):
+    """A stream frame's fused plan: the tap tables of the cached or
+    delta-compiled plan, run on the work buffers the stream keeps warm
+    across frames (one execution at a time, under ``lock``).  Other
+    lookups' plans allocate theirs per call; a stream's buffers belong to
+    its anchor, never to a cache entry."""
+
+    def __init__(self, plan: FusedPlan, lock: threading.Lock,
+                 buffers: Tuple[np.ndarray, ...]):
+        super().__init__(plan.cfg, plan.fp16, plan.idx, plan.wts)
+        self.lock, self.buffers = lock, buffers
+
+    def execute(self, x: np.ndarray, weight: np.ndarray,
+                bias: Optional[np.ndarray]) -> np.ndarray:
+        with self.lock:
+            return super().execute(x, weight, bias)
+
+    def _work_buffers(self) -> Tuple[np.ndarray, ...]:
+        return self.buffers
+
 
 @dataclass
 class _SessionAnchor:
@@ -168,15 +206,13 @@ class _SessionAnchor:
     ``key`` points at the trace entry built for the stream's last
     exactly-keyed frame; ``offset`` is a private copy of that frame's
     (quantised, for tex2D++) offsets, the reference the per-frame delta
-    is measured against.  ``plans`` are the session-owned
-    :class:`FusedPlan` objects whose preallocated buffers are reused
-    across the stream — their tap tables are *retargeted* to the current
-    frame on every delta hit, so outputs never inherit stale weights.
+    is measured against.  ``scratch`` maps (in_channels, out_channels)
+    to the stream's (lock, fused work buffers), kept across re-anchoring.
     """
 
     key: tuple
     offset: np.ndarray
-    plans: Dict[Tuple[int, int], FusedPlan] = field(default_factory=dict)
+    scratch: Dict[Tuple[int, int], tuple] = field(default_factory=dict)
 
 
 class PlanCacheStats:
@@ -267,6 +303,10 @@ class PlanCache:
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self.stats = PlanCacheStats(self.registry)
+        self._resident = self.registry.gauge(
+            "plan_cache_resident_bytes",
+            help="bytes held by live plan-cache entries: trace arrays "
+                 "plus the tap tables of fused and shard plans")
         self.tracer = tracer
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, _TraceEntry]" = OrderedDict()
@@ -283,6 +323,7 @@ class PlanCache:
 
     def clear(self) -> None:
         with self._lock:
+            self._resident.dec(sum(e.nbytes for e in self._entries.values()))
             self._entries.clear()
             self._anchors.clear()
 
@@ -293,12 +334,11 @@ class PlanCache:
             return len(self._anchors)
 
     def end_session(self, session: str) -> int:
-        """Drop every anchor (and its session-owned fused buffers) of one
-        stream — the fleet calls this when a stream's last frame resolves,
-        so per-session state never outlives the session.  Returns how many
-        anchors were dropped.  The anchor's *trace entry* stays in the LRU
-        (it may be the exact-keyed entry of another lookup) and ages out
-        normally."""
+        """Drop every anchor of one stream — the fleet calls this when a
+        stream's last frame resolves, so per-session state never outlives
+        the session.  Returns how many anchors were dropped.  The anchor's
+        *trace entry* stays in the LRU (it may be the exact-keyed entry of
+        another lookup) and ages out normally."""
         with self._lock:
             akeys = [k for k in self._anchors if k[0] == session]
             for k in akeys:
@@ -385,12 +425,13 @@ class PlanCache:
         keyed inside it by (in_channels, out_channels).
 
         With ``session`` + :attr:`delta_bound`, an exact miss within the
-        bound of the session's anchor is served by *retargeting* the
-        session-owned plan: the tap tables (corner indices + 1.8
-        fixed-point blend weights) are recomputed from the **current**
-        frame's positions — so execution stays bit-identical to a cold
-        compile — while the preallocated gather/column/output buffers are
-        reused across the stream.  ``digest`` is as in :meth:`tex_stats`.
+        bound of the session's anchor is served by a plan compiled from
+        the **current** frame's positions (corner indices + 1.8
+        fixed-point blend weights), so execution stays bit-identical to a
+        cold compile; the plan is not stored.  Every fused lookup of such
+        a session runs on work buffers the session keeps warm across
+        frames (one execution at a time); other callers' plans allocate
+        theirs per call.  ``digest`` is as in :meth:`tex_stats`.
         """
         plan = plan or SamplePlan()
         fkey = (cfg.in_channels, cfg.out_channels)
@@ -399,15 +440,31 @@ class PlanCache:
             with self._timed_build("fused", cfg):
                 return build_fused_plan(cfg, spec, fp16, positions)
 
-        return self._get_or_build(
-            self._trace_key(digest or offsets_digest(offset), cfg, spec,
-                            fp16, plan),
-            "fused", fkey, build,
+        def from_anchor(anchor: _SessionAnchor, entry: _TraceEntry
+                        ) -> FusedPlan:
+            t0 = time.perf_counter()
+            fused = build_fused_plan(cfg, spec, fp16, positions)
+            self.stats.record_build_ms("retarget",
+                                       (time.perf_counter() - t0) * 1e3)
+            return fused
+
+        key = self._trace_key(digest or offsets_digest(offset), cfg, spec,
+                              fp16, plan)
+        fused = self._get_or_build(
+            key, "fused", fkey, build,
             lambda: self._build_entry(cfg, spec, plan, lambda: tuple(
                 p[0, 0] for p in positions())),
-            session, offset,
-            lambda anchor, entry: self._retarget_fused(
-                anchor, cfg, fp16, positions, fkey))
+            session, offset, from_anchor)
+        if session is None or self.delta_bound is None:
+            return fused
+        with self._lock:
+            anchor = self._anchors.get(self._anchor_key(session, key, offset))
+            if anchor is None:
+                return fused
+            if fkey not in anchor.scratch:
+                anchor.scratch[fkey] = (threading.Lock(),
+                                        fused._work_buffers())
+            return _StreamPlan(fused, *anchor.scratch[fkey])
 
     def shard_plan(self, offset: np.ndarray, cfg: LayerConfig,
                    spec: DeviceSpec, fp16: bool,
@@ -500,11 +557,12 @@ class PlanCache:
                 value = build()
                 with self._lock:
                     self._entries[key] = value
+                    self._resident.inc(value.nbytes)
                     while len(self._entries) > self.max_entries:
-                        evicted, _ = self._entries.popitem(last=False)
+                        evicted, dropped = self._entries.popitem(last=False)
+                        self._resident.dec(dropped.nbytes)
                         # an anchor is only a delta reference while its
-                        # entry lives: drop it (and its session-owned fused
-                        # buffers) in the same step
+                        # entry lives: drop it in the same step
                         self._anchors = {
                             akey: anchor
                             for akey, anchor in self._anchors.items()
@@ -513,9 +571,13 @@ class PlanCache:
                 return value
             self.stats.record("misses")
             entry = self._get_or_build(key, None, None, trace)
-            value = build(entry)
+            built = build(entry)
             with self._lock:
-                value = getattr(entry, slot).setdefault(sub, value)
+                value = getattr(entry, slot).setdefault(sub, built)
+                # a kept plan counts once, and only on a live entry
+                if (value is built and slot != "stats"
+                        and self._entries.get(key) is entry):
+                    self._resident.inc(built.nbytes)
                 if anchoring:
                     self._set_anchor(session, key, offset)
             return value
@@ -547,7 +609,7 @@ class PlanCache:
         old = self._anchors.get(akey)
         self._anchors[akey] = _SessionAnchor(
             key=key, offset=np.array(offset, dtype=np.float32, copy=True),
-            plans=old.plans if old is not None else {})
+            scratch=old.scratch if old is not None else {})
 
     def _probe_anchor(self, session: str, key: tuple, offset: np.ndarray
                       ) -> Optional[Tuple[_SessionAnchor, _TraceEntry]]:
@@ -567,30 +629,6 @@ class PlanCache:
             return None
         self._entries.move_to_end(anchor.key)
         return anchor, self._entries[anchor.key]
-
-    def _retarget_fused(self, anchor: _SessionAnchor, cfg: LayerConfig,
-                        fp16: bool, positions,
-                        fkey: Tuple[int, int]) -> FusedPlan:
-        """Serve a fused delta hit from the session-owned plan.
-
-        The first delta hit of a stream allocates the session's plan (one
-        buffer allocation amortised over the whole stream); every later
-        hit only rebuilds the cheap elementwise tap tables and swaps them
-        in under the plan's execution lock.
-        """
-        t0 = time.perf_counter()
-        py, px = positions()
-        idx, wts = tap_tables(py, px, cfg.height, cfg.width, fp16)
-        fused = anchor.plans.get(fkey)
-        if fused is None:
-            fused = FusedPlan(cfg, fp16, idx, wts)
-            with self._lock:
-                fused = anchor.plans.setdefault(fkey, fused)
-        else:
-            fused.retarget(idx, wts)
-        self.stats.record_build_ms("retarget",
-                                   (time.perf_counter() - t0) * 1e3)
-        return fused
 
     # ------------------------------------------------------------------
     @contextmanager
@@ -628,6 +666,8 @@ class PlanCache:
                 model = TextureCacheModel(spec)
                 lines = model.precompute(y0, x0, pixel, cfg.height,
                                          cfg.width)
+                # every tile reads the line trace alone
+                y0 = x0 = None
             return _TraceEntry(y0=y0, x0=x0, lines=lines, k=k, l=l,
                                out_h=cfg.out_height, out_w=cfg.out_width)
 

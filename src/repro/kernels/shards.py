@@ -141,8 +141,7 @@ def enumerate_shards(cfg: LayerConfig, kind: str,
 class ShardResult:
     """One executed shard: its column slice plus traffic/perf accounting.
 
-    ``cols`` aliases the gather plan's reusable buffer — stitch it before
-    the plan runs again.
+    ``cols`` is the shard's own column slice, fresh from the gather.
 
     The *timing* model prices the distributed realisation of the split:
     each shard runs sampling plus **its own slice of the GEMM** on its

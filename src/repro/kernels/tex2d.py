@@ -55,8 +55,8 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
 
     ``fp16_offsets=True`` selects the tex2D++ variant.  The functional
     forward runs through a compiled :class:`~repro.kernels.fused.FusedPlan`:
-    precomputed tap coordinates and fixed-point blend weights,
-    preallocated buffers, one gather → blend → GEMM pass (see
+    precomputed tap coordinates and fixed-point blend weights, per-call
+    scratch, one gather → blend → GEMM pass (see
     docs/performance.md).  ``plan_cache`` (a
     :class:`~repro.kernels.plancache.PlanCache`) memoises that plan, the
     fetch trace and the cache simulation across calls with identical

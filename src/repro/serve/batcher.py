@@ -33,6 +33,7 @@ enqueueing work no thread will ever drain.
 
 from __future__ import annotations
 
+import inspect
 import threading
 import time
 from collections import OrderedDict, deque
@@ -42,8 +43,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.models.yolact import YolactLite
 from repro.obs.tracer import maybe_span
 from repro.serve.metrics import ServingMetrics
+
+#: keyword options each task forwards to the engine: ``detect`` takes
+#: ``YolactLite.detect``'s, bar the images and the ids the batcher sets
+TASK_OPTIONS = {
+    "classify": frozenset(),
+    "detect": frozenset(inspect.signature(YolactLite.detect).parameters)
+    - {"self", "images", "image_ids"},
+}
 
 
 class BatcherClosedError(RuntimeError):
@@ -78,6 +88,9 @@ class RequestBatcher:
         ``image_id`` rewritten to the request id.
     max_batch_size / max_wait_s:
         The size-or-deadline batching policy (applied per shape bucket).
+    task_kwargs:
+        Options forwarded to every engine call, from the task's
+        :data:`TASK_OPTIONS`; any other keyword raises ``TypeError`` here.
     """
 
     def __init__(self, engine, task: str = "classify",
@@ -85,9 +98,14 @@ class RequestBatcher:
                  metrics: Optional[ServingMetrics] = None,
                  clock: Callable[[], float] = time.monotonic,
                  tracer=None, **task_kwargs):
-        if task not in ("classify", "detect"):
+        if task not in TASK_OPTIONS:
             raise ValueError(f"unknown task {task!r}; "
-                             "choose from ('classify', 'detect')")
+                             f"choose from {tuple(TASK_OPTIONS)}")
+        unknown = sorted(set(task_kwargs) - TASK_OPTIONS[task])
+        if unknown:
+            raise TypeError(
+                f"task {task!r} takes no option {', '.join(unknown)}; it "
+                f"takes {sorted(TASK_OPTIONS[task]) or 'none'}")
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if max_wait_s < 0:

@@ -213,3 +213,14 @@ class TestServeAndTiles:
         assert lookups > 0
         saves = snap["tile_store_saves"]["series"]
         assert saves and saves[0]["value"] > 0
+
+    def test_fleet_run_slo_without_trace_writes_metrics(self, tmp_path,
+                                                        capsys):
+        """``--slo`` builds a tracer for its exemplars even without
+        ``--trace``; the run still exits 0 and writes ``--metrics-out``."""
+        metrics = tmp_path / "m.json"
+        assert main(["fleet", "run", "--requests", "12",
+                     "--fault", "w1-rtx-2080ti=crash:0-0.3", "--slo",
+                     "--metrics-out", str(metrics)]) == 0
+        assert metrics.exists()
+        assert "SLO fleet-p99-latency" in capsys.readouterr().out

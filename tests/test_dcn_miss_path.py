@@ -43,15 +43,24 @@ def _assert_same(got, expect, case):
 
 
 def _trace(model, y, x, pixel, h, w):
-    return model.precompute(np.asarray(y, dtype=np.int64),
-                            np.asarray(x, dtype=np.int64),
-                            np.asarray(pixel, dtype=np.int64), h, w)
+    """``(trace, pixel, lines)``: the line trace and the raw (pixel,
+    line) stream it reduces, expanded here the way ``simulate`` does —
+    four corners per fetch, the bounds mask, then ``line_ids``."""
+    y, x, pixel = (np.asarray(a, dtype=np.int64) for a in (y, x, pixel))
+    trace = model.precompute(y, x, pixel, h, w)
+    y4 = np.concatenate([y, y, y + 1, y + 1])
+    x4 = np.concatenate([x, x + 1, x, x + 1])
+    valid = (y4 >= 0) & (y4 < h) & (x4 >= 0) & (x4 < w)
+    lines = model.line_ids(y4[valid], x4[valid], w)
+    return trace, np.concatenate([pixel] * 4)[valid], lines
 
 
-def _assert_dedup_is_np_unique(trace, case):
+def _assert_dedup_is_np_unique(traced, case):
+    trace, pixel, lines = traced
+    assert trace.texel_reads == lines.size, case
     if trace.texel_reads:
-        assert trace.line_space == int(trace.lines.max()) + 1, case
-    key = np.unique(trace.pixel * trace.line_space + trace.lines)
+        assert trace.line_space == int(lines.max()) + 1, case
+    key = np.unique(pixel * trace.line_space + lines)
     _assert_same(trace.dedup_pixel, key // trace.line_space, case)
     _assert_same(trace.dedup_lines, key % trace.line_space, case)
 
@@ -74,10 +83,10 @@ def test_precompute_dedup_equals_np_unique_on_random_traces():
 @pytest.mark.parametrize("y,x", [([], []), ([-9, 40, 3], [2, 2, -9])],
                          ids=["empty", "all-out-of-bounds"])
 def test_precompute_dedup_of_a_trace_without_reads(y, x):
-    trace = _trace(TextureCacheModel(XAVIER), y, x, np.arange(len(y)),
-                   16, 16)
-    assert trace.texel_reads == 0
-    _assert_dedup_is_np_unique(trace, (y, x))
+    traced = _trace(TextureCacheModel(XAVIER), y, x, np.arange(len(y)),
+                    16, 16)
+    assert traced[0].texel_reads == 0
+    _assert_dedup_is_np_unique(traced, (y, x))
 
 
 def test_precompute_over_the_table_bound_sorts(monkeypatch):
@@ -100,10 +109,10 @@ def test_precompute_over_the_table_bound_sorts(monkeypatch):
         return real_unique(*args, **kwargs)
 
     monkeypatch.setattr(np, "unique", counting_unique)
-    trace = _trace(model, y, x, pixel, h, w)
+    traced = _trace(model, y, x, pixel, h, w)
     assert sorts == [1]
     monkeypatch.setattr(np, "unique", real_unique)
-    _assert_dedup_is_np_unique(trace, "fallback")
+    _assert_dedup_is_np_unique(traced, "fallback")
 
 
 def test_unique_keys_equals_np_unique_in_both_branches():
@@ -126,9 +135,9 @@ def test_retiled_per_cta_reads_drive_the_thrash_term(tile):
     py, px = py[0, 0], px[0, 0]
     model = TextureCacheModel(spec)
     k, l = py.shape
-    trace = _trace(model, np.floor(py).ravel(), np.floor(px).ravel(),
-                   np.broadcast_to(np.arange(l), (k, l)).ravel(),
-                   cfg.height, cfg.width)
+    trace, _, _ = _trace(model, np.floor(py).ravel(), np.floor(px).ravel(),
+                         np.broadcast_to(np.arange(l), (k, l)).ravel(),
+                         cfg.height, cfg.width)
     y0, x0, cta, _ = texture_fetch_trace(py, px, cfg.out_width, tile)
     fresh = model.simulate(y0, x0, cta, cfg.height, cfg.width)
     retiled = model.simulate_retiled(

@@ -565,8 +565,17 @@ class TestFleetScheduler:
         assert depth.value(worker="b") == 0.0
         with pytest.raises(TypeError):
             CircuitBreaker("c", registry=reg)
-        with pytest.raises(TypeError, match="takes no registry"):
+        with pytest.raises(TypeError, match="registry"):
             worker("c", 1.0, registry=reg)
+
+    def test_worker_rejects_unknown_task_keyword_at_construction(self):
+        with pytest.raises(TypeError, match="max_batch"):
+            worker("a", 1.0, task="detect", max_batch=2)
+        with pytest.raises(TypeError, match="max_batch"):
+            worker("a", 1.0, max_batch=2)
+        assert worker("a", 1.0, task="detect",
+                      score_threshold=0.05).batcher.task_kwargs == {
+            "score_threshold": 0.05}
 
     def test_determinism_same_seed_same_run(self):
         def run():

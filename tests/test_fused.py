@@ -3,13 +3,13 @@
 Fused execution (docs/performance.md) is the texture backends' only
 functional path: a compiled :class:`~repro.kernels.fused.FusedPlan`
 replays the exact gather/blend/contract sequence of the eager reference
-(:func:`~repro.kernels.tex2d.eager_tex2d_forward`) into preallocated
-buffers.  Every test here pins the bit-identical contract — outputs
+(:func:`~repro.kernels.tex2d.eager_tex2d_forward`) into per-call
+scratch.  Every test here pins the bit-identical contract — outputs
 against the reference, KernelStats against the uncached run, for both
 the plan-cached and the one-shot (no cache) plan — plus the plan-cache
 mechanics the plans ride on: shared LRU lifetime with the trace entry,
-clean rebuild after eviction, coalesced concurrent builds, and
-digest-on-quantised-offsets keying for tex2D++.
+clean rebuild after eviction, coalesced concurrent builds, resident
+bytes, and digest-on-quantised-offsets keying for tex2D++.
 """
 
 import sys
@@ -78,7 +78,7 @@ def test_fused_bit_identical_random_offsets(cfg, backend):
 
 def test_fused_bias_free_and_fresh_output():
     """No-bias path matches too (one-shot and cached), and repeated calls
-    hand out independent arrays (the plan's buffers must never leak)."""
+    hand out independent arrays."""
     cfg = GEOMETRIES[0]
     x, off, w, _ = _inputs(cfg)
     eager = eager_tex2d_forward(x, off, w, None, cfg, XAVIER)
@@ -139,6 +139,21 @@ def test_fused_plans_per_channel_shape_share_entry():
     assert len(pc) == 1
 
 
+def test_cached_plan_holds_only_its_tap_tables():
+    """A fresh 16→16, 32×32, batch-4 tex2D++ layer (the first DCN site of
+    the benchmark's detect model): its cached plan keeps the corner
+    indices and blend weights, and no execution scratch."""
+    cfg = LayerConfig(16, 16, 32, 32, batch=4)
+    x, off, w, b = _inputs(cfg)
+    pc = PlanCache()
+    run_tex2d(x, off, w, b, cfg, XAVIER, fp16_offsets=True, plan_cache=pc)
+    (entry,) = pc._entries.values()
+    (plan,) = entry.fused.values()
+    assert plan.nbytes == plan.idx.nbytes + plan.wts.nbytes == 1_769_472
+    assert entry.y0 is None and entry.x0 is None   # exact trace: lines only
+    assert _resident(pc) == entry.nbytes
+
+
 def test_build_fused_plan_rejects_oversize_texture():
     cfg = LayerConfig(8, 8, 20, 20, batch=XAVIER.max_texture_extent[2])
     off = synth_offsets(cfg, seed=0)
@@ -182,6 +197,10 @@ def test_fp16_digest_dedupes_quantisation_equivalent_offsets():
 # ----------------------------------------------------------------------
 # concurrency: misses coalesce onto one build; mixed traffic stays exact
 # ----------------------------------------------------------------------
+def _resident(pc):
+    return pc.registry.get("plan_cache_resident_bytes").value()
+
+
 def _hammer(n_threads, fn):
     start = threading.Barrier(n_threads)
     errors = []
@@ -299,6 +318,9 @@ def test_concurrent_mixed_lookups_with_evictions_stay_exact():
     assert stats.evictions > 0 and stats.delta_hits > 0
     assert len(pc) <= pc.max_entries
     assert not pc._building, "in-flight build guard left behind"
+    resident = sum(e.nbytes for e in pc._entries.values())
+    assert resident > 0 and any(e.shards for e in pc._entries.values())
+    assert _resident(pc) == resident
     for kind, off, shard, res in checks:
         if kind == "shard":
             ref = run_shard(x, off, cfg, XAVIER, shard)
@@ -309,6 +331,8 @@ def test_concurrent_mixed_lookups_with_evictions_stay_exact():
         assert np.array_equal(res.output, ref.output), kind
         if kind == "plain":
             assert _stats_dicts(res) == _stats_dicts(ref)
+    pc.clear()
+    assert _resident(pc) == 0 == sum(e.nbytes for e in pc._entries.values())
 
 
 # ----------------------------------------------------------------------

@@ -166,10 +166,32 @@ def test_whole_layer_matches_former_launch_model(device, geometry, backend):
     assert cache.stats.hits == 2 and cache.stats.fused_builds == 1
 
 
+def test_shard_columns_belong_to_the_caller():
+    """Two ``run_shard`` calls on one cache, same shard and offsets, new
+    input: the second call's gather leaves the first result's columns
+    as they were."""
+    cfg = GEOMETRIES["dilation2-dg2"]
+    x, off, _, _ = _inputs(cfg)
+    x2 = _inputs(cfg, seed=1)[0]
+    cache = PlanCache()
+    for kind in SHARD_KINDS:
+        shard = enumerate_shards(cfg, kind, (1, 2))[0]
+        r1 = run_shard(x, off, cfg, XAVIER, shard, tile=TILE,
+                       plan_cache=cache)
+        before = r1.cols.copy()
+        r2 = run_shard(x2, off, cfg, XAVIER, shard, tile=TILE,
+                       plan_cache=cache)
+        assert r2.cols is not r1.cols
+        assert np.array_equal(r1.cols, before)
+        assert not np.array_equal(r2.cols, before)
+    assert cache.stats.shard_builds == 2   # each second call hit
+
+
 def test_shard_plan_is_a_gather_only_slice():
     """A shard's plan is the layer's plan over its slice: same tables as
-    that slice of the whole layer's, no GEMM buffer, and ``nbytes``
-    counts only the tables, ``cols`` and ``corner``."""
+    that slice of the whole layer's, and no GEMM.  A plan holds no
+    scratch: ``nbytes`` counts the tap tables, plus a channel slice's
+    destination rows."""
     cfg = GEOMETRIES["dilation2-dg2"]
     x, off, w, b = _inputs(cfg)
     pos = sampling_positions(off, (cfg.height, cfg.width), cfg.kernel_size,
@@ -179,17 +201,15 @@ def test_shard_plan_is_a_gather_only_slice():
     cpg = cfg.in_channels // cfg.deformable_groups
     assert (whole.c0, whole.c1, whole.l0, whole.l1) == \
         (0, cpg, 0, cfg.out_pixels)
-    assert whole.dest_rows is None and whole.out is not None
-    assert whole.nbytes == (whole.idx.nbytes + whole.wts.nbytes
-                            + whole.cols.nbytes + whole.corner.nbytes
-                            + whole.out.nbytes)
-    full = whole.gather(x).copy()
+    assert whole.dest_rows is None
+    assert whole.nbytes == whole.idx.nbytes + whole.wts.nbytes
+    full = whole.gather(x)
     for kind in SHARD_KINDS:
         for shard in enumerate_shards(cfg, kind, (1, 2)):
             plan = build_fused_plan(cfg, XAVIER, False, lambda: pos, shard)
-            assert plan.out is None
-            assert plan.nbytes == (plan.idx.nbytes + plan.wts.nbytes
-                                   + plan.cols.nbytes + plan.corner.nbytes)
+            rows = 0 if plan.dest_rows is None else plan.dest_rows.nbytes
+            assert (kind == "channels") == (rows > 0)
+            assert plan.nbytes == plan.idx.nbytes + plan.wts.nbytes + rows
             cols = plan.gather(x)
             if kind == "rows":
                 expect = full[:, :, plan.l0:plan.l1]

@@ -3,9 +3,10 @@
 These tests pin the contract of docs/streaming.md:
 
 * a delta hit (exact-digest miss within ``delta_bound`` of the session's
-  anchor) reuses the anchor's memoised trace simulation and the
-  session-owned fused buffers, but outputs stay **bit-identical** to a
-  cold, uncached run of the same offsets;
+  anchor) reuses the anchor's memoised trace simulation, but outputs
+  stay **bit-identical** to a cold, uncached run of the same offsets;
+* every fused frame of a session runs on the work buffers its anchor
+  keeps, while the cached plans hold only their tap tables;
 * a delta probe only fires on an exact-digest miss — a known digest
   with an unseen tile is a plain miss against its own trace;
 * deltas over the bound are rejected (and counted);
@@ -162,6 +163,34 @@ class TestSessionLifecycle:
         # the trace entries survive (exact-keyed lookups still hit them)
         assert len(pc) == 2
 
+    def test_stream_frames_run_on_the_sessions_buffers(self):
+        """Anchor frame, delta hits and an exact hit of one stream all
+        run on one set of work buffers kept by the session's anchor; each
+        output is still fresh and exact, the cached plans hold only their
+        tap tables, and ``end_session`` drops the buffers."""
+        x, off0, w, b = _inputs()
+        pc = PlanCache(delta_bound=0.3)
+        frames = [off0, _perturb(off0, 0.2), _perturb(off0, 0.2, seed=2),
+                  off0]
+        outs, buffers = [], []
+        for off in frames:
+            outs.append(run_tex2d(x, off, w, b, CFG, XAVIER, plan_cache=pc,
+                                  session="s0").output)
+            (anchor,) = pc._anchors.values()
+            ((_, bufs),) = anchor.scratch.values()
+            buffers.append(bufs)
+        assert pc.stats.delta_hits == 4 and pc.stats.hits == 2
+        assert all(bufs is buffers[0] for bufs in buffers)
+        for off, out in zip(frames, outs):
+            assert np.array_equal(out, eager_tex2d_forward(x, off, w, b, CFG,
+                                                           XAVIER))
+            assert not any(np.shares_memory(out, buf) for buf in buffers[0])
+        (entry,) = pc._entries.values()
+        (plan,) = entry.fused.values()
+        assert plan.nbytes == plan.idx.nbytes + plan.wts.nbytes
+        pc.end_session("s0")
+        assert not pc._anchors
+
     def test_clear_drops_sessions(self):
         x, off0, w, b = _inputs()
         pc = PlanCache(delta_bound=0.3)
@@ -236,8 +265,8 @@ class TestMultiStreamPressure:
 
     def test_anchors_die_with_their_entry(self):
         """Many short streams through a tiny cache: each evicted entry
-        takes its anchors (and their session-owned fused buffers) with
-        it, so live anchors never outnumber live entries."""
+        takes its anchors (and their work buffers) with it, so live
+        anchors never outnumber live entries."""
         x, _, w, b = _inputs()
         pc = PlanCache(max_entries=2, delta_bound=0.3)
         for s in range(50):

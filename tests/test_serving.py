@@ -97,6 +97,21 @@ class TestBatchingCore:
         with pytest.raises(ValueError):
             RequestBatcher(FakeEngine(), max_batch_size=0)
 
+    def test_unknown_task_keyword_raises_at_construction(self):
+        """A misspelt option is named at construction, not swallowed
+        (classify) or raised at the first engine call (detect)."""
+        with pytest.raises(TypeError, match="max_batch"):
+            RequestBatcher(FakeEngine(), task="classify", max_batch=2)
+        with pytest.raises(TypeError, match="max_batch"):
+            RequestBatcher(FakeEngine(), task="detect", max_batch=2)
+        with pytest.raises(TypeError, match="score_threshold"):
+            RequestBatcher(FakeEngine(), score_threshold=0.05)
+        batcher = RequestBatcher(FakeEngine(), task="detect",
+                                 score_threshold=0.05, nms_iou=0.4,
+                                 max_dets=3)
+        assert batcher.task_kwargs == {"score_threshold": 0.05,
+                                       "nms_iou": 0.4, "max_dets": 3}
+
 
 class TestThreadedServing:
     def test_max_wait_flushes_partial_batch(self):
