@@ -1026,10 +1026,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "n=400,duration=50,diurnal=0.5,cycles=2,"
                          "burst=10-14x4,classes=small:3:16:2.0:0|"
                          "large:1:32:8.0:1,seed=3; a class is "
-                         "name:weight:size[:deadline[:priority"
-                         "[:session-frames]]] — session-frames groups "
-                         "arrivals into video sessions (docs/streaming.md; "
-                         "see docs/fleet.md)")
+                         "name:weight:size[:deadline[:priority]] "
+                         "(see docs/fleet.md)")
     fr.add_argument("--autoscale", default=None, metavar="POLICY",
                     help="elastic worker-set policy (needs --loadgen): "
                          "min=1,max=4,catalogue=xavier|2080ti,p99=0.5,"

@@ -10,7 +10,6 @@ from repro.data.shapes import (CLASS_NAMES, NUM_CLASSES, Instance, Sample,
                                make_sample, render_instance)
 from repro.data.dataset import (ShapesDataset, StreamingShapesDataset,
                                 classification_arrays)
-from repro.data.video import VideoFrame, VideoStream, make_video
 from repro.data.iou import box_from_mask, box_iou, mask_iou
 from repro.data.coco_map import (COCO_IOU_THRESHOLDS, Detection, EvalResult,
                                  GroundTruth, average_precision, evaluate_map)
@@ -19,7 +18,6 @@ __all__ = [
     "CLASS_NAMES", "NUM_CLASSES", "Instance", "Sample", "make_sample",
     "render_instance",
     "ShapesDataset", "StreamingShapesDataset", "classification_arrays",
-    "VideoFrame", "VideoStream", "make_video",
     "box_iou", "mask_iou", "box_from_mask",
     "Detection", "GroundTruth", "EvalResult", "evaluate_map",
     "average_precision", "COCO_IOU_THRESHOLDS",

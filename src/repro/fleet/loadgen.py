@@ -33,11 +33,8 @@ CLI grammar (``repro fleet run --loadgen SPEC``)::
     burst=10-14x4,burst=30-31x8,
     classes=small:3:16:2.0:0|large:1:32:8.0:1
 
-``classes`` entries are
-``name:weight:size[:deadline_ms[:priority[:session_frames]]]``
-(deadline ``-`` = none; ``session_frames`` groups consecutive arrivals
-of the class into video-stream sessions of that many frames — see
-docs/streaming.md).  Unknown trailing fields are rejected with an
+``classes`` entries are ``name:weight:size[:deadline_ms[:priority]]``
+(deadline ``-`` = none).  Unknown trailing fields are rejected with an
 explicit error.  See docs/fleet.md ("Open-loop load generation").
 """
 
@@ -61,9 +58,6 @@ class RequestClass:
     deadline_ms: Optional[float] = None   # relative to arrival time
     priority: int = 0               # EDF tie-break (higher serves first)
     channels: int = 3
-    #: group consecutive arrivals into video-stream sessions of this many
-    #: frames (None = sessionless i.i.d. traffic) — docs/streaming.md
-    session_frames: Optional[int] = None
 
     def __post_init__(self):
         if self.weight <= 0:
@@ -72,9 +66,6 @@ class RequestClass:
             raise ValueError(f"class {self.name!r}: input_size must be >= 4")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError(f"class {self.name!r}: deadline must be > 0")
-        if self.session_frames is not None and self.session_frames < 1:
-            raise ValueError(
-                f"class {self.name!r}: session_frames must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -104,10 +95,6 @@ class Arrival:
     t_ms: float
     cls: RequestClass
     image_seed: int
-    #: video-stream membership (None for sessionless classes)
-    session: Optional[str] = None
-    #: last frame of its session — serving evicts session state on this
-    end_of_session: bool = False
 
     def image(self) -> np.ndarray:
         """The deterministic payload (regenerable from ``image_seed``)."""
@@ -116,20 +103,12 @@ class Arrival:
         return rng.uniform(0.0, 1.0, size=size).astype(np.float32)
 
     def stream_line(self) -> str:
-        """Canonical text form (float hex — byte-exact, locale-free).
-
-        Session fields are appended only when the arrival belongs to a
-        session, so sessionless streams keep their historical byte
-        digests.
-        """
+        """Canonical text form (float hex — byte-exact, locale-free)."""
         deadline = ("-" if self.cls.deadline_ms is None
                     else float(self.cls.deadline_ms).hex())
-        line = (f"{self.index} {float(self.t_ms).hex()} {self.cls.name} "
+        return (f"{self.index} {float(self.t_ms).hex()} {self.cls.name} "
                 f"{self.cls.input_size} {deadline} {self.cls.priority} "
                 f"{self.image_seed}")
-        if self.session is not None:
-            line += f" {self.session} {int(self.end_of_session)}"
-        return line
 
 
 @dataclass(frozen=True)
@@ -238,19 +217,12 @@ class LoadSpec:
         Poisson sampler.  One seeded PCG64 stream drives gaps, thinning,
         class draws and image seeds, so identical specs yield
         byte-identical streams in any process.
-
-        Classes with ``session_frames`` chop their consecutive arrivals
-        into fixed-length video sessions (``<name>-s<k>``) with the last
-        frame of each session flagged ``end_of_session`` — assigned from
-        per-class counters after the draws, so sessionised specs consume
-        exactly the same random stream as sessionless ones.
         """
         rng = np.random.default_rng(self.seed)
         lam = self.peak_rate()
         weights = np.cumsum([c.weight for c in self.classes])
         weights = weights / weights[-1]
         out: List[Arrival] = []
-        counts = {c.name: 0 for c in self.classes}
         t = 0.0
         while True:
             t += rng.exponential(1.0 / lam)
@@ -260,23 +232,8 @@ class LoadSpec:
                 continue                      # thinned away
             cls = self.classes[int(np.searchsorted(weights, rng.random(),
                                                    side="right"))]
-            session, last = None, False
-            if cls.session_frames is not None:
-                i = counts[cls.name]
-                counts[cls.name] = i + 1
-                session = f"{cls.name}-s{i // cls.session_frames}"
-                last = (i % cls.session_frames == cls.session_frames - 1)
             out.append(Arrival(len(out), float(t), cls,
-                               int(rng.integers(0, 2 ** 32)),
-                               session=session, end_of_session=last))
-        # A truncated final session still ends: flag each sessionised
-        # class's last arrival so serving releases its state.
-        tail = {}
-        for pos, a in enumerate(out):
-            if a.session is not None:
-                tail[a.cls.name] = pos
-        for pos in tail.values():
-            out[pos] = replace(out[pos], end_of_session=True)
+                               int(rng.integers(0, 2 ** 32))))
         return out
 
     def stream_bytes(self, events: Optional[Sequence[Arrival]] = None
@@ -308,15 +265,15 @@ class LoadSpec:
 # ----------------------------------------------------------------------
 # spec grammar
 # ----------------------------------------------------------------------
-_CLASS_GRAMMAR = "name:weight:size[:deadline_ms[:priority[:session_frames]]]"
+_CLASS_GRAMMAR = "name:weight:size[:deadline_ms[:priority]]"
 
 
 def _parse_class(token: str) -> RequestClass:
     fields = token.split(":")
-    if len(fields) > 6:
+    if len(fields) > 5:
         raise ValueError(
             f"bad class {token!r}: unknown trailing fields "
-            f"{fields[6:]!r} — the grammar is {_CLASS_GRAMMAR}")
+            f"{fields[5:]!r} — the grammar is {_CLASS_GRAMMAR}")
     if len(fields) < 2 or not fields[0]:
         raise ValueError(
             f"bad class {token!r}; expected {_CLASS_GRAMMAR}")
@@ -326,11 +283,7 @@ def _parse_class(token: str) -> RequestClass:
     if len(fields) > 3 and fields[3] not in ("-", ""):
         deadline = float(fields[3])
     priority = int(fields[4]) if len(fields) > 4 else 0
-    session_frames = None
-    if len(fields) > 5 and fields[5] not in ("-", ""):
-        session_frames = int(fields[5])
-    return RequestClass(name, weight, size, deadline, priority,
-                        session_frames=session_frames)
+    return RequestClass(name, weight, size, deadline, priority)
 
 
 def _parse_burst(token: str) -> BurstEpisode:

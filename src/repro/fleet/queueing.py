@@ -67,12 +67,6 @@ class FleetRequest:
     #: deadlines; a pure-priority order would starve, so the deadline
     #: stays the primary key)
     priority: int = 0
-    #: video-stream session this frame belongs to (None = sessionless);
-    #: the scheduler routes a session's frames to one sticky worker so
-    #: its plan-cache anchor stays hot (docs/streaming.md)
-    session: Optional[str] = None
-    #: last frame of the session — resolving it evicts session state
-    end_of_session: bool = False
 
     @property
     def shape(self) -> Tuple[int, ...]:

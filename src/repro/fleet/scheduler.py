@@ -104,8 +104,7 @@ class FleetScheduler:
                  tracer=None, max_attempts: int = 3, seed: int = 0,
                  slo_window_ms: float = DEFAULT_SLO_WINDOW_MS,
                  slo_retention: int = DEFAULT_SLO_RETENTION,
-                 shard_planner=None, interconnect=None,
-                 session_spill_factor: float = 3.0):
+                 shard_planner=None, interconnect=None):
         if not workers:
             raise ValueError("a fleet needs at least one worker")
         names = [w.name for w in workers]
@@ -120,23 +119,6 @@ class FleetScheduler:
             else MetricsRegistry()
         self.tracer = tracer
         self.max_attempts = max_attempts
-        if session_spill_factor <= 1.0:
-            raise ValueError("session_spill_factor must be > 1 (1x would "
-                             "spill on any backlog at all)")
-        #: session stickiness override: a pinned worker keeps a stream
-        #: until its ECT exceeds ``session_spill_factor`` × the best
-        #: candidate's — locality is worth some queueing, not unbounded
-        #: queueing (docs/streaming.md)
-        self.session_spill_factor = float(session_spill_factor)
-        #: video-stream session → name of the worker holding its
-        #: plan-cache anchor (evicted when the stream ends)
-        self._session_affinity: Dict[str, str] = {}
-        #: unresolved request count per open session; eviction waits for
-        #: the end-flagged frame AND a drained count — a retried sibling
-        #: frame resolving late must not re-pin an ended stream
-        self._session_open: Dict[str, int] = {}
-        self._session_closing: set = set()
-        self._session_resolved: set = set()
         #: intra-request parallelism (None = sharding off); the planner
         #: resolves a plan per batch at serve time, and a shard-aware
         #: router additionally prices split plans at routing time
@@ -210,15 +192,6 @@ class FleetScheduler:
         self._shard_sim_ms = self.registry.histogram(
             "fleet_shard_sim_ms",
             help="simulated duration of sharded batches (ms)")
-        self._session_spills = self.registry.counter(
-            "fleet_session_spills",
-            help="session-affinity overrides: frames routed off their "
-                 "sticky worker because its ECT exceeded the spill "
-                 "factor, by the worker spilled from")
-        self._sessions_ended = self.registry.counter(
-            "fleet_sessions_ended",
-            help="video-stream sessions whose per-session state was "
-                 "evicted at stream end")
         # per-worker series: workers hold no registry, so the scheduler
         # publishes what each served batch did (see _serve)
         self._batches = self.registry.counter(
@@ -245,8 +218,7 @@ class FleetScheduler:
     # ------------------------------------------------------------------
     def submit(self, image: np.ndarray,
                deadline_ms: Optional[float] = None, *,
-               priority: int = 0, session: Optional[str] = None,
-               end_of_session: bool = False) -> Future:
+               priority: int = 0) -> Future:
         """Offer one (C, H, W) image; ``deadline_ms`` is relative to now.
 
         Returns a future that always resolves: a task result, the
@@ -254,12 +226,6 @@ class FleetScheduler:
         :class:`FleetRejection` naming why the fleet dropped it.
         ``priority`` breaks EDF ties between equal deadlines (higher
         serves first) — the multi-tenant request-class knob.
-
-        ``session`` names the video stream the frame belongs to: routing
-        sticks the stream to one worker (keeping its plan-cache anchor
-        hot) unless that worker's ECT exceeds ``session_spill_factor`` ×
-        the best candidate's.  When the frame flagged ``end_of_session``
-        resolves, the session's per-worker state is evicted.
         """
         if self._closed:
             raise FleetRejection(REASON_CLOSED, "fleet is closed")
@@ -271,17 +237,12 @@ class FleetScheduler:
         deadline = now + float(deadline_ms) if deadline_ms is not None \
             else None
         req = FleetRequest(self._next_id, img, now, deadline,
-                           priority=priority, session=session,
-                           end_of_session=end_of_session)
+                           priority=priority)
         self._next_id += 1
         self.requests.append(req)
         self._submitted.inc()
-        if session is not None:
-            self._session_open[session] = \
-                self._session_open.get(session, 0) + 1
 
-        worker, ects = self._select(req.shape, now, frozenset(),
-                                    session=session)
+        worker, ects = self._select(req.shape, now, frozenset())
         self._record_decision(req, worker, ects, now)
         if worker is None:
             routable = any(w.routable(now) for w in self.workers)
@@ -294,8 +255,7 @@ class FleetScheduler:
         return req.future
 
     def _select(self, shape: Tuple[int, ...], now: float,
-                exclude: FrozenSet[str],
-                session: Optional[str] = None):
+                exclude: FrozenSet[str]):
         candidates = [w for w in self.workers
                       if w.name not in exclude and w.routable(now)
                       and not w.queue.full]
@@ -303,43 +263,7 @@ class FleetScheduler:
             return None, {}
         worker = self.router.choose(candidates, shape, now)
         ects = self.router.ect_table(candidates, shape, now)
-        if session is not None:
-            worker = self._apply_affinity(session, worker, candidates,
-                                          ects, shape, now)
-            self._session_affinity[session] = worker.name
         return worker, ects
-
-    def _apply_affinity(self, session: str, chosen: FleetWorker,
-                        candidates: List[FleetWorker],
-                        ects: Dict[str, float], shape: Tuple[int, ...],
-                        now: float) -> FleetWorker:
-        """Session stickiness as a routing overlay (works with every
-        router policy): keep the stream on its pinned worker while the
-        pin's ECT stays within ``session_spill_factor`` × the router's
-        choice; otherwise spill — the cost model overrides locality on a
-        saturated worker.  A shard-aware router's ``plan:`` ECT rows are
-        never worker names, so the table lookups below stay unambiguous.
-        """
-        pinned_name = self._session_affinity.get(session)
-        if pinned_name is None or pinned_name == chosen.name:
-            return chosen
-        pinned = next((w for w in candidates if w.name == pinned_name),
-                      None)
-        if pinned is None:
-            # pinned worker removed / unroutable / full — repin on the
-            # router's choice (counted as a spill: the anchor goes cold)
-            self._session_spills.inc(worker=pinned_name)
-            return chosen
-        pinned_ect = ects.get(pinned_name)
-        if pinned_ect is None:
-            pinned_ect = pinned.estimated_completion_ms(shape, now)
-        best_ect = ects.get(chosen.name)
-        if best_ect is None:
-            best_ect = chosen.estimated_completion_ms(shape, now)
-        if pinned_ect <= self.session_spill_factor * max(best_ect, 1e-9):
-            return pinned
-        self._session_spills.inc(worker=pinned_name)
-        return chosen
 
     def _record_decision(self, req: FleetRequest,
                          worker: Optional[FleetWorker],
@@ -394,35 +318,6 @@ class FleetScheduler:
             req.future.set_exception(FleetRejection(reason, detail))
         self._rejected.inc(reason=reason)
         self._record_failure_window(req)
-        self._maybe_end_session(req)
-
-    def _maybe_end_session(self, req: FleetRequest) -> None:
-        """Evict per-session state once a stream is fully resolved.
-
-        "Fully" means the end-flagged frame has resolved *and* no other
-        frame of the session is still in flight — sibling frames can
-        resolve after the end frame (retries, cross-worker batching, a
-        rejected end frame), and their reroute path must not re-pin an
-        ended stream.  Retries may also have warmed anchors on more than
-        one worker, so every worker is asked to release the session, not
-        just the affinity pin.
-        """
-        if req.session is None or req.id in self._session_resolved:
-            return
-        self._session_resolved.add(req.id)
-        session = req.session
-        self._session_open[session] = self._session_open.get(session, 1) - 1
-        if req.end_of_session:
-            self._session_closing.add(session)
-        if session not in self._session_closing \
-                or self._session_open.get(session, 0) > 0:
-            return
-        self._session_open.pop(session, None)
-        self._session_closing.discard(session)
-        self._session_affinity.pop(session, None)
-        for w in self.workers:
-            w.end_session(session)
-        self._sessions_ended.inc()
 
     def _record_failure_window(self, req: FleetRequest) -> None:
         now = self.clock.now_ms
@@ -504,7 +399,6 @@ class FleetScheduler:
                 self._latency_windows.observe(latency, ts_ms=done,
                                               exemplar=exemplar)
                 self.latencies_ms.append(latency)
-                self._maybe_end_session(r)
         else:
             for r in batch:
                 self._handle_failure(r, worker, outcome.error, done)
@@ -616,11 +510,6 @@ class FleetScheduler:
         if worker._fallback_batcher is not None:
             worker._fallback_batcher.close(flush=False)
         self.workers.remove(worker)
-        # streams pinned here repin (and count a spill) at their next
-        # frame's routing decision
-        self._session_affinity = {s: n for s, n
-                                  in self._session_affinity.items()
-                                  if n != name}
         return worker
 
     def run_load(self, arrivals, *, autoscaler=None,
@@ -662,10 +551,7 @@ class FleetScheduler:
                     a = events[i]
                     futures.append(self.submit(
                         a.image(), deadline_ms=a.cls.deadline_ms,
-                        priority=a.cls.priority,
-                        session=getattr(a, "session", None),
-                        end_of_session=getattr(a, "end_of_session",
-                                               False)))
+                        priority=a.cls.priority))
                     i += 1
             else:
                 self.step()
@@ -695,12 +581,10 @@ class FleetScheduler:
         kept = []
         for r in worker.queue.drain():
             target, ects = self._select(
-                r.shape, now, frozenset({worker.name}) | r.failed_on,
-                session=r.session)
+                r.shape, now, frozenset({worker.name}) | r.failed_on)
             if target is None:
                 target, ects = self._select(r.shape, now,
-                                            frozenset({worker.name}),
-                                            session=r.session)
+                                            frozenset({worker.name}))
             if target is None:
                 kept.append(r)
                 continue
@@ -729,17 +613,14 @@ class FleetScheduler:
                 req.future.set_exception(error)
             self._rejected.inc(reason=REASON_RETRIES)
             self._record_failure_window(req)
-            self._maybe_end_session(req)
             return
         target, ects = self._select(req.shape, now,
-                                    frozenset(req.failed_on),
-                                    session=req.session)
+                                    frozenset(req.failed_on))
         if target is None:
             # nobody else can take it — returning to a worker that failed
             # it is still better than dropping (it may now be degraded to
             # its fallback, or past its breaker cooldown)
-            target, ects = self._select(req.shape, now, frozenset(),
-                                        session=req.session)
+            target, ects = self._select(req.shape, now, frozenset())
         self._record_decision(req, target, ects, now)
         if target is None:
             self._reject(req, REASON_NO_WORKER,
@@ -822,13 +703,6 @@ class FleetScheduler:
                                   for k, v in sorted(retried.items())},
             "rerouted_by_worker": {k: int(v)
                                    for k, v in sorted(rerouted.items())},
-            "sessions": {
-                "active": len(self._session_affinity),
-                "ended": int(self._sessions_ended.value()),
-                "spills": int(sum(
-                    self._per_label(self._session_spills,
-                                    "worker").values())),
-            },
             "shard": shard,
             "workers": [{
                 "worker": w.name,

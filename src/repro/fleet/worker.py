@@ -221,20 +221,6 @@ class FleetWorker:
         req.predicted_ms = self.predict_ms(req.shape, 1)
         self.queue.push(req)        # raises FleetRejection when full
 
-    def end_session(self, session: str) -> int:
-        """Release this worker's per-session plan-cache state for one
-        ended video stream (docs/streaming.md); returns the number of
-        anchors dropped.  Engines without session support (test doubles,
-        the pytorch fallback) are a no-op.
-        """
-        end = getattr(self.engine, "end_session", None)
-        if callable(end):
-            return int(end(session))
-        cache = getattr(self.engine, "plan_cache", None)
-        if cache is not None and hasattr(cache, "end_session"):
-            return int(cache.end_session(session))
-        return 0
-
     # ------------------------------------------------------------------
     # fallback plumbing
     # ------------------------------------------------------------------

@@ -22,8 +22,7 @@ def run_deform_op(backend: str, x: np.ndarray, offset: np.ndarray,
                   plan: Optional[SamplePlan] = None,
                   compute_output: bool = True,
                   layer: str = "",
-                  plan_cache=None,
-                  session: Optional[str] = None) -> OpResult:
+                  plan_cache=None) -> OpResult:
     """Run one deformable conv through the selected backend.
 
     ``layer`` attributes the launched kernels to a model layer (a dotted
@@ -43,11 +42,11 @@ def run_deform_op(backend: str, x: np.ndarray, offset: np.ndarray,
     elif backend == "tex2d":
         res = run_tex2d(x, offset, weight, bias, cfg, spec, tile=tile,
                         plan=plan, compute_output=compute_output,
-                        plan_cache=plan_cache, session=session)
+                        plan_cache=plan_cache)
     elif backend == "tex2dpp":
         res = run_tex2dpp(x, offset, weight, bias, cfg, spec, tile=tile,
                           plan=plan, compute_output=compute_output,
-                          plan_cache=plan_cache, session=session)
+                          plan_cache=plan_cache)
     else:
         raise ValueError(
             f"unknown backend {backend!r}; choose from {BACKENDS}")

@@ -22,9 +22,7 @@ A plan holds those tables and nothing else: the corner buffer, the
 im2col columns and the GEMM work buffer are allocated per call, like
 :func:`~repro.nn.im2col.im2col`'s rows, so a cached plan keeps only
 what a later call reads, and the columns a call returns are its
-caller's.  The one exception is a delta-keyed stream of the plan cache,
-whose frames run on work buffers its session keeps (through the
-``_work_buffers`` hook; docs/streaming.md).
+caller's.
 
 One plan covers any (channel, pixel) slice of the column matrix.  A
 whole layer is the full slice: :meth:`FusedPlan.execute` runs
@@ -135,22 +133,14 @@ class FusedPlan:
             raise ValueError(f"shard plan {self.shard.label()} only "
                              f"gathers; stitch its columns instead")
         cfg = self.cfg
-        xf = self._texels(x)
-        cols, corner, out = self._work_buffers()
+        cols = self.gather(x)
+        # a fresh C-ordered (N, O, L) work buffer: einsum's result
+        # strides, which later layers' bits follow, depend on it
+        out = np.empty((self.n, cfg.out_channels, cfg.out_pixels),
+                       dtype=np.float32)
         w2 = weight.reshape(cfg.out_channels, cfg.in_channels * cfg.taps)
-        return gemm_epilogue(w2, self._gather(xf, cols, corner), bias,
+        return gemm_epilogue(w2, cols, bias,
                              (cfg.out_height, cfg.out_width), out=out)
-
-    def _work_buffers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One :meth:`execute` call's (columns, corner, GEMM work) arrays,
-        fresh: a plan keeps none.  The GEMM work buffer is C-ordered
-        (N, O, L): einsum's result strides, which later layers' bits
-        follow, depend on it."""
-        cfg = self.cfg
-        return (np.empty(self._cols_shape(), dtype=np.float32),
-                np.empty(self._corner_shape(), dtype=np.float32),
-                np.empty((self.n, cfg.out_channels, cfg.out_pixels),
-                         dtype=np.float32))
 
     def _texels(self, x: np.ndarray) -> np.ndarray:
         if x.shape != self.cfg.input_shape():
@@ -239,9 +229,8 @@ def tap_tables(py: np.ndarray, px: np.ndarray, h: int, w: int,
     """Corner index/weight tables for arbitrary (N, dg, ...) positions.
 
     The one compilation step of :func:`build_fused_plan` (a whole layer
-    or a row-band or channel slice of the same positions) and of the
-    plan cache's delta-keyed streaming hits: pixel coords → texture coords
-    (+0.5), the tex2D++ fp16 coordinate quantisation, then
+    or a row-band or channel slice of the same positions): pixel coords →
+    texture coords (+0.5), the tex2D++ fp16 coordinate quantisation, then
     :func:`~repro.gpusim.texture.linear_filter_taps` — exactly
     ``fetch_at_pixel_coords`` + ``fetch``.  Because every operation is
     elementwise, tables built from a *slice* of the positions are

@@ -34,27 +34,12 @@ assert this property over random offsets, geometries and tiles).
 Every lookup — per-tile stats, fused plan, shard plan and the trace
 entry itself — goes through one get-or-build sequence
 (:meth:`PlanCache._get_or_build`): lookup, in-flight wait, build, store,
-LRU eviction.
-
-**Delta-keyed streaming mode** (``delta_bound`` + a ``session=``
-argument on lookups): consecutive video frames produce offset tensors
-whose digests never repeat but whose values barely move.  With a bound
-configured, an exact-digest miss probes the session's *anchor* — the
-entry built for the stream's last exactly-keyed frame — and when the
-quantised offset delta stays within the bound the anchor's memoised
-trace/tile simulation is reused instead of rebuilding everything.
-Functional outputs stay **bit-identical** to a cold miss: a delta hit
-compiles a fused plan from the *current* frame's positions (corner
-indices and blend weights, never the trace); the per-tile perf
-simulation is served from the anchor, which is the documented
-temporal-coherence approximation.  Every fused frame of a stream runs
-on work buffers the anchor keeps warm across frames.  An anchor lives
-no longer than its entry: evicting the entry drops it.  See
-``docs/streaming.md``.
+LRU eviction.  Lookups are keyed exactly, by offset digest: a call
+reuses cached state only for the very offsets it was built from, so the
+simulated counters a call returns are always those of its own launch.
 
 Observability: the :data:`COUNTERS` (``plan_cache_lookups{result=hit|miss}``,
-``plan_cache_trace_builds``, ``plan_cache_evictions``,
-``plan_cache_delta_hits`` / ``plan_cache_delta_rejects``, ...;
+``plan_cache_trace_builds``, ``plan_cache_evictions``, ...;
 ``repro serve --metrics-out`` surfaces them) and the
 ``plan_cache_resident_bytes`` gauge count only on the
 :class:`~repro.obs.registry.MetricsRegistry` the cache is built with — a
@@ -112,18 +97,9 @@ COUNTERS = {
         "offsets+geometry+shard)"),
     "evictions": (
         "plan_cache_evictions", {},
-        "trace entries dropped at the LRU bound (a high rate under "
-        "streaming means max_entries is too small for the live session "
-        "count)"),
-    "delta_hits": (
-        "plan_cache_delta_hits", {},
-        "exact-digest misses served from a session anchor (trace/tile "
-        "simulation reused; tap tables recomputed for the current "
-        "frame)"),
-    "delta_rejects": (
-        "plan_cache_delta_rejects", {},
-        "session-anchor probes whose quantised offset delta exceeded the "
-        "bound (full rebuild + re-anchor)"),
+        "trace entries dropped at the LRU bound (a high rate means "
+        "max_entries is too small for the working set of offset "
+        "tensors)"),
 }
 
 
@@ -178,43 +154,6 @@ class _TraceEntry:
             for p in plans.values())
 
 
-class _StreamPlan(FusedPlan):
-    """A stream frame's fused plan: the tap tables of the cached or
-    delta-compiled plan, run on the work buffers the stream keeps warm
-    across frames (one execution at a time, under ``lock``).  Other
-    lookups' plans allocate theirs per call; a stream's buffers belong to
-    its anchor, never to a cache entry."""
-
-    def __init__(self, plan: FusedPlan, lock: threading.Lock,
-                 buffers: Tuple[np.ndarray, ...]):
-        super().__init__(plan.cfg, plan.fp16, plan.idx, plan.wts)
-        self.lock, self.buffers = lock, buffers
-
-    def execute(self, x: np.ndarray, weight: np.ndarray,
-                bias: Optional[np.ndarray]) -> np.ndarray:
-        with self.lock:
-            return super().execute(x, weight, bias)
-
-    def _work_buffers(self) -> Tuple[np.ndarray, ...]:
-        return self.buffers
-
-
-@dataclass
-class _SessionAnchor:
-    """Per-(session, geometry) delta-keying state.
-
-    ``key`` points at the trace entry built for the stream's last
-    exactly-keyed frame; ``offset`` is a private copy of that frame's
-    (quantised, for tex2D++) offsets, the reference the per-frame delta
-    is measured against.  ``scratch`` maps (in_channels, out_channels)
-    to the stream's (lock, fused work buffers), kept across re-anchoring.
-    """
-
-    key: tuple
-    offset: np.ndarray
-    scratch: Dict[Tuple[int, int], tuple] = field(default_factory=dict)
-
-
 class PlanCacheStats:
     """Hit/miss/build counters of one :class:`PlanCache`.
 
@@ -240,6 +179,18 @@ class PlanCacheStats:
             raise AttributeError(name)
         counter, labels = self._counters[name]
         return int(counter.value(**labels))
+
+    # Lookups are exact-keyed, so nothing is ever a delta hit or reject:
+    # both read 0 and have no registry series.  perfbench still reads
+    # them; a later benchmark change drops them together with their two
+    # BENCHMARK.json rows.
+    @property
+    def delta_hits(self) -> int:
+        return 0
+
+    @property
+    def delta_rejects(self) -> int:
+        return 0
 
     def record(self, name: str) -> None:
         """Count one event on the :data:`COUNTERS` counter ``name``."""
@@ -273,16 +224,9 @@ class PlanCache:
     max_entries:
         Distinct (offset digest, geometry, plan, fp16) trace entries kept
         live; least-recently-used entries are evicted beyond this (each
-        eviction counts on ``stats.evictions`` and drops the session
-        anchors pointing at the entry).  Each entry additionally holds
-        one stats record per tile requested against it (the legal tile
-        space is small, so this inner dict is naturally bounded).
-    delta_bound:
-        Enables the delta-keyed streaming mode: on an exact-digest miss
-        with a ``session=`` supplied, the session's anchor entry is
-        reused whenever ``max|offset - anchor_offset|`` (measured on the
-        offsets as passed — already fp16-quantised for tex2D++) stays
-        within this bound.  ``None`` (default) keeps lookups exact-only.
+        eviction counts on ``stats.evictions``).  Each entry additionally
+        holds one stats record per tile requested against it (the legal
+        tile space is small, so this inner dict is naturally bounded).
     registry:
         The :class:`~repro.obs.registry.MetricsRegistry` the cache counts
         on (a private one when None); exposed as ``registry``.
@@ -291,15 +235,10 @@ class PlanCache:
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES,
-                 registry: Optional[MetricsRegistry] = None, tracer=None,
-                 delta_bound: Optional[float] = None):
+                 registry: Optional[MetricsRegistry] = None, tracer=None):
         if max_entries < 1:
             raise ValueError("plan cache needs max_entries >= 1")
-        if delta_bound is not None and delta_bound <= 0:
-            raise ValueError("delta_bound must be > 0 (or None for "
-                             "exact-only keying)")
         self.max_entries = max_entries
-        self.delta_bound = delta_bound
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self.stats = PlanCacheStats(self.registry)
@@ -313,8 +252,6 @@ class PlanCache:
         #: per-(key, slot, sub) in-flight build guards — concurrent misses
         #: on the same lookup coalesce onto one build instead of racing
         self._building: Dict[tuple, threading.Event] = {}
-        #: (session, offset shape, geometry...) → _SessionAnchor
-        self._anchors: Dict[tuple, _SessionAnchor] = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -325,25 +262,6 @@ class PlanCache:
         with self._lock:
             self._resident.dec(sum(e.nbytes for e in self._entries.values()))
             self._entries.clear()
-            self._anchors.clear()
-
-    @property
-    def session_count(self) -> int:
-        """Live (session, geometry) anchors held by the cache."""
-        with self._lock:
-            return len(self._anchors)
-
-    def end_session(self, session: str) -> int:
-        """Drop every anchor of one stream — the fleet calls this when a
-        stream's last frame resolves, so per-session state never outlives
-        the session.  Returns how many anchors were dropped.  The anchor's
-        *trace entry* stays in the LRU (it may be the exact-keyed entry of
-        another lookup) and ages out normally."""
-        with self._lock:
-            akeys = [k for k in self._anchors if k[0] == session]
-            for k in akeys:
-                del self._anchors[k]
-        return len(akeys)
 
     @staticmethod
     def _trace_key(digest: str, cfg: LayerConfig, spec: DeviceSpec,
@@ -361,7 +279,6 @@ class PlanCache:
                   spec: DeviceSpec, tile: Tuple[int, int], fp16: bool,
                   plan: Optional[SamplePlan], concurrent_layers: int,
                   positions: Callable[[], Tuple[np.ndarray, np.ndarray]],
-                  session: Optional[str] = None,
                   digest: Optional[str] = None
                   ) -> Tuple[TextureCacheStats, float]:
         """Memoised equivalent of trace-build + ``simulate`` for one call.
@@ -370,15 +287,9 @@ class PlanCache:
         arrays of shape (K, L) — it is only invoked when the trace entry
         has to be built, so steady-state hits never touch the sampling
         positions at all.  Returns ``(stats, trace_scale)`` exactly as the
-        uncached path would produce them.
-
-        With ``session`` set and :attr:`delta_bound` configured, an
-        exact-digest miss whose offsets stay within the bound of the
-        session's anchor is served from the anchor's memoised simulation
-        (a *delta hit* — the temporal-coherence approximation; the
-        positions callable is never invoked).  A known digest with an
-        unseen (tile, concurrency) combination is a plain miss that
-        simulates against its own trace.
+        uncached path would produce them.  A known digest with an unseen
+        (tile, concurrency) combination is a miss that simulates against
+        its own cached trace.
 
         ``digest`` is ``offsets_digest(offset)`` when the caller already
         has it, so a call that looks up both stats and its fused plan
@@ -387,34 +298,18 @@ class PlanCache:
         plan = plan or SamplePlan()
         tile = (int(tile[0]), int(tile[1]))
         layers = int(concurrent_layers)
-        sub = (tile, layers)
-
-        def simulate(entry: _TraceEntry) -> Tuple[TextureCacheStats, float]:
-            return self._simulate_tile(entry, cfg, spec, tile, plan, layers)
-
-        def from_anchor(anchor: _SessionAnchor, entry: _TraceEntry):
-            # a tile the anchor has not seen simulates against the
-            # anchor's fetch trace — still no trace rebuild
-            with self._lock:
-                cached = entry.stats.get(sub)
-            if cached is not None:
-                return cached
-            result = simulate(entry)
-            with self._lock:
-                return entry.stats.setdefault(sub, result)
-
         return self._get_or_build(
             self._trace_key(digest or offsets_digest(offset), cfg, spec,
                             fp16, plan),
-            "stats", sub, simulate,
-            lambda: self._build_entry(cfg, spec, plan, positions),
-            session, offset, from_anchor)
+            "stats", (tile, layers),
+            lambda entry: self._simulate_tile(entry, cfg, spec, tile, plan,
+                                              layers),
+            lambda: self._build_entry(cfg, spec, plan, positions))
 
     def fused_plan(self, offset: np.ndarray, cfg: LayerConfig,
                    spec: DeviceSpec, fp16: bool,
                    plan: Optional[SamplePlan],
                    positions: Callable[[], Tuple[np.ndarray, np.ndarray]],
-                   session: Optional[str] = None,
                    digest: Optional[str] = None) -> FusedPlan:
         """Get-or-compile the fused execution plan for one call.
 
@@ -422,49 +317,21 @@ class PlanCache:
         sampling-position arrays (post fp16 quantisation for tex2D++) —
         only invoked on a compile.  The plan hangs off the same trace
         entry as the memoised stats (one digest key, one LRU lifetime),
-        keyed inside it by (in_channels, out_channels).
-
-        With ``session`` + :attr:`delta_bound`, an exact miss within the
-        bound of the session's anchor is served by a plan compiled from
-        the **current** frame's positions (corner indices + 1.8
-        fixed-point blend weights), so execution stays bit-identical to a
-        cold compile; the plan is not stored.  Every fused lookup of such
-        a session runs on work buffers the session keeps warm across
-        frames (one execution at a time); other callers' plans allocate
-        theirs per call.  ``digest`` is as in :meth:`tex_stats`.
+        keyed inside it by (in_channels, out_channels).  ``digest`` is as
+        in :meth:`tex_stats`.
         """
         plan = plan or SamplePlan()
-        fkey = (cfg.in_channels, cfg.out_channels)
 
         def build(entry: _TraceEntry) -> FusedPlan:
             with self._timed_build("fused", cfg):
                 return build_fused_plan(cfg, spec, fp16, positions)
 
-        def from_anchor(anchor: _SessionAnchor, entry: _TraceEntry
-                        ) -> FusedPlan:
-            t0 = time.perf_counter()
-            fused = build_fused_plan(cfg, spec, fp16, positions)
-            self.stats.record_build_ms("retarget",
-                                       (time.perf_counter() - t0) * 1e3)
-            return fused
-
-        key = self._trace_key(digest or offsets_digest(offset), cfg, spec,
-                              fp16, plan)
-        fused = self._get_or_build(
-            key, "fused", fkey, build,
+        return self._get_or_build(
+            self._trace_key(digest or offsets_digest(offset), cfg, spec,
+                            fp16, plan),
+            "fused", (cfg.in_channels, cfg.out_channels), build,
             lambda: self._build_entry(cfg, spec, plan, lambda: tuple(
-                p[0, 0] for p in positions())),
-            session, offset, from_anchor)
-        if session is None or self.delta_bound is None:
-            return fused
-        with self._lock:
-            anchor = self._anchors.get(self._anchor_key(session, key, offset))
-            if anchor is None:
-                return fused
-            if fkey not in anchor.scratch:
-                anchor.scratch[fkey] = (threading.Lock(),
-                                        fused._work_buffers())
-            return _StreamPlan(fused, *anchor.scratch[fkey])
+                p[0, 0] for p in positions())))
 
     def shard_plan(self, offset: np.ndarray, cfg: LayerConfig,
                    spec: DeviceSpec, fp16: bool,
@@ -497,10 +364,7 @@ class PlanCache:
 
     # ------------------------------------------------------------------
     def _get_or_build(self, key: tuple, slot: Optional[str], sub,
-                      build: Callable, trace: Optional[Callable] = None,
-                      session: Optional[str] = None,
-                      offset: Optional[np.ndarray] = None,
-                      on_delta: Optional[Callable] = None):
+                      build: Callable, trace: Optional[Callable] = None):
         """The one lookup → in-flight wait → build → store sequence.
 
         ``slot=None`` resolves the trace entry of ``key`` itself:
@@ -509,25 +373,16 @@ class PlanCache:
         the entry's memo dicts (``stats``/``fused``/``shards``) and
         ``sub`` the key inside it; a miss first resolves the entry (built
         by ``trace()`` if absent), then ``build(entry)`` computes the
-        value.  Every slot lookup counts exactly one hit, miss or delta
-        hit; resolving the entry counts nothing.
+        value.  Every slot lookup counts exactly one hit or miss;
+        resolving the entry counts nothing.
 
         Concurrent misses on one ``(key, slot, sub)`` coalesce: the first
         thread builds under an in-flight event and the rest wait, then
         re-check (looping guards against builder failure or instant
         eviction, in which case a waiter becomes the builder).
-
-        Delta keying is one step of the lookup: with ``session`` on a
-        delta-bounded cache, an exact-digest miss probes the session's
-        anchor once, and within the bound ``on_delta(anchor, entry)``
-        serves the lookup without a build.  Exact hits and builds
-        re-anchor the session at ``key``.
         """
-        anchoring = session is not None and self.delta_bound is not None
-        probe = anchoring and on_delta is not None
         guard = (key, slot, sub)
         while True:
-            anchored = None
             with self._lock:
                 entry = self._entries.get(key)
                 if entry is not None:
@@ -537,20 +392,11 @@ class PlanCache:
                     if value is not None:
                         if slot is not None:
                             self.stats.record("hits")
-                        if anchoring:
-                            self._set_anchor(session, key, offset)
                         return value
-                elif probe:
-                    probe = False
-                    anchored = self._probe_anchor(session, key, offset)
-                if anchored is None:
-                    event = self._building.get(guard)
-                    if event is None:
-                        event = self._building[guard] = threading.Event()
-                        break
-            if anchored is not None:
-                self.stats.record("delta_hits")
-                return on_delta(*anchored)
+                event = self._building.get(guard)
+                if event is None:
+                    event = self._building[guard] = threading.Event()
+                    break
             event.wait()
         try:
             if slot is None:
@@ -559,14 +405,8 @@ class PlanCache:
                     self._entries[key] = value
                     self._resident.inc(value.nbytes)
                     while len(self._entries) > self.max_entries:
-                        evicted, dropped = self._entries.popitem(last=False)
+                        _, dropped = self._entries.popitem(last=False)
                         self._resident.dec(dropped.nbytes)
-                        # an anchor is only a delta reference while its
-                        # entry lives: drop it in the same step
-                        self._anchors = {
-                            akey: anchor
-                            for akey, anchor in self._anchors.items()
-                            if anchor.key != evicted}
                         self.stats.record("evictions")
                 return value
             self.stats.record("misses")
@@ -578,57 +418,11 @@ class PlanCache:
                 if (value is built and slot != "stats"
                         and self._entries.get(key) is entry):
                     self._resident.inc(built.nbytes)
-                if anchoring:
-                    self._set_anchor(session, key, offset)
             return value
         finally:
             with self._lock:
                 del self._building[guard]
             event.set()
-
-    # -- delta-keyed streaming mode ------------------------------------
-    def _anchor_key(self, session: str, key: tuple,
-                    offset: np.ndarray) -> tuple:
-        # One anchor per (session, offset shape, geometry/device/plan):
-        # the digest (key[0]) is deliberately dropped — that is the whole
-        # point — and the offset shape keeps a session that alternates
-        # batch sizes from aliasing anchors with mismatched tensors.
-        return (session, tuple(offset.shape)) + key[1:]
-
-    def _set_anchor(self, session: str, key: tuple,
-                    offset: np.ndarray) -> None:
-        """(Re-)anchor a session at the live entry ``key`` (lock held).
-
-        Both exact misses (after the build) and exact hits re-anchor:
-        whichever frame the session last resolved *exactly* is the
-        reference its next delta is measured against.  An entry evicted
-        while its value was building is not anchored to."""
-        if key not in self._entries:
-            return
-        akey = self._anchor_key(session, key, offset)
-        old = self._anchors.get(akey)
-        self._anchors[akey] = _SessionAnchor(
-            key=key, offset=np.array(offset, dtype=np.float32, copy=True),
-            scratch=old.scratch if old is not None else {})
-
-    def _probe_anchor(self, session: str, key: tuple, offset: np.ndarray
-                      ) -> Optional[Tuple[_SessionAnchor, _TraceEntry]]:
-        """The delta probe (lock held): (anchor, its entry) iff within bound.
-
-        Returns None — counting a reject when the delta is what lost — on
-        no anchor yet or a quantised delta over the bound.  Anchors never
-        outlive their entry, so an anchor's entry is always live.
-        """
-        anchor = self._anchors.get(self._anchor_key(session, key, offset))
-        if anchor is None:
-            return None
-        delta = float(np.max(np.abs(offset - anchor.offset))) \
-            if offset.size else 0.0
-        if delta > self.delta_bound:
-            self.stats.record("delta_rejects")
-            return None
-        self._entries.move_to_end(anchor.key)
-        return anchor, self._entries[anchor.key]
 
     # ------------------------------------------------------------------
     @contextmanager

@@ -49,8 +49,7 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
               tile: Tuple[int, int] = DEFAULT_TILE, fp16_offsets: bool = False,
               plan: Optional[SamplePlan] = None,
               compute_output: bool = True,
-              plan_cache: Optional["PlanCache"] = None,
-              session: Optional[str] = None) -> OpResult:
+              plan_cache: Optional["PlanCache"] = None) -> OpResult:
     """Execute the texture-hardware deformable conv (tex2D / tex2D++).
 
     ``fp16_offsets=True`` selects the tex2D++ variant.  The functional
@@ -64,13 +63,6 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
     and the trace simulated for this call — the uncached reference.
     Outputs and kernel stats are bit-identical either way, and the
     outputs bit-identical to :func:`eager_tex2d_forward`.
-
-    ``session`` names the video stream this call belongs to; on a plan
-    cache with a ``delta_bound`` it unlocks delta-keyed lookups — an
-    exact-digest miss within the bound of the session's anchor reuses the
-    anchor's trace simulation and fused buffers while the blend weights
-    are recomputed for this frame, so functional outputs stay
-    bit-identical to a cold miss (see docs/streaming.md).
     """
     plan = plan or SamplePlan()
     off, positions = launch_inputs(offset, cfg, spec, tile, fp16_offsets)
@@ -84,8 +76,7 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
     if compute_output:
         if plan_cache is not None:
             fplan = plan_cache.fused_plan(off, cfg, spec, fp16_offsets, plan,
-                                          positions, session=session,
-                                          digest=digest)
+                                          positions, digest=digest)
         else:
             fplan = build_fused_plan(cfg, spec, fp16_offsets, positions)
         output = fplan.execute(x, weight, bias)
@@ -96,8 +87,7 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
     # ------------------------------------------------------------------
     texture = texture_stats(
         off, cfg, spec, tile, fp16_offsets, plan, plan_cache,
-        lambda: tuple(p[0, 0] for p in positions()),
-        session=session, digest=digest)
+        lambda: tuple(p[0, 0] for p in positions()), digest=digest)
     name = "deformable_tex2dpp" if fp16_offsets else "deformable_tex2d"
     sample_stats = sample_kernel_stats(
         cfg, spec, texture, cfg.in_channels // cfg.deformable_groups,
@@ -140,7 +130,6 @@ def texture_stats(off: np.ndarray, cfg: LayerConfig, spec: DeviceSpec,
                   tile: Tuple[int, int], fp16: bool, plan: SamplePlan,
                   plan_cache: Optional["PlanCache"],
                   rep: Callable[[], Tuple[np.ndarray, np.ndarray]],
-                  session: Optional[str] = None,
                   digest: Optional[str] = None
                   ) -> Tuple[TextureCacheStats, float]:
     """Texture-cache counters of one representative channel, and the
@@ -157,7 +146,7 @@ def texture_stats(off: np.ndarray, cfg: LayerConfig, spec: DeviceSpec,
     layers = min(cfg.in_channels // cfg.deformable_groups, 4)
     if plan_cache is not None:
         return plan_cache.tex_stats(off, cfg, spec, tile, fp16, plan, layers,
-                                    rep, session=session, digest=digest)
+                                    rep, digest=digest)
     py, px = rep()
     y0, x0, cta, scale = texture_fetch_trace(py, px, cfg.out_width, tile,
                                              plan)
@@ -229,13 +218,11 @@ def run_tex2dpp(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
                 spec: DeviceSpec, tile: Tuple[int, int] = DEFAULT_TILE,
                 plan: Optional[SamplePlan] = None,
                 compute_output: bool = True,
-                plan_cache: Optional["PlanCache"] = None,
-                session: Optional[str] = None) -> OpResult:
+                plan_cache: Optional["PlanCache"] = None) -> OpResult:
     """The tex2D++ variant: fp16 offsets, half the offset bandwidth."""
     return run_tex2d(x, offset, weight, bias, cfg, spec, tile=tile,
                      fp16_offsets=True, plan=plan,
-                     compute_output=compute_output, plan_cache=plan_cache,
-                     session=session)
+                     compute_output=compute_output, plan_cache=plan_cache)
 
 
 def eager_tex2d_forward(x: np.ndarray, offset: np.ndarray,

@@ -124,19 +124,6 @@ DEFAULT_RULES: Tuple[MetricRule, ...] = (
     MetricRule("fleet_autoscale.*.p99_ms", "lower",
                rel_tol=0.50, abs_floor=0.25),
     MetricRule("fleet_autoscale.*", "ignore"),
-    # streaming bench — the delta-hit-rates and eviction counts are
-    # deterministic simulation outputs (tight gates); wall-clock frame
-    # times and the steady-state speedup fall through to the generic
-    # machine-sensitive rules below
-    MetricRule("streaming.stride_hit_rate.*", "higher",
-               rel_tol=0.0, abs_floor=0.05),
-    MetricRule("streaming.concurrent_streams.*.hit_rate", "higher",
-               rel_tol=0.0, abs_floor=0.05),
-    MetricRule("streaming.concurrent_streams.*.evictions", "ignore"),
-    MetricRule("streaming.steady_state.delta_hits", "higher",
-               rel_tol=0.0, abs_floor=1.0),
-    MetricRule("streaming.frames", "ignore"),
-    MetricRule("streaming.delta_bound", "ignore"),
     # wall-clock speedup ratios — machine-sensitive but dimensionless;
     # a halved speedup must fail, scheduler jitter must not
     MetricRule("*speedup", "higher", rel_tol=0.40, abs_floor=0.25),

@@ -112,10 +112,6 @@ class TextureRuntime:
     tiles: Dict[TileKey, Tuple[int, int]] = field(default_factory=dict)
     default_tile: Tuple[int, int] = DEFAULT_TILE
     cache_stats: TileCacheStats = field(default_factory=TileCacheStats)
-    #: active video-stream session stamped on texture-backend calls; with
-    #: a delta-bounded plan cache this unlocks delta-keyed lookups
-    #: (see docs/streaming.md)
-    session: Optional[str] = None
     #: fleet shard-execution hook (a
     #: :class:`~repro.fleet.shard.ShardContext`): when set, each layer is
     #: offered to it first and only falls through to the local backend
@@ -187,8 +183,7 @@ class TextureRuntime:
                             layer.weight.data, bias, cfg, self.spec,
                             tile=tile, compute_output=True,
                             layer=getattr(layer, "layer_name", ""),
-                            plan_cache=self.plan_cache,
-                            session=self.session)
+                            plan_cache=self.plan_cache)
         for k in res.kernels:
             self.log.add(k)
         return Tensor(res.output.astype(np.float32, copy=False))
@@ -221,13 +216,6 @@ class DefconEngine:
     the reference that conformance and tests compare against.  Hit/miss
     counters land as ``plan_cache_lookups{result=...}`` on the registry
     the cache was built with — the engine's own when the engine built it.
-
-    ``delta_bound`` enables the streaming delta-keyed plan-cache mode on
-    the engine's private cache (see docs/streaming.md): with a session
-    stamped via :meth:`set_session`, consecutive video frames whose
-    quantised offsets stay within the bound reuse the session anchor's
-    trace simulation and fused buffers — outputs remain bit-identical
-    because blend weights are recomputed per frame.
     """
 
     def __init__(self, model: Module, spec: DeviceSpec,
@@ -237,8 +225,7 @@ class DefconEngine:
                  registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[SpanTracer] = None,
                  max_log_records: Optional[int] = ProfileLog.DEFAULT_MAX_RECORDS,
-                 plan_cache: Optional[PlanCache] = None,
-                 delta_bound: Optional[float] = None):
+                 plan_cache: Optional[PlanCache] = None):
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; choose from {BACKENDS}")
@@ -251,18 +238,11 @@ class DefconEngine:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
         if plan_cache is None:
-            self.plan_cache = PlanCache(registry=self.registry, tracer=tracer,
-                                        delta_bound=delta_bound)
+            self.plan_cache = PlanCache(registry=self.registry, tracer=tracer)
         elif not isinstance(plan_cache, PlanCache):
             raise ValueError(f"plan_cache={plan_cache!r}: the uncached mode "
                              f"was removed; pass None or a PlanCache")
         else:
-            if delta_bound is not None \
-                    and plan_cache.delta_bound != delta_bound:
-                raise ValueError(
-                    f"shared plan cache has delta_bound="
-                    f"{plan_cache.delta_bound!r}, engine asked for "
-                    f"{delta_bound!r} — configure the bound on the cache")
             # a shared cache counts on the registry it was built with
             self.plan_cache = plan_cache
         self._runtime = TextureRuntime(
@@ -345,25 +325,6 @@ class DefconEngine:
     def plan_cache_stats(self) -> PlanCacheStats:
         """Hit/miss/build counters of the perf-model plan cache."""
         return self.plan_cache.stats
-
-    # -- streaming sessions (docs/streaming.md) ------------------------
-    def set_session(self, session: Optional[str]) -> None:
-        """Stamp subsequent layer executions with a video-stream session.
-
-        With a delta-bounded plan cache this unlocks delta-keyed lookups:
-        an exact-digest miss within ``delta_bound`` of the session's
-        anchor reuses the anchor's memoised trace simulation and fused
-        buffers while blend weights are recomputed per frame.  Pass
-        ``None`` to return to plain exact-keyed lookups.
-        """
-        self._runtime.session = session
-
-    def end_session(self, session: str) -> int:
-        """Drop the plan cache's per-session anchor state for one ended
-        stream; returns the number of anchors released."""
-        if self._runtime.session == session:
-            self._runtime.session = None
-        return self.plan_cache.end_session(session)
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "DefconEngine":

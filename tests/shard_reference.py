@@ -357,8 +357,7 @@ def tex2d_kernels(offset: np.ndarray, cfg: LayerConfig, spec: DeviceSpec,
                   tile: Tuple[int, int] = DEFAULT_TILE,
                   fp16_offsets: bool = False,
                   plan: Optional[SamplePlan] = None,
-                  plan_cache: Optional[PlanCache] = None,
-                  session: Optional[str] = None):
+                  plan_cache: Optional[PlanCache] = None):
     """The former ``run_tex2d``'s [sample, GEMM] KernelStats."""
     plan = plan or SamplePlan()
     ty, tx = tile
@@ -401,7 +400,7 @@ def tex2d_kernels(offset: np.ndarray, cfg: LayerConfig, spec: DeviceSpec,
         tex_stats, scale = plan_cache.tex_stats(
             off, cfg, spec, tile, fp16_offsets, plan, concurrent_layers,
             lambda: (positions()[0][0, 0], positions()[1][0, 0]),
-            session=session, digest=digest)
+            digest=digest)
     else:
         py, px = positions()
         y0, x0, cta, scale = texture_fetch_trace(py[0, 0], px[0, 0],

@@ -273,23 +273,23 @@ def test_concurrent_distinct_keys_still_build_each():
 
 
 def test_concurrent_mixed_lookups_with_evictions_stay_exact():
-    """8 threads drive plain and session (delta-keyed) ``run_tex2d``
-    calls plus ``run_shard`` calls over more offset tensors than the
-    cache holds, so entries — and the anchors on them — are evicted
-    mid-run.  Every output equals the one-shot (no cache) output, every
-    non-delta KernelStats equals the uncached run, every lookup counts
-    exactly one hit/miss/delta hit, and no in-flight guard is left."""
+    """8 threads drive ``run_tex2d`` calls on shared and on per-thread
+    perturbed offsets plus ``run_shard`` calls, over more offset tensors
+    than the cache holds, so entries are evicted mid-run.  Every output
+    and every whole-layer KernelStats equals the one-shot (no cache)
+    run, every lookup counts exactly one hit or miss, and no in-flight
+    guard is left."""
     cfg = LayerConfig(8, 8, 16, 16, deformable_groups=2)
     x, _, w, b = _inputs(cfg)
     offsets = [synth_offsets(cfg, sigma=2.0, seed=s) for s in range(6)]
     shards = [s for kind in ("rows", "channels")
               for s in enumerate_shards(cfg, kind, (1, 1))]
-    pc = PlanCache(max_entries=8, delta_bound=0.3)
+    pc = PlanCache(max_entries=8)
     issued = [0] * 8
     checks = []
 
     def frames(i):
-        # a thread owns its session, so the stream's frames stay ordered
+        # each thread's own sequence of slightly perturbed offsets
         g = rng(100 + i)
         base = offsets[i % len(offsets)]
         for f in range(4):
@@ -303,9 +303,8 @@ def test_concurrent_mixed_lookups_with_evictions_stay_exact():
             off = offsets[step % len(offsets)]
             res = run_tex2d(x, off, w, b, cfg, XAVIER, plan_cache=pc)
             checks.append(("plain", off, None, res))
-            res = run_tex2d(x, frame, w, b, cfg, XAVIER, plan_cache=pc,
-                            session=f"s{i}")
-            checks.append(("session", frame, None, res))
+            res = run_tex2d(x, frame, w, b, cfg, XAVIER, plan_cache=pc)
+            checks.append(("frame", frame, None, res))
             off = offsets[(i + step) % len(offsets)]
             shard = shards[(i + step) % len(shards)]
             res = run_shard(x, off, cfg, XAVIER, shard, plan_cache=pc)
@@ -314,8 +313,8 @@ def test_concurrent_mixed_lookups_with_evictions_stay_exact():
 
     _hammer(8, work)
     stats = pc.stats
-    assert stats.hits + stats.misses + stats.delta_hits == sum(issued)
-    assert stats.evictions > 0 and stats.delta_hits > 0
+    assert stats.hits + stats.misses == sum(issued)
+    assert stats.evictions > 0
     assert len(pc) <= pc.max_entries
     assert not pc._building, "in-flight build guard left behind"
     resident = sum(e.nbytes for e in pc._entries.values())
@@ -329,8 +328,7 @@ def test_concurrent_mixed_lookups_with_evictions_stay_exact():
             continue
         ref = run_tex2d(x, off, w, b, cfg, XAVIER)
         assert np.array_equal(res.output, ref.output), kind
-        if kind == "plain":
-            assert _stats_dicts(res) == _stats_dicts(ref)
+        assert _stats_dicts(res) == _stats_dicts(ref), kind
     pc.clear()
     assert _resident(pc) == 0 == sum(e.nbytes for e in pc._entries.values())
 

@@ -192,6 +192,15 @@ class TestDeterminism:
         identical seeds in two different processes."""
         assert _worker_stream_digest() == _in_worker(_worker_stream_digest)
 
+    def test_ci_demo_stream_pinned(self):
+        """The sessionless stream of the CI loadgen + autoscale demo,
+        pinned byte for byte: a grammar change must leave it alone."""
+        spec = parse_loadgen(
+            "n=200,duration=20,diurnal=0.4,burst=6-10x4,seed=3,"
+            "classes=small:3:16:4.0:0|large:1:32:12.0:1")
+        assert len(spec.events()) == 196
+        assert spec.stream_digest() == "2ef130086c59cdff8afbbe5245e9cdfe"
+
     def test_stream_digest_covers_event_content(self):
         events = CROSS.events()
         bumped = list(events)
@@ -227,6 +236,11 @@ class TestGrammar:
         spec = parse_loadgen("n=8,duration=4,classes=c:1:16:-:2")
         assert spec.classes[0].deadline_ms is None
         assert spec.classes[0].priority == 2
+
+    def test_unknown_trailing_fields_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown trailing fields .*"
+                           r"name:weight:size\[:deadline_ms\[:priority\]\]$"):
+            parse_loadgen("classes=vid:1:16:-:0:5")
 
     @pytest.mark.parametrize("bad", [
         "nope",                          # no key=value

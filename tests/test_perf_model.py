@@ -125,7 +125,8 @@ def test_plan_cache_distinguishes_offsets():
 def test_plan_cache_lru_eviction_stays_correct():
     cfg = GEOMETRIES[0]
     x, _, w = _inputs(cfg)
-    cache = PlanCache(max_entries=1)
+    registry = MetricsRegistry()
+    cache = PlanCache(max_entries=1, registry=registry)
     offs = [synth_offsets(cfg, seed=s) for s in range(3)]
     refs = [run_tex2d(x, off, w, None, cfg, XAVIER, compute_output=False)
             for off in offs]
@@ -139,6 +140,10 @@ def test_plan_cache_lru_eviction_stays_correct():
     assert len(cache) == 1
     assert cache.stats.trace_builds == 6   # evicted every time
     assert cache.stats.hits == 0
+    # every eviction lands on the registry the cache counts on
+    assert cache.stats.evictions == 5
+    assert registry.counter("plan_cache_evictions").value() == \
+        cache.stats.evictions
 
 
 def test_plan_cache_sampled_trace_fallback_bit_identical():
