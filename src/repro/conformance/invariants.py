@@ -81,7 +81,8 @@ def _integer_gather_cols(x: np.ndarray, iy: np.ndarray, ix: np.ndarray,
 def _gemm_like_backend(cols: np.ndarray, weight: np.ndarray,
                        bias: Optional[np.ndarray], cfg: LayerConfig
                        ) -> np.ndarray:
-    """The backends' exact GEMM+bias epilogue (same einsum, same order)."""
+    """The backends' exact GEMM+bias epilogue: the einsum whose matmul
+    their ``gemm_epilogue`` calls, so the same order."""
     n = cols.shape[0]
     w2 = weight.reshape(cfg.out_channels, -1)
     out = np.einsum("ok,nkl->nol", w2, cols, optimize=True)

@@ -28,9 +28,10 @@ One plan covers any (channel, pixel) slice of the column matrix.  A
 whole layer is the full slice: :meth:`FusedPlan.execute` runs
 gather → blend → GEMM as one preplanned pass — four ``np.take`` gathers
 blended in place into the call's column buffer and a single contraction
-through :func:`~repro.nn.im2col.gemm_epilogue` (the *same* ``"ok,nkl->nol"``
-einsum the eager reference spells out, so the contraction order — and
-therefore every output bit — is identical).  A fleet shard
+through :func:`~repro.nn.im2col.gemm_epilogue` (the matmul that the
+eager reference's ``"ok,nkl->nol"`` einsum ends in, on the same
+operands, so the contraction order — and therefore every output bit —
+is identical).  A fleet shard
 (:mod:`repro.kernels.shards`) is a row band or channel slice of the same
 design: :meth:`FusedPlan.gather` fills only its slice of the columns,
 bitwise equal to that slice of the whole layer's, for the coordinator to
@@ -127,15 +128,15 @@ class FusedPlan:
 
         Bit-identical to the eager reference: the gather/blend replays
         :meth:`LayeredTexture2D.fetch`'s corner accumulation order and
-        the contraction is the same einsum expression.
+        the contraction is the matmul the reference's einsum ends in.
         """
         if self.shard is not None:
             raise ValueError(f"shard plan {self.shard.label()} only "
                              f"gathers; stitch its columns instead")
         cfg = self.cfg
         cols = self.gather(x)
-        # a fresh C-ordered (N, O, L) work buffer: einsum's result
-        # strides, which later layers' bits follow, depend on it
+        # a fresh C-ordered (N, O, L) work buffer: the result strides,
+        # which later layers' bits follow, depend on it
         out = np.empty((self.n, cfg.out_channels, cfg.out_pixels),
                        dtype=np.float32)
         w2 = weight.reshape(cfg.out_channels, cfg.in_channels * cfg.taps)

@@ -8,11 +8,11 @@ per-group input channels, every worker covering the full output plane.
 
 The decomposition point is the im2col column matrix.  The texture
 backends lower a deformable layer as *gather/blend → columns → one
-einsum GEMM* (:func:`~repro.kernels.tex2d.run_tex2d`).  The gather and
+GEMM* (:func:`~repro.kernels.tex2d.run_tex2d`).  The gather and
 blend are purely elementwise, so a shard that computes a **slice of the
 column matrix** produces bits equal to the same slice of the full
 matrix; the coordinator stitches the slices back into one (N, C·K, L)
-buffer and runs the *same full-shape einsum* as the unsharded path.
+buffer and runs the *same full-shape GEMM* as the unsharded path.
 Bit-identical output for every split is therefore a property of the
 construction, not a tolerance — the conformance suite pins it.
 
@@ -267,8 +267,9 @@ def stitch_columns(results: Sequence[ShardResult], weight: np.ndarray,
 
     The coordinator-side half of a sharded layer, functionally: write
     every column slice into one (N, C·K, L) buffer and contract it with
-    the *same* full-shape einsum expression — and therefore the same
-    reduction order, and the same bits — as the unsharded forward.  The
+    the *same* full-shape :func:`~repro.nn.im2col.gemm_epilogue` — and
+    therefore the same reduction order, and the same bits — as the
+    unsharded forward.  The
     shards must be of one kind and their ranges must tile the layer —
     disjoint, with no gap — or this raises ``ValueError``.
 

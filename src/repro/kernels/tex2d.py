@@ -235,8 +235,9 @@ def eager_tex2d_forward(x: np.ndarray, offset: np.ndarray,
     Stages ``x`` into a :class:`~repro.gpusim.texture.LayeredTexture2D`
     (one layer per channel, batch folded into the layer index), fetches
     every tap through the border-addressed 1.8 fixed-point bilinear
-    filter, and contracts the columns with the same ``"ok,nkl->nol"``
-    einsum as :meth:`~repro.kernels.fused.FusedPlan.execute`.  The
+    filter, and contracts the columns with the ``"ok,nkl->nol"`` einsum
+    whose matmul :meth:`~repro.kernels.fused.FusedPlan.execute` calls
+    directly on the same operands.  The
     conformance check ``plancache.fused_bit_identical.*``,
     ``tests/test_fused.py`` and ``benchmarks/bench_perf_model.py``
     require :func:`run_tex2d` outputs to equal it bit for bit.

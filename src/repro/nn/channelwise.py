@@ -1,7 +1,7 @@
 """Per-channel elementwise ops walked in an activation's memory order.
 
-NumPy walks a (C,)-vector op on an NHWC-ordered activation (what einsum
-returns for a batched conv) in inner loops one pixel's C channels long.
+NumPy walks a (C,)-vector op on an NHWC-ordered activation (what a
+batched conv returns) in inner loops one pixel's C channels long.
 :func:`channel_ops` runs BatchNorm's affine steps and a conv's bias on
 whole (W, C) rows instead, in one buffer.
 """
@@ -11,14 +11,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
-
-
-def nhwc_dense(x: np.ndarray) -> bool:
-    """Whether (N, C, H, W) ``x`` lies exactly as a C-order (N, H, W, C)
-    array, size-1 dims included."""
-    n, c, h, w = x.shape
-    s = x.itemsize
-    return x.strides == (h * w * c * s, s, w * c * s, c * s)
 
 
 def channel_ops(x: np.ndarray, steps: Sequence[Tuple[np.ufunc, np.ndarray]],
@@ -37,7 +29,7 @@ def channel_ops(x: np.ndarray, steps: Sequence[Tuple[np.ufunc, np.ndarray]],
 
     The ops run on the (N·H, W·C) view only when C, H and W exceed 1
     and ``x`` is NHWC-dense: there NumPy's own result is NHWC-dense too.
-    At N = 1 that holds whatever the N stride (einsum's result at N = 1
+    At N = 1 that holds whatever the N stride (a conv's result at N = 1
     carries one of its own), as NumPy's contiguity flags have it.
     """
     n, c, h, w = x.shape

@@ -13,8 +13,8 @@ from typing import Optional
 import numpy as np
 
 from repro.tensor import Tensor, backward_op
-from repro.nn.im2col import (col2im, conv_output_size, gemm_columns,
-                              gemm_epilogue, im2col)
+from repro.nn.im2col import (col2im, contract, conv_output_size,
+                              gemm_columns, gemm_epilogue, im2col)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -45,7 +45,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         cols = im2col(x.data, kh, kw, stride, padding, dilation)
         cols_g = cols.reshape(n, groups, c_in_g * kh * kw, l)
         w_g = weight.data.reshape(groups, c_out // groups, c_in_g * kh * kw)
-        out = np.einsum("gok,ngkl->ngol", w_g, cols_g, optimize=True)
+        out = contract("gok,ngkl->ngol", w_g, cols_g)
         # via (N, O, L): the strides of size-1 dims can decide whether a
         # later matmul calls BLAS, so they are part of the result
         out = out.reshape(n, c_out, l).reshape(n, c_out, out_h, out_w)

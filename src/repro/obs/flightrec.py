@@ -79,6 +79,8 @@ DEFAULT_RULES: Tuple[MetricRule, ...] = (
     # deterministic simulation outputs — tight gates, they cannot jitter
     MetricRule("fleet_scheduler.*.makespan_ms", "lower",
                rel_tol=0.10, abs_floor=0.05),
+    MetricRule("fleet_scheduler.*.latency_p*_ms", "lower",
+               rel_tol=0.10, abs_floor=0.05),
     MetricRule("fleet_scheduler.*.throughput_rps", "higher",
                rel_tol=0.10, abs_floor=1.0),
     MetricRule("fleet_scheduler.*.completed", "higher",

@@ -65,11 +65,9 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if arr.dtype == np.float64:
-            arr = arr.astype(np.float32)
-        elif not np.issubdtype(arr.dtype, np.floating) and not np.issubdtype(
-            arr.dtype, np.integer
-        ) and arr.dtype != np.bool_:
+        # float64 becomes float32; other floats, integers (timedelta64
+        # among them) and bools keep their dtype; the rest become float32
+        if arr.dtype == np.float64 or arr.dtype.kind not in "fiumb":
             arr = arr.astype(np.float32)
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None

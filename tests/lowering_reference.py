@@ -2,9 +2,9 @@
 that ``repro.nn.im2col`` replaced, kept verbatim.
 
 ``im2col`` gathers with ``x[:, :, rows, cols]`` and reshapes; the
-forwards below contract its columns with the same einsum expressions the
-program spells through :func:`repro.nn.im2col.gemm_epilogue`.  The new
-lowering must match these bit for bit (``tests/test_lowering.py``).
+forwards below contract its columns with the einsum expressions whose
+matmul the program calls directly (:func:`repro.nn.im2col.contract`).
+The new lowering must match these bit for bit (``tests/test_lowering.py``).
 Everything here is independent of ``repro`` so the comparison is against
 separate code.
 """

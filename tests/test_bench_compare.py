@@ -1,6 +1,7 @@
 """Tests for the bench-regression flight recorder (repro.obs.flightrec)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +85,20 @@ def test_direction_lower_better_and_improvement():
     faster = _fleet({"routing": {"makespan_ms": 0.5}})
     assert compare(base, slower).rows[0].outcome == REGRESSED
     assert compare(base, faster).rows[0].outcome == IMPROVED
+
+
+def test_fleet_latency_percentiles_gated_against_the_baseline():
+    """The simulated p50/p99 of every routing policy and of the fault run
+    are in the committed baseline and gated like the makespan, not
+    reported as new or left to the loose wall-clock ``*_ms`` rule."""
+    baseline = collect_benches(Path(__file__).resolve().parents[1] / "results"
+                               / "baselines" / "BENCH_fleet_scheduler.json")
+    paths = [p for p in flatten_metrics(baseline["fleet_scheduler"])
+             if p.endswith(("latency_p50_ms", "latency_p99_ms"))]
+    assert len(paths) == 8
+    base = _fleet({"fault": {"latency_p99_ms": 1.54}})
+    slower = _fleet({"fault": {"latency_p99_ms": 1.75}})
+    assert compare(base, slower).rows[0].outcome == REGRESSED
 
 
 def test_abs_floor_suppresses_tiny_relative_deltas():

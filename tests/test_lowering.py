@@ -18,9 +18,11 @@ import repro.deform.deform_conv
 import repro.kernels.fused
 import repro.kernels.reference
 import repro.kernels.shards
+import repro.nn.im2col
 from repro.gpusim import XAVIER
 from repro.nn import functional as F
-from repro.nn.im2col import gemm_columns, im2col
+from repro.nn.im2col import (EINSUM_ENDS_IN_MATMUL, gemm_columns,
+                             gemm_epilogue, im2col)
 from repro.pipeline import DefconEngine
 from repro.tensor import Tensor
 
@@ -154,6 +156,65 @@ def test_pooling_bit_identical_to_reference(n, dtype):
             assert np.array_equal(got, expect), case
 
 
+def _columns(g, n, k, l, layout, dtype):
+    """(N, K, L) columns laid out as ``layout``: "C" (C order), "KLNC"
+    (im2col's 1x1 layout), "KLN1" (im2col's C == 1 layout), "rows" (the
+    transposed rows view of :func:`gemm_columns`) or "sliced" (a
+    reversed, gapped slice of a larger buffer).  A third of the entries
+    are signed zeros, whose sign a multiply keeps and einsum's copy does
+    not."""
+    memory = {"C": (n, k, l), "KLNC": (l, n, k), "KLN1": (k, l, n),
+              "rows": (n, l, k), "sliced": (n, 2 * k, l + 1)}[layout]
+    x = g.normal(size=memory)
+    x[g.uniform(size=memory) < 0.3] = -0.0
+    x = x.astype(dtype)
+    if layout == "sliced":
+        return x[:, ::-2, 1:]
+    return x.transpose({"C": (0, 1, 2), "KLNC": (1, 2, 0), "KLN1": (2, 0, 1),
+                        "rows": (0, 2, 1)}[layout])
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
+@pytest.mark.parametrize("n", (1, 2, 4))
+def test_gemm_epilogue_bit_identical_to_reference(n, dtype):
+    """The contraction calls matmul (a multiply where K == 1) on einsum's
+    own operands: bytes and strides match the einsum epilogue for every
+    size-1 case of O, K and L, every column layout, with and without a
+    bias and an ``out=`` work buffer."""
+    g = rng(300 + n)
+    for o, k, (l, out_hw), layout in itertools.product(
+            (1, 4, 16), (1, 5), ((1, (1, 1)), (6, (2, 3))),
+            ("C", "KLNC", "KLN1", "rows", "sliced")):
+        cols = _columns(g, n, k, l, layout, dtype)
+        w2 = _columns(g, 1, o, k, "C", dtype)[0]
+        for bias, use_out in itertools.product(
+                (None, g.normal(size=o).astype(dtype)), (False, True)):
+            bufs = [np.empty((n, o, l), dtype=dtype) if use_out else None
+                    for _ in range(2)]
+            expect = ref.gemm_epilogue(w2, cols, bias, out_hw, out=bufs[0])
+            got = gemm_epilogue(w2, cols, bias, out_hw, out=bufs[1])
+            case = (o, k, l, layout, bias is None, use_out)
+            assert got.dtype == expect.dtype, case
+            assert got.strides == expect.strides, case
+            assert got.tobytes() == expect.tobytes(), case
+            assert not np.shares_memory(got, cols), case
+            if use_out:
+                assert not np.shares_memory(got, bufs[1]), case
+
+
+def test_empty_batch_conv_matches_reference():
+    """A batch of no images contracts as einsum does, a zero-size dim
+    kept rather than dropped like a size-1 one: dense and depthwise."""
+    x = np.zeros((0, 3, 5, 5), dtype=np.float32)
+    for groups, o in ((1, 4), (3, 3)):
+        wt = rng(groups).normal(size=(o, 3 // groups, 3, 3)).astype(
+            np.float32)
+        expect = ref.conv2d(x, wt, None, padding=1, groups=groups)
+        got = F.conv2d(Tensor(x), Tensor(wt), padding=1, groups=groups).data
+        assert got.shape == expect.shape == (0, o, 5, 5), groups
+        assert got.strides == expect.strides, groups
+
+
 @pytest.mark.parametrize("k,padding", [(1, 0), (3, 1)])
 def test_batched_conv_gradients(k, padding):
     """N > 1 contracts a transposed view of the rows matrix; its
@@ -201,3 +262,57 @@ def test_whole_detect_bit_identical_to_reference_lowering(
         assert a.score == b.score
         assert np.array_equal(a.box, b.box)
         assert np.array_equal(a.mask, b.mask)
+
+
+@pytest.mark.skipif(not EINSUM_ENDS_IN_MATMUL,
+                    reason="this NumPy's einsum has no matmul plan to take")
+@pytest.mark.parametrize("batch", (1, 4))
+def test_forward_calls_no_einsum(detect_model, batch, monkeypatch):
+    """Every conv GEMM, dense, grouped or deformable, calls matmul
+    itself: no einsum (its path search per call, its copy of batch-1
+    columns) is left in the forward."""
+    images = rng(batch).uniform(0, 1, size=(batch, 3, 64, 64)).astype(
+        np.float32)
+    engine = DefconEngine(detect_model, XAVIER, backend="tex2dpp")
+    calls = []
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    assert engine.detect(images, score_threshold=0.05)
+    assert calls == []
+
+
+def test_contract_is_einsum_where_einsum_ends_elsewhere(monkeypatch):
+    """With a NumPy whose einsum does not end in ``bmm_einsum``, every conv
+    GEMM calls einsum itself, dense and grouped, with and without
+    ``out=``, and keeps the reference's bits and strides."""
+    monkeypatch.setattr(repro.nn.im2col, "EINSUM_ENDS_IN_MATMUL", False)
+    g = rng(400)
+    cols = _columns(g, 2, 5, 6, "rows", np.float32)
+    w2 = _columns(g, 1, 4, 5, "C", np.float32)[0]
+    x = g.normal(size=(2, 4, 5, 5)).astype(np.float32)
+    wt = g.normal(size=(4, 2, 3, 3)).astype(np.float32)
+    expect = [ref.gemm_epilogue(w2, cols, None, (2, 3)),
+              ref.gemm_epilogue(w2, cols, None, (2, 3),
+                                out=np.empty((2, 4, 6), np.float32)),
+              ref.conv2d(x, wt, padding=1, groups=2)]
+    calls = []
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    got = [gemm_epilogue(w2, cols, None, (2, 3)),
+           gemm_epilogue(w2, cols, None, (2, 3),
+                         out=np.empty((2, 4, 6), np.float32)),
+           F.conv2d(Tensor(x), Tensor(wt), padding=1, groups=2).data]
+    assert calls == ["ok,nkl->nol", "ok,nkl->nol", "gok,ngkl->ngol"]
+    for a, b in zip(got, expect):
+        assert a.strides == b.strides
+        assert a.tobytes() == b.tobytes()

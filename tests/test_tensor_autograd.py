@@ -109,6 +109,38 @@ class TestConstruction:
         t = Tensor(np.array([1, 2, 3]))
         assert np.issubdtype(t.dtype, np.integer)
 
+    @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+    @pytest.mark.parametrize("data,dtype", [
+        (np.array([True]), np.bool_),
+        *[(np.array([1], t), t) for t in (np.int8, np.int16, np.int32,
+                                          np.int64, np.uint8, np.uint16,
+                                          np.uint32, np.uint64)],
+        (np.array([1], np.float16), np.float16),
+        (np.array([1], np.float32), np.float32),
+        (np.array([1], np.float64), np.float32),
+        (np.array([1], ">f8"), np.dtype(">f8")),
+        (np.float64(1.5), np.float32),
+        (np.array([1], np.longdouble), np.longdouble),
+        (np.array([1 + 2j], np.complex64), np.float32),
+        (np.array([1 + 2j], np.complex128), np.float32),
+        (np.array([1], "m8[s]"), np.dtype("m8[s]")),
+        (np.array(["2020-01-01"], "M8[D]"), np.float32),
+        (np.array([1.5, 2], dtype=object), np.float32),
+        (np.array(["1.5"]), np.float32),
+        (np.array([b"1.5"]), np.float32),
+        (True, np.bool_),
+        (3, np.int_),
+        (2.5, np.float32),
+        (1 + 1j, np.float32),
+        ([1, 2], np.int_),
+        ([1.0, 2], np.float32),
+    ], ids=repr)
+    def test_stored_dtype(self, data, dtype):
+        """Floats other than float64, integers (timedelta64 counts as one)
+        and bools keep their dtype; float64 and everything else become
+        float32."""
+        assert Tensor(data).dtype == np.dtype(dtype)
+
     def test_repr_and_basic_props(self):
         t = Tensor(np.zeros((2, 3)), requires_grad=True)
         assert "requires_grad" in repr(t)
