@@ -7,10 +7,10 @@ docs/performance.md:
   geometry / tile (the serving loop) through a
   :class:`~repro.kernels.plancache.PlanCache` must be ≥2× faster than the
   uncached path, with bit-identical kernel stats;
-* **tuner sweep**: an exhaustive tile search on the re-tiled fast path
-  (one trace + K cheap regroupings, fanned over a process pool) must be
-  ≥3× faster than the legacy per-candidate full simulation, and land on
-  the same best tile;
+* **tuner sweep**: the tuner's exhaustive ``grid`` search on the
+  re-tiled fast path (one trace + K cheap regroupings through the
+  search's plan cache) must be ≥3× faster than the legacy per-candidate
+  full simulation, with the same latency for every tile;
 * **fused serving**: the full functional forward (``compute_output=True``)
   through a compiled :class:`~repro.kernels.fused.FusedPlan` must be ≥2×
   faster than the eager reference
@@ -45,8 +45,7 @@ from repro.pipeline import format_table
 from common import run_once, write_bench_json, write_result
 
 LAYER = LayerConfig(128, 128, 69, 69)     # a paper Table II geometry
-#: the sweep tunes a small model's worth of distinct layer geometries, so
-#: the persistent worker pool's spawn cost is amortised as in real use
+#: the sweep tunes a small model's worth of distinct layer geometries
 SWEEP_LAYERS = (LayerConfig(128, 128, 69, 69),
                 LayerConfig(256, 256, 35, 35),
                 LayerConfig(64, 64, 138, 138))
@@ -148,37 +147,28 @@ def _uncached_grid(cfg):
 
 def _tuner_sweep(layers):
     """Exhaustive tile search over a model's layer geometries: legacy
-    full-sim grid vs the re-tiled sweep (serial, and fanned over a
-    2-worker persistent process pool)."""
-    def timed(make_tuner, method):
-        tuner = make_tuner()
-        t0 = time.perf_counter()
-        results = [tuner.tune(cfg, method) for cfg in layers]
-        elapsed = time.perf_counter() - t0
-        tuner.close()
-        return elapsed, results
-
+    full-sim grid vs the tuner's re-tiled grid search."""
     t0 = time.perf_counter()
     legacy = [_uncached_grid(cfg) for cfg in layers]
     legacy_s = time.perf_counter() - t0
-    serial_s, serial = timed(lambda: TileTuner(XAVIER, seed=0), "sweep")
-    fast_s, fast = timed(lambda: TileTuner(XAVIER, seed=0, workers=2),
-                         "sweep")
+    tuner = TileTuner(XAVIER, seed=0)
+    t0 = time.perf_counter()
+    fast = [tuner.tune(cfg, "grid") for cfg in layers]
+    fast_s = time.perf_counter() - t0
     tiles = 0
-    for ref, ser, par in zip(legacy, serial, fast):
-        assert par.best_point == ref.best_point, "fast sweep changed winner"
-        assert dict(par.history) == dict(ref.history) == \
-            dict(ser.history), "re-tiled sweep drifted from full simulation"
+    for ref, res in zip(legacy, fast):
+        assert res.best_point == ref.best_point, "fast sweep changed winner"
+        assert dict(res.history) == dict(ref.history), \
+            "re-tiled sweep drifted from full simulation"
         tiles += len(ref.history)
-    return legacy_s, serial_s, fast_s, tiles
+    return legacy_s, fast_s, tiles
 
 
 def regenerate():
     uncached_s, cached_s = _steady_state(LAYER)
     eager_s, fused_s, fused_x = _fused_serving(LAYER)
-    legacy_s, serial_s, fast_s, tiles = _tuner_sweep(SWEEP_LAYERS)
+    legacy_s, fast_s, tiles = _tuner_sweep(SWEEP_LAYERS)
     steady_x = uncached_s / cached_s
-    serial_x = legacy_s / serial_s
     sweep_x = legacy_s / fast_s
     rows = [
         ["steady-state run_tex2d × %d" % STEADY_ITERS,
@@ -187,12 +177,7 @@ def regenerate():
         ["fused serving forward (median of %d pairs)" % FUSED_PAIRS,
          f"{eager_s * 1e3:.1f}", f"{fused_s * 1e3:.1f}",
          f"{fused_x:.1f}x"],
-        ["%d-layer tile sweep, serial (%d tiles)" % (len(SWEEP_LAYERS),
-                                                     tiles),
-         f"{legacy_s * 1e3:.1f}", f"{serial_s * 1e3:.1f}",
-         f"{serial_x:.1f}x"],
-        ["%d-layer tile sweep, 2 workers (%d tiles)" % (len(SWEEP_LAYERS),
-                                                        tiles),
+        ["%d-layer tile sweep (%d tiles)" % (len(SWEEP_LAYERS), tiles),
          f"{legacy_s * 1e3:.1f}", f"{fast_s * 1e3:.1f}",
          f"{sweep_x:.1f}x"],
     ]
@@ -200,8 +185,8 @@ def regenerate():
         ["hot path", "baseline ms", "optimised ms", "speedup"],
         rows,
         title=f"Perf-model hot paths — {LAYER.label()} on {XAVIER.name}; "
-              "plan cache + fused execution + one-pass re-tiling + "
-              "process-parallel sweep (outputs & stats bit-identical)")
+              "plan cache + fused execution + one-pass re-tiling "
+              "(outputs & stats bit-identical)")
     write_result("perf_model", text)
     write_bench_json(
         "perf_model",
@@ -217,19 +202,14 @@ def regenerate():
                            "speedup": fused_x},
          "tuner_sweep": {"tiles": tiles,
                          "legacy_ms": legacy_s * 1e3,
-                         "serial_ms": serial_s * 1e3,
-                         "serial_speedup": serial_x,
                          "fast_ms": fast_s * 1e3,
                          "speedup": sweep_x}},
         device=XAVIER.name)
-    return steady_x, fused_x, serial_x, sweep_x
+    return steady_x, fused_x, sweep_x
 
 
 def test_perf_model_hot_paths(benchmark):
-    steady_x, fused_x, serial_x, sweep_x = run_once(benchmark, regenerate)
+    steady_x, fused_x, sweep_x = run_once(benchmark, regenerate)
     assert steady_x >= 2.0, f"plan cache speedup {steady_x:.2f}x < 2x"
     assert fused_x >= 2.0, f"fused serving speedup {fused_x:.2f}x < 2x"
-    # the re-tiled sweep must clear 3x both serially and with the pool
-    # (at this geometry the pool's spawn cost eats part of the win)
-    assert serial_x >= 3.0, f"re-tiled sweep speedup {serial_x:.2f}x < 3x"
-    assert sweep_x >= 3.0, f"parallel sweep speedup {sweep_x:.2f}x < 3x"
+    assert sweep_x >= 3.0, f"re-tiled sweep speedup {sweep_x:.2f}x < 3x"

@@ -39,6 +39,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.autotune.tuner import METHODS
 from repro.gpusim.device import DEVICES, get_device
 from repro.kernels.config import TABLE2_LAYERS, LayerConfig
 from repro.pipeline.reporting import format_table
@@ -147,9 +148,9 @@ def cmd_tune(args) -> int:
     spec = get_device(args.device)
     cfg = _layer_from_arg(args.layer)
     store = TileStore(args.store) if args.store else None
-    with TileTuner(spec, backend=args.backend, budget=args.budget,
-                   store=store, workers=args.workers) as tuner:
-        result = tuner.tune(cfg, args.method)
+    tuner = TileTuner(spec, backend=args.backend, budget=args.budget,
+                      store=store)
+    result = tuner.tune(cfg, args.method)
     warm = " (from tile store)" if tuner.objective_evaluations == 0 else ""
     print(f"best tile for {cfg.label()} on {spec.name} [{args.backend}]: "
           f"{result.best_point} @ {result.best_value:.4f} ms "
@@ -858,11 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default="tex2d",
                    choices=["tex2d", "tex2dpp"])
     p.add_argument("--budget", type=int, default=14)
-    p.add_argument("--method", default="bayes",
-                   choices=["bayes", "random", "grid", "sweep"])
-    p.add_argument("--workers", type=int, default=0,
-                   help="process-pool workers for --method sweep "
-                        "(0/1 = serial; results are identical)")
+    p.add_argument("--method", default="bayes", choices=METHODS)
     p.add_argument("--store", default=None,
                    help="persist/reuse results in this tile-store JSON")
 

@@ -155,11 +155,11 @@ class EngineCostModel:
 
         * ``None`` — the whole model, sampling + GEMM (the original ECT
           predictor);
-        * ``("rows"|"channels", num, den)`` — the ``num/den`` fraction of
-          every site's sampling *and* GEMM (a shard worker computes its
-          band's gather/blend plus its own slice of the contraction);
         * ``("stage", lo, hi)`` — sites ``[lo, hi)`` whole (one pipeline
           stage).
+
+        Row and channel splits are priced exactly per worker by
+        :meth:`shard_site_ms`.
         """
         if shard is not None:
             shard = tuple(shard)
@@ -170,9 +170,6 @@ class EngineCostModel:
         splits = self.site_split_ms(shape, batch)
         if shard is None:
             ms = sum(s + g for s, g in splits)
-        elif shard[0] in ("rows", "channels"):
-            _, num, den = shard
-            ms = sum(s + g for s, g in splits) * (num / float(den))
         elif shard[0] == "stage":
             _, lo, hi = shard
             ms = sum(s + g for s, g in splits[int(lo):int(hi)])

@@ -152,9 +152,9 @@ def default_interconnect(specs: Sequence[DeviceSpec]) -> Interconnect:
 class ShardAssignment:
     """One participant's role in a plan.
 
-    ``fraction`` is the rational share descriptor the cost model was
-    priced with: ``(num, den)`` of the band for rows/channels plans, the
-    ``(lo, hi)`` site range for pipeline stages.
+    ``fraction`` is the participant's share: ``(num, den)`` of the band
+    for rows/channels plans, which sizes its transfers, or the
+    ``(lo, hi)`` site range the cost model prices for a pipeline stage.
     """
 
     worker: str

@@ -15,8 +15,8 @@ from repro.kernels.tex2d import DEFAULT_TILE, run_tex2d, run_tex2dpp
 BACKENDS = ("pytorch", "tex2d", "tex2dpp")
 
 
-def run_deform_op(backend: str, x: np.ndarray, offset: np.ndarray,
-                  weight: np.ndarray, bias: Optional[np.ndarray],
+def run_deform_op(backend: str, x: Optional[np.ndarray], offset: np.ndarray,
+                  weight: Optional[np.ndarray], bias: Optional[np.ndarray],
                   cfg: LayerConfig, spec: DeviceSpec,
                   tile: Tuple[int, int] = DEFAULT_TILE,
                   plan: Optional[SamplePlan] = None,
@@ -24,6 +24,9 @@ def run_deform_op(backend: str, x: np.ndarray, offset: np.ndarray,
                   layer: str = "",
                   plan_cache=None) -> OpResult:
     """Run one deformable conv through the selected backend.
+
+    ``x``, ``weight`` and ``bias`` are read only when ``compute_output``
+    is true: a pricing call may pass None for them.
 
     ``layer`` attributes the launched kernels to a model layer (a dotted
     module name): every :class:`~repro.gpusim.profiler.KernelStats` in the

@@ -18,8 +18,8 @@ once per call when no plan cache is supplied:
   :func:`~repro.gpusim.texture.linear_filter_taps` helper the eager
   fetch uses, so the numerics cannot drift.
 
-A plan holds those tables and nothing else: the corner buffer, the
-im2col columns and the GEMM work buffer are allocated per call, like
+A plan holds those tables and nothing else: the corner buffer and the
+im2col columns are allocated per call, like
 :func:`~repro.nn.im2col.im2col`'s rows, so a cached plan keeps only
 what a later call reads, and the columns a call returns are its
 caller's.
@@ -134,14 +134,12 @@ class FusedPlan:
             raise ValueError(f"shard plan {self.shard.label()} only "
                              f"gathers; stitch its columns instead")
         cfg = self.cfg
-        cols = self.gather(x)
-        # a fresh C-ordered (N, O, L) work buffer: the result strides,
-        # which later layers' bits follow, depend on it
-        out = np.empty((self.n, cfg.out_channels, cfg.out_pixels),
-                       dtype=np.float32)
         w2 = weight.reshape(cfg.out_channels, cfg.in_channels * cfg.taps)
-        return gemm_epilogue(w2, cols, bias,
-                             (cfg.out_height, cfg.out_width), out=out)
+        res = gemm_epilogue(w2, self.gather(x), bias,
+                            (cfg.out_height, cfg.out_width))
+        # later layers' bits follow the result's strides: one copy puts it
+        # in C order, whatever the product's layout
+        return res.copy(order="C")
 
     def _texels(self, x: np.ndarray) -> np.ndarray:
         if x.shape != self.cfg.input_shape():

@@ -34,11 +34,16 @@ SOFTWARE_INTERP_FLOPS = 7
 COORD_FLOPS = 2
 
 
-def run_reference(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
-                  bias: Optional[np.ndarray], cfg: LayerConfig,
-                  spec: DeviceSpec, plan: Optional[SamplePlan] = None,
+def run_reference(x: Optional[np.ndarray], offset: np.ndarray,
+                  weight: Optional[np.ndarray], bias: Optional[np.ndarray],
+                  cfg: LayerConfig, spec: DeviceSpec,
+                  plan: Optional[SamplePlan] = None,
                   compute_output: bool = True) -> OpResult:
-    """Execute the baseline deformable conv; returns output + kernel stats."""
+    """Execute the baseline deformable conv; returns output + kernel stats.
+
+    ``x``, ``weight`` and ``bias`` are read only when ``compute_output``
+    is true; the kernel stats depend on the offsets and geometry alone.
+    """
     plan = plan or SamplePlan()
     n, c, k, l = cfg.batch, cfg.in_channels, cfg.taps, cfg.out_pixels
     cpg = c // cfg.deformable_groups
@@ -140,3 +145,10 @@ def gemm_kernel_stats(m: int, n: int, k: int, spec: DeviceSpec,
         dram_read_bytes=gemm.dram_bytes,
         dram_write_bytes=write_bytes,
     )
+
+
+def conv_ms(cfg: LayerConfig, spec: DeviceSpec) -> float:
+    """Latency of a regular convolution of this shape: the im2col GEMM of
+    (O, C·K) filters by (C·K, N·L) columns."""
+    return gemm_kernel_stats(cfg.out_channels, cfg.batch * cfg.out_pixels,
+                             cfg.in_channels * cfg.taps, spec).duration_ms

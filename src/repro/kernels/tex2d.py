@@ -44,8 +44,9 @@ from repro.kernels.reference import COORD_FLOPS, gemm_kernel_stats
 DEFAULT_TILE = (16, 16)
 
 
-def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
-              bias: Optional[np.ndarray], cfg: LayerConfig, spec: DeviceSpec,
+def run_tex2d(x: Optional[np.ndarray], offset: np.ndarray,
+              weight: Optional[np.ndarray], bias: Optional[np.ndarray],
+              cfg: LayerConfig, spec: DeviceSpec,
               tile: Tuple[int, int] = DEFAULT_TILE, fp16_offsets: bool = False,
               plan: Optional[SamplePlan] = None,
               compute_output: bool = True,
@@ -62,7 +63,8 @@ def run_tex2d(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
     offsets, geometry and tile; without one, a one-shot plan is compiled
     and the trace simulated for this call — the uncached reference.
     Outputs and kernel stats are bit-identical either way, and the
-    outputs bit-identical to :func:`eager_tex2d_forward`.
+    outputs bit-identical to :func:`eager_tex2d_forward`.  ``x``,
+    ``weight`` and ``bias`` are read only when ``compute_output`` is true.
     """
     plan = plan or SamplePlan()
     off, positions = launch_inputs(offset, cfg, spec, tile, fp16_offsets)
@@ -213,9 +215,10 @@ def sample_kernel_stats(cfg: LayerConfig, spec: DeviceSpec,
     )
 
 
-def run_tex2dpp(x: np.ndarray, offset: np.ndarray, weight: np.ndarray,
-                bias: Optional[np.ndarray], cfg: LayerConfig,
-                spec: DeviceSpec, tile: Tuple[int, int] = DEFAULT_TILE,
+def run_tex2dpp(x: Optional[np.ndarray], offset: np.ndarray,
+                weight: Optional[np.ndarray], bias: Optional[np.ndarray],
+                cfg: LayerConfig, spec: DeviceSpec,
+                tile: Tuple[int, int] = DEFAULT_TILE,
                 plan: Optional[SamplePlan] = None,
                 compute_output: bool = True,
                 plan_cache: Optional["PlanCache"] = None) -> OpResult:

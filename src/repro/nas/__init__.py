@@ -11,7 +11,7 @@
 from repro.nas.gumbel import anneal_tau, gumbel_softmax, sample_noise
 from repro.nas.dual_path import DEFORM, REGULAR, DualPathLayer
 from repro.nas.latency_table import (LatencyTable, LayerLatency,
-                                     conv_latency_ms, deform_latency_ms)
+                                     deform_latency_ms)
 from repro.nas.penalty import (estimated_deform_latency, latency_penalty,
                                latency_penalty_gradient)
 from repro.nas.search import (IntervalSearch, SearchConfig, SearchResult,
@@ -20,7 +20,7 @@ from repro.nas.search import (IntervalSearch, SearchConfig, SearchResult,
 __all__ = [
     "gumbel_softmax", "anneal_tau", "sample_noise",
     "DualPathLayer", "REGULAR", "DEFORM",
-    "LatencyTable", "LayerLatency", "conv_latency_ms", "deform_latency_ms",
+    "LatencyTable", "LayerLatency", "deform_latency_ms",
     "latency_penalty", "latency_penalty_gradient",
     "estimated_deform_latency",
     "IntervalSearch", "SearchConfig", "SearchResult",

@@ -16,9 +16,9 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.kernel import LaunchConfig, estimate_time_ms, gemm_cost
 from repro.kernels.config import LayerConfig, synth_offsets
 from repro.kernels.dispatch import run_deform_op
+from repro.kernels.reference import conv_ms
 
 
 @dataclass(frozen=True)
@@ -32,15 +32,6 @@ class LayerLatency:
     def extra_ms(self) -> float:
         """Marginal cost of choosing the deformable operator."""
         return max(0.0, self.deform_ms - self.regular_ms)
-
-
-def conv_latency_ms(cfg: LayerConfig, spec: DeviceSpec) -> float:
-    """Latency of the regular 3×3 conv (im2col GEMM) for this shape."""
-    l = cfg.out_pixels * cfg.batch
-    gemm = gemm_cost(cfg.out_channels, l, cfg.in_channels * cfg.taps)
-    launch = LaunchConfig(
-        grid=max(1, -(-(cfg.out_channels * l) // (128 * 64))), block=256)
-    return estimate_time_ms(gemm, launch, spec)
 
 
 def deform_latency_ms(cfg: LayerConfig, spec: DeviceSpec,
@@ -64,11 +55,8 @@ def deform_latency_split_ms(cfg: LayerConfig, spec: DeviceSpec,
     stitch), so only the first component scales with a shard's fraction.
     The sum is exactly :func:`deform_latency_ms`.
     """
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=cfg.input_shape()).astype(np.float32)
-    w = rng.normal(size=cfg.weight_shape()).astype(np.float32)
     off = synth_offsets(cfg, bound=bound, seed=seed)
-    res = run_deform_op(backend, x, off, w, None, cfg, spec,
+    res = run_deform_op(backend, None, off, None, None, cfg, spec,
                         compute_output=False)
     gemm_ms = sum(k.duration_ms for k in res.kernels
                   if k.name == "implicit_gemm")
@@ -118,7 +106,7 @@ class LatencyTable:
     def lookup(self, cfg: LayerConfig) -> LayerLatency:
         if cfg not in self._table:
             self._table[cfg] = LayerLatency(
-                regular_ms=conv_latency_ms(cfg, self.spec),
+                regular_ms=conv_ms(cfg, self.spec),
                 deform_ms=deform_latency_ms(cfg, self.spec,
                                             backend=self.backend,
                                             seed=self.seed),

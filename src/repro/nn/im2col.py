@@ -230,10 +230,9 @@ def _prepare(x: np.ndarray, sel, perm, drops: bool, shape,
     return x if shape is None else x.reshape(shape)
 
 
-def contract(subscripts: str, w: np.ndarray, cols: np.ndarray,
-             out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``np.einsum(subscripts, w, cols, optimize=True, out=out)`` without
-    einsum, bit for bit and stride for stride.
+def contract(subscripts: str, w: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, w, cols, optimize=True)`` without einsum,
+    bit for bit and stride for stride.
 
     NumPy's einsum ends this contraction in one ``np.matmul`` (a GEMM, or
     a GEMV where a dimension is 1) or, with nothing left to contract, one
@@ -248,41 +247,33 @@ def contract(subscripts: str, w: np.ndarray, cols: np.ndarray,
     Without :data:`EINSUM_ENDS_IN_MATMUL` this calls ``np.einsum``.
     """
     if not EINSUM_ENDS_IN_MATMUL:
-        return np.einsum(subscripts, w, cols, optimize=True, out=out)
+        return np.einsum(subscripts, w, cols, optimize=True)
     a_plan, b_plan, ab_shape, perm = _contraction_plan(
         subscripts, w.shape, cols.shape)
     multiply = ab_shape is None
     a = _prepare(cols, *a_plan, multiply)
     b = _prepare(w, *b_plan, multiply)
     if multiply:
-        return np.multiply(a, b, out=out)
-    res = np.matmul(a, b).reshape(ab_shape).transpose(perm)
-    if out is None:
-        return res
-    out[...] = res
-    return out
+        return np.multiply(a, b)
+    return np.matmul(a, b).reshape(ab_shape).transpose(perm)
 
 
 def gemm_epilogue(w2: np.ndarray, cols: np.ndarray, bias: Optional[np.ndarray],
-                  out_hw: Tuple[int, int],
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
+                  out_hw: Tuple[int, int]) -> np.ndarray:
     """Contract (O, K) weights with (N, K, L) columns, reshape, add bias.
 
     Returns a fresh (N, O, out_h, out_w) array in the memory order
     ``np.einsum("ok,nkl->nol")``'s result has (often not C order); later
-    layers' reductions depend on it.  ``out`` is an optional
-    preallocated (N, O, L) buffer for the contraction; it is a work
-    buffer and is never returned.
+    layers' reductions depend on it.
     """
     n, o = cols.shape[0], w2.shape[0]
-    res = contract("ok,nkl->nol", w2, cols, out=out)
-    res = res.reshape(n, o, *out_hw)
+    res = contract("ok,nkl->nol", w2, cols).reshape(n, o, *out_hw)
     if bias is not None:
-        # in place only on the contraction's own result, and only without
-        # size-1 dims, whose strides a fresh ``res + bias`` would choose anew
+        # in place only without size-1 dims, whose strides a fresh
+        # ``res + bias`` would choose anew
         return channel_ops(res, ((np.add, bias),),
-                           in_place=out is None and min(res.shape) > 1)
-    return res if out is None else res.copy()
+                           in_place=min(res.shape) > 1)
+    return res
 
 
 def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kh: int, kw: int,

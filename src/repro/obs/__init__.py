@@ -24,7 +24,7 @@ Three pillars (docs/observability.md):
   Prometheus-style text exposition.
 * :mod:`repro.obs.flightrec` — the bench-regression flight recorder:
   noise-aware comparison of ``results/BENCH_*.json`` snapshots
-  (``repro bench compare`` / ``tools/bench_compare.py``).
+  (``repro bench compare``).
 """
 
 from repro.obs.flightrec import (FlightReport, MetricRule, compare,

@@ -27,8 +27,7 @@ simulated makespans/throughputs and speedup *ratios* — and treat raw
 millisecond samples with wide thresholds.  Untracked metrics are
 reported informationally but never gate.
 
-Entry points: ``repro bench compare`` (CLI) and
-``tools/bench_compare.py`` (standalone script, what CI runs).
+Entry point: ``repro bench compare`` (the CLI, what CI runs).
 """
 
 from __future__ import annotations
@@ -354,7 +353,7 @@ def _meta(payload: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
-# CLI driver (shared by `repro bench compare` and tools/bench_compare.py)
+# CLI driver (`repro bench compare`)
 # ----------------------------------------------------------------------
 def run_compare(baseline_path: str, current_path: str, *,
                 json_out: Optional[str] = None,

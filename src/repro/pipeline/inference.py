@@ -35,13 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.autotune.tuner import TileTuner
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import LaunchConfig, estimate_time_ms, gemm_cost
 from repro.kernels.config import LayerConfig, synth_offsets
 from repro.kernels.dispatch import run_deform_op
+from repro.kernels.reference import conv_ms
 from repro.kernels.tex2d import DEFAULT_TILE
 from repro.pipeline.geometry import NetworkGeometry
 
@@ -64,16 +63,6 @@ class LatencyBreakdown:
     def total_ms(self) -> float:
         return (self.fixed_ms + self.regular_site_ms + self.offset_head_ms
                 + self.deform_op_ms)
-
-
-def conv_ms(cfg: LayerConfig, spec: DeviceSpec) -> float:
-    """Latency of a regular convolution of this shape (im2col GEMM)."""
-    l = cfg.out_pixels * cfg.batch
-    gemm = gemm_cost(cfg.out_channels, l,
-                     cfg.in_channels * cfg.kernel_size ** 2)
-    launch = LaunchConfig(
-        grid=max(1, -(-(cfg.out_channels * l) // (128 * 64))), block=256)
-    return estimate_time_ms(gemm, launch, spec)
 
 
 def offset_head_ms(site: LayerConfig, spec: DeviceSpec,
@@ -109,12 +98,9 @@ def deform_op_ms(site: LayerConfig, spec: DeviceSpec, backend: str,
     identically for every backend); the filter GEMM rides the optimised
     engine (÷ ENGINE_SPEEDUP).
     """
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=site.input_shape()).astype(np.float32)
-    w = rng.normal(size=site.weight_shape()).astype(np.float32)
     off = synth_offsets(site, sigma=2.0, bound=bound, seed=seed)
-    res = run_deform_op(backend, x, off, w, None, site, spec, tile=tile,
-                        compute_output=False)
+    res = run_deform_op(backend, None, off, None, None, site, spec,
+                        tile=tile, compute_output=False)
     sample, gemm = res.kernels[0], res.kernels[1]
     return (sample.duration_ms * DCN_SAMPLE_SCALE
             + gemm.duration_ms / ENGINE_SPEEDUP)
@@ -135,11 +121,8 @@ def profile_network(geometry: NetworkGeometry, placement: Sequence[bool],
     for cfg, use_dcn in zip(geometry.candidate_sites, placement):
         if not use_dcn:
             continue
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=cfg.input_shape()).astype(np.float32)
-        w = rng.normal(size=cfg.weight_shape()).astype(np.float32)
         off = synth_offsets(cfg, sigma=2.0, bound=bound, seed=seed)
-        res = run_deform_op(backend, x, off, w, None, cfg, spec,
+        res = run_deform_op(backend, None, off, None, None, cfg, spec,
                             compute_output=False)
         for k in res.kernels:
             log.add(k)

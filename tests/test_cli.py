@@ -48,6 +48,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "best tile" in out
 
+    def test_tune_sweep_and_workers_removed(self, capsys):
+        for argv in (["--method", "sweep"], ["--workers", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["tune", "--layer", "16,16,24,24"] + argv)
+            assert exc.value.code == 2
+            assert argv[0] in capsys.readouterr().err
+
     def test_latency_table_save(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         assert main(["latency-table", "--arch", "r50s",

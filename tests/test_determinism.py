@@ -162,16 +162,3 @@ class TestPlanCacheDeterminism:
         for out, latency in zip(outputs[1:], latencies[1:]):
             assert np.array_equal(outputs[0], out)
             assert latencies[0] == latency
-
-    def test_sweep_parallel_vs_serial_same_tile(self):
-        """`sweep --workers N` must pick the same tile (and the same
-        full latency history) as the serial sweep."""
-        from repro.autotune.tuner import TileTuner
-
-        cfg = LayerConfig(8, 8, 14, 14)
-        with TileTuner(XAVIER, backend="tex2d", workers=2) as parallel:
-            par = parallel.sweep(cfg)
-        serial = TileTuner(XAVIER, backend="tex2d", workers=0).sweep(cfg)
-        assert par.best_point == serial.best_point
-        assert par.best_value == serial.best_value
-        assert par.history == serial.history

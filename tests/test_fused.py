@@ -92,6 +92,32 @@ def test_fused_bias_free_and_fresh_output():
         assert np.array_equal(first, snapshot)
 
 
+@pytest.mark.parametrize("batch", [1, 4])
+def test_fused_output_is_c_ordered(batch):
+    """The output is C-ordered with and without a bias, whatever layout
+    the contraction's product has: later layers' bits follow its
+    strides."""
+    cfg = LayerConfig(8, 6, 12, 12, batch=batch)
+    x, off, w, b = _inputs(cfg)
+    for bias in (None, b):
+        out = run_tex2d(x, off, w, bias, cfg, XAVIER).output
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert out.strides == np.empty(out.shape, np.float32).strides
+
+
+def test_fused_keeps_a_float64_filter_in_float64():
+    """A float64 filter contracts in float64, as the eager einsum does:
+    no float32 buffer rounds the product."""
+    cfg = LayerConfig(8, 6, 12, 12, batch=2)
+    x, off, w, b = _inputs(cfg)
+    w64 = w.astype(np.float64)
+    for bias in (None, b, b.astype(np.float64)):
+        got = run_tex2d(x, off, w64, bias, cfg, XAVIER).output
+        want = eager_tex2d_forward(x, off, w64, bias, cfg, XAVIER)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want)
+
+
 # ----------------------------------------------------------------------
 # plan-cache mechanics: shared lifetime, eviction, reuse accounting
 # ----------------------------------------------------------------------

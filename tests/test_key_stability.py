@@ -1,11 +1,11 @@
 """Cache keys must be identical no matter which process computes them.
 
-The parallel tile sweep (`TileTuner(workers=N)`) fans work out over a
-``ProcessPoolExecutor``; if `PlanCache` digests or `TileStore` keys ever
-depended on process state (hash randomisation, id(), dict order, ...),
-workers would silently split the caches and every lookup would miss —
-exactly the failure mode PR 1 fixed for tile keys.  These tests compute
-each key in the parent AND in a pool worker and require equality.
+One process writes the tile store and another reads it: ``repro tune
+--store`` fills it and a later ``repro serve --store`` loads it.  If
+`PlanCache` digests or `TileStore` keys ever depended on process state
+(hash randomisation, id(), dict order, ...), the reader would silently
+miss every entry the writer made.  These tests compute each key in the
+parent AND in a pool worker and require equality.
 """
 
 import numpy as np

@@ -180,26 +180,21 @@ def test_gemm_epilogue_bit_identical_to_reference(n, dtype):
     """The contraction calls matmul (a multiply where K == 1) on einsum's
     own operands: bytes and strides match the einsum epilogue for every
     size-1 case of O, K and L, every column layout, with and without a
-    bias and an ``out=`` work buffer."""
+    bias."""
     g = rng(300 + n)
     for o, k, (l, out_hw), layout in itertools.product(
             (1, 4, 16), (1, 5), ((1, (1, 1)), (6, (2, 3))),
             ("C", "KLNC", "KLN1", "rows", "sliced")):
         cols = _columns(g, n, k, l, layout, dtype)
         w2 = _columns(g, 1, o, k, "C", dtype)[0]
-        for bias, use_out in itertools.product(
-                (None, g.normal(size=o).astype(dtype)), (False, True)):
-            bufs = [np.empty((n, o, l), dtype=dtype) if use_out else None
-                    for _ in range(2)]
-            expect = ref.gemm_epilogue(w2, cols, bias, out_hw, out=bufs[0])
-            got = gemm_epilogue(w2, cols, bias, out_hw, out=bufs[1])
-            case = (o, k, l, layout, bias is None, use_out)
+        for bias in (None, g.normal(size=o).astype(dtype)):
+            expect = ref.gemm_epilogue(w2, cols, bias, out_hw)
+            got = gemm_epilogue(w2, cols, bias, out_hw)
+            case = (o, k, l, layout, bias is None)
             assert got.dtype == expect.dtype, case
             assert got.strides == expect.strides, case
             assert got.tobytes() == expect.tobytes(), case
             assert not np.shares_memory(got, cols), case
-            if use_out:
-                assert not np.shares_memory(got, bufs[1]), case
 
 
 def test_empty_batch_conv_matches_reference():
@@ -288,8 +283,8 @@ def test_forward_calls_no_einsum(detect_model, batch, monkeypatch):
 
 def test_contract_is_einsum_where_einsum_ends_elsewhere(monkeypatch):
     """With a NumPy whose einsum does not end in ``bmm_einsum``, every conv
-    GEMM calls einsum itself, dense and grouped, with and without
-    ``out=``, and keeps the reference's bits and strides."""
+    GEMM calls einsum itself, dense and grouped, and keeps the
+    reference's bits and strides."""
     monkeypatch.setattr(repro.nn.im2col, "EINSUM_ENDS_IN_MATMUL", False)
     g = rng(400)
     cols = _columns(g, 2, 5, 6, "rows", np.float32)
@@ -297,8 +292,6 @@ def test_contract_is_einsum_where_einsum_ends_elsewhere(monkeypatch):
     x = g.normal(size=(2, 4, 5, 5)).astype(np.float32)
     wt = g.normal(size=(4, 2, 3, 3)).astype(np.float32)
     expect = [ref.gemm_epilogue(w2, cols, None, (2, 3)),
-              ref.gemm_epilogue(w2, cols, None, (2, 3),
-                                out=np.empty((2, 4, 6), np.float32)),
               ref.conv2d(x, wt, padding=1, groups=2)]
     calls = []
     einsum = np.einsum
@@ -309,10 +302,8 @@ def test_contract_is_einsum_where_einsum_ends_elsewhere(monkeypatch):
 
     monkeypatch.setattr(np, "einsum", counting)
     got = [gemm_epilogue(w2, cols, None, (2, 3)),
-           gemm_epilogue(w2, cols, None, (2, 3),
-                         out=np.empty((2, 4, 6), np.float32)),
            F.conv2d(Tensor(x), Tensor(wt), padding=1, groups=2).data]
-    assert calls == ["ok,nkl->nol", "ok,nkl->nol", "gok,ngkl->ngol"]
+    assert calls == ["ok,nkl->nol", "gok,ngkl->ngol"]
     for a, b in zip(got, expect):
         assert a.strides == b.strides
         assert a.tobytes() == b.tobytes()

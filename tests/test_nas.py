@@ -5,12 +5,13 @@ import pytest
 
 from repro.nas import (DEFORM, REGULAR, DualPathLayer, IntervalSearch,
                        LatencyTable, SearchConfig, anneal_tau,
-                       conv_latency_ms, deform_latency_ms,
+                       deform_latency_ms,
                        estimated_deform_latency, gumbel_softmax,
                        latency_penalty, latency_penalty_gradient,
                        manual_interval_placement, sample_noise)
 from repro.gpusim import XAVIER
 from repro.kernels import LayerConfig
+from repro.kernels.reference import conv_ms
 from repro.nn.module import Parameter
 from repro.tensor import Tensor
 
@@ -191,9 +192,15 @@ class TestLatencyTable:
         assert len(list(table.items())) == 2
 
     def test_conv_latency_positive_and_monotone(self):
-        small = conv_latency_ms(LayerConfig(8, 8, 10, 10), XAVIER)
-        large = conv_latency_ms(LayerConfig(64, 64, 40, 40), XAVIER)
+        small = conv_ms(LayerConfig(8, 8, 10, 10), XAVIER)
+        large = conv_ms(LayerConfig(64, 64, 40, 40), XAVIER)
         assert 0 < small < large
+
+    def test_regular_latency_is_the_conv_price(self):
+        table = LatencyTable(XAVIER)
+        for cfg in (LayerConfig(8, 8, 10, 10),
+                    LayerConfig(16, 32, 9, 7, stride=2, batch=3)):
+            assert table.lookup(cfg).regular_ms == conv_ms(cfg, XAVIER)
 
     def test_deform_latency_backends(self):
         cfg = LayerConfig(8, 8, 10, 10)

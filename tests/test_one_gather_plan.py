@@ -14,6 +14,7 @@ also refuse shards that do not tile the layer.
 import numpy as np
 import pytest
 
+import lowering_reference
 import shard_reference as ref
 from repro.deform.deform_conv import deform_im2col_arrays, sampling_positions
 from repro.gpusim import RTX_2080TI, XAVIER
@@ -73,7 +74,7 @@ def _counters(cache):
 
 def _former_whole_output(x, off, w, b, cfg, spec, fp16):
     """The former whole-layer forward: its gather loop (the full-height
-    row band of the former shard plan) and the same GEMM epilogue call
+    row band of the former shard plan) and the reference GEMM epilogue
     into a preallocated buffer."""
     shard = ShardSpec("rows", 0, 1, 0, cfg.out_height)
     if fp16:
@@ -85,8 +86,8 @@ def _former_whole_output(x, off, w, b, cfg, spec, fp16):
     w2 = w.reshape(cfg.out_channels, cfg.in_channels * cfg.taps)
     out = np.empty((cfg.batch, cfg.out_channels, cfg.out_pixels),
                    dtype=np.float32)
-    return gemm_epilogue(w2, plan.execute(x), b,
-                         (cfg.out_height, cfg.out_width), out=out)
+    return lowering_reference.gemm_epilogue(
+        w2, plan.execute(x), b, (cfg.out_height, cfg.out_width), out=out)
 
 
 def _check_shards(cfg, spec, kind, fp16, split, plan=None):

@@ -1,9 +1,9 @@
-"""Hot-path perf-model invariants: plan cache, one-pass re-tiling,
-process-parallel sweep.
+"""Hot-path perf-model invariants: plan cache, one-pass re-tiling and
+the tuner's exhaustive search.
 
 The optimisations in docs/performance.md are pure wall-time wins — every
-test here pins the *bit-identical* contract: cached, re-tiled and parallel
-paths must reproduce the uncached simulation exactly, not approximately.
+test here pins the *bit-identical* contract: cached and re-tiled paths
+must reproduce the uncached simulation exactly, not approximately.
 """
 
 import numpy as np
@@ -245,7 +245,7 @@ def test_plan_cache_counts_on_its_registry_from_the_first_call():
 
 
 # ----------------------------------------------------------------------
-# tuner: re-tiled sweep and process-parallel sweep
+# tuner: the exhaustive grid search through the per-search plan cache
 # ----------------------------------------------------------------------
 def _uncached_grid(cfg):
     """Grid search with one full, uncached simulation per candidate tile
@@ -267,19 +267,11 @@ def _uncached_grid(cfg):
 
 def test_sweep_matches_legacy_grid_exactly():
     cfg = LayerConfig(16, 16, 28, 28)
-    fast = TileTuner(XAVIER, seed=0).tune(cfg, "sweep")
+    fast = TileTuner(XAVIER, seed=0).tune(cfg, "grid")
     legacy = _uncached_grid(cfg)
     assert fast.best_point == legacy.best_point
     assert fast.best_value == legacy.best_value
     assert dict(fast.history) == dict(legacy.history)
-
-
-def test_parallel_sweep_identical_to_serial():
-    cfg = LayerConfig(16, 16, 28, 28)
-    serial = TileTuner(XAVIER, seed=0).tune(cfg, "sweep")
-    parallel = TileTuner(XAVIER, seed=0, workers=2).tune(cfg, "sweep")
-    assert parallel.best_point == serial.best_point
-    assert parallel.history == serial.history
 
 
 def test_tuner_uncached_mode_removed():
@@ -287,39 +279,29 @@ def test_tuner_uncached_mode_removed():
         TileTuner(XAVIER, plan_cache=False)
 
 
-def test_parallel_sweep_falls_back_to_serial(monkeypatch):
-    """A dead pool (sandbox, pickling failure...) degrades to the serial
-    sweep with identical results instead of erroring out."""
-    import repro.autotune.tuner as tuner_mod
-
-    cfg = LayerConfig(8, 8, 20, 20)
-    serial = TileTuner(XAVIER, seed=0).tune(cfg, "sweep")
-    monkeypatch.setattr(tuner_mod.TileTuner, "_sweep_parallel",
-                        lambda self, cfg, tiles: None)
-    broken = TileTuner(XAVIER, seed=0, workers=4).tune(cfg, "sweep")
-    assert broken.history == serial.history
+def test_tuner_process_pool_removed():
+    with pytest.raises(TypeError):
+        TileTuner(XAVIER, workers=2)
 
 
-def test_parallel_pool_persists_across_sweeps():
-    cfgs = [LayerConfig(8, 8, 20, 20), LayerConfig(8, 8, 16, 16)]
-    with TileTuner(XAVIER, seed=0, workers=2) as tuner:
-        tuner.tune(cfgs[0], "sweep")
-        pool = tuner._pool
-        assert pool is not None          # spawned lazily on first sweep
-        tuner.tune(cfgs[1], "sweep")
-        assert tuner._pool is pool       # ... and reused, not respawned
-    assert tuner._pool is None           # context exit shuts it down
+def test_sweep_method_removed():
+    tuner = TileTuner(XAVIER, seed=0)
+    with pytest.raises(ValueError, match="sweep") as exc:
+        tuner.tune(LayerConfig(8, 8, 20, 20), "sweep")
+    for method in ("bayes", "random", "grid"):
+        assert method in str(exc.value)
+    assert tuner.objective_evaluations == 0
 
 
 def test_sweep_shares_plan_cache_instance():
     cfg = LayerConfig(8, 8, 20, 20)
     cache = PlanCache()
     tuner = TileTuner(XAVIER, seed=0, plan_cache=cache)
-    result = tuner.tune(cfg, "sweep")
-    assert cache.stats.trace_builds == 1          # one trace for the sweep
+    result = tuner.tune(cfg, "grid")
+    assert cache.stats.trace_builds == 1          # one trace for the search
     assert cache.stats.misses == len(result.history)
     # a second search over the same layer reuses every tile's stats
     tuner2 = TileTuner(XAVIER, seed=0, plan_cache=cache)
-    tuner2.tune(cfg, "sweep")
+    tuner2.tune(cfg, "grid")
     assert cache.stats.trace_builds == 1
     assert cache.stats.hits == len(result.history)
