@@ -7,7 +7,6 @@ large tile, the hit rate and kernel latency — and shows the autotuned best
 tile growing with cache capacity.
 """
 
-import numpy as np
 import pytest
 
 from repro.autotune import TileTuner
@@ -23,15 +22,12 @@ BIG_TILE = (32, 32)
 
 
 def regenerate():
-    g = np.random.default_rng(0)
-    x = g.normal(size=CFG.input_shape()).astype(np.float32)
-    w = g.normal(size=CFG.weight_shape()).astype(np.float32)
     off = synth_offsets(CFG, sigma=2.0, bound=7.0, seed=0)
     rows, data = [], []
     for kb in CACHE_KB:
         spec = XAVIER.with_overrides(tex_cache_kb_per_sm=kb)
-        res = run_deform_op("tex2d", x, off, w, None, CFG, spec,
-                            tile=BIG_TILE, compute_output=False)
+        res = run_deform_op("tex2d", None, off, None, None, CFG, spec,
+                            tile=BIG_TILE)
         s = res.sample_kernel
         tuner = TileTuner(spec, budget=12, seed=0)
         best_tile = tuner.best_tile(CFG)

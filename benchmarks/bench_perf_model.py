@@ -3,7 +3,7 @@
 Not a paper figure — this bench guards the wall-time wins documented in
 docs/performance.md:
 
-* **steady state**: repeated ``run_tex2d`` calls with identical offsets /
+* **steady state**: repeated ``run_tex2d`` prices with identical offsets /
   geometry / tile (the serving loop) through a
   :class:`~repro.kernels.plancache.PlanCache` must be ≥2× faster than the
   uncached path, with bit-identical kernel stats;
@@ -11,7 +11,7 @@ docs/performance.md:
   re-tiled fast path (one trace + K cheap regroupings through the
   search's plan cache) must be ≥3× faster than the legacy per-candidate
   full simulation, with the same latency for every tile;
-* **fused serving**: the full functional forward (``compute_output=True``)
+* **fused serving**: the full functional forward (with an input)
   through a compiled :class:`~repro.kernels.fused.FusedPlan` must be ≥2×
   faster than the eager reference
   (:func:`~repro.kernels.tex2d.eager_tex2d_forward` plus the same
@@ -56,18 +56,15 @@ FUSED_PAIRS = 5
 
 
 def _steady_state(cfg):
-    """Repeated identical run_tex2d calls, uncached vs plan-cached."""
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=cfg.input_shape()).astype(np.float32)
-    w = rng.normal(size=cfg.weight_shape()).astype(np.float32)
+    """Repeated identical run_tex2d prices, uncached vs plan-cached."""
     off = synth_offsets(cfg, seed=0)
 
     def loop(plan_cache):
         stats = None
         t0 = time.perf_counter()
         for _ in range(STEADY_ITERS):
-            res = run_tex2d(x, off, w, None, cfg, XAVIER,
-                            compute_output=False, plan_cache=plan_cache)
+            res = run_tex2d(None, off, None, None, cfg, XAVIER,
+                            plan_cache=plan_cache)
             stats = res.sample_kernel
         return time.perf_counter() - t0, stats
 
@@ -93,7 +90,7 @@ def _fused_serving(cfg):
     def eager():
         # the eager texture fetch plus the perf-model half of a call: the
         # same warm-cache stats lookup the fused run_tex2d makes
-        stats = run_tex2d(x, off, w, b, cfg, XAVIER, compute_output=False,
+        stats = run_tex2d(None, off, None, None, cfg, XAVIER,
                           plan_cache=cache)
         return eager_tex2d_forward(x, off, w, b, cfg, XAVIER), stats.kernels
 
@@ -133,13 +130,11 @@ def _uncached_grid(cfg):
     tuner = TileTuner(XAVIER, seed=0)
     off = synth_offsets(cfg, sigma=tuner.offset_sigma, bound=tuner.bound,
                         seed=0)
-    x = np.zeros(cfg.input_shape(), dtype=np.float32)
-    w = np.zeros(cfg.weight_shape(), dtype=np.float32)
     plan = SamplePlan(seed=0)
 
     def objective(tile):
-        return run_tex2d(x, off, w, None, cfg, XAVIER, tile=tuple(tile),
-                         plan=plan, compute_output=False
+        return run_tex2d(None, off, None, None, cfg, XAVIER,
+                         tile=tuple(tile), plan=plan
                          ).sample_kernel.duration_ms
 
     return grid_search(tuner.space(cfg), objective)

@@ -67,6 +67,9 @@ class TileTuner:
                  store=None, registry=None, plan_cache=None):
         if backend not in ("tex2d", "tex2dpp"):
             raise ValueError("tile tuning applies to the texture backends")
+        if budget < 1:
+            raise ValueError(f"budget={budget}: a search needs at least one "
+                             f"evaluation")
         if plan_cache is not None and not isinstance(plan_cache, PlanCache):
             raise ValueError(f"plan_cache={plan_cache!r}: the uncached mode "
                              f"was removed; pass None or a PlanCache")
@@ -99,9 +102,9 @@ class TileTuner:
     def objective(self, cfg: LayerConfig):
         """Build the latency objective for one layer.
 
-        Every candidate tile is priced on the same synthetic offsets.  The
-        kernels run without their functional output, so no input or
-        weight array is built.
+        Every candidate tile is priced on the same synthetic offsets: the
+        kernels run with no input (``x=None``), so no input or weight
+        array is built and no output computed.
         """
         off = synth_offsets(cfg, sigma=self.offset_sigma, bound=self.bound,
                             seed=self.seed)
@@ -113,7 +116,7 @@ class TileTuner:
             self._eval_counter.inc(backend=self.backend)
             res = run_deform_op(self.backend, None, off, None, None, cfg,
                                 self.spec, tile=tuple(tile), plan=plan,
-                                compute_output=False, plan_cache=plan_cache)
+                                plan_cache=plan_cache)
             return res.sample_kernel.duration_ms
 
         return latency

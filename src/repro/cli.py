@@ -40,20 +40,49 @@ import sys
 from typing import List, Optional
 
 from repro.autotune.tuner import METHODS
-from repro.gpusim.device import DEVICES, get_device
+from repro.gpusim.device import DEVICES, DeviceSpec, get_device
 from repro.kernels.config import TABLE2_LAYERS, LayerConfig
+from repro.kernels.dispatch import BACKENDS
 from repro.pipeline.reporting import format_table
 
 
+def _positive_ints(text: str) -> List[int]:
+    """Comma-separated positive integers; [] when ``text`` is not."""
+    try:
+        parts = [int(p) for p in text.split(",")]
+    except ValueError:
+        return []
+    return parts if min(parts) >= 1 else []
+
+
 def _layer_from_arg(text: str) -> LayerConfig:
-    """Parse ``CIN,COUT,H,W[,STRIDE]`` into a LayerConfig."""
-    parts = [int(p) for p in text.split(",")]
+    """Parse ``CIN,COUT,H,W[,STRIDE]`` into a LayerConfig (an argparse
+    ``type``: a malformed layer is a usage error)."""
+    parts = _positive_ints(text)
     if len(parts) not in (4, 5):
         raise argparse.ArgumentTypeError(
-            "layer must be CIN,COUT,H,W[,STRIDE]")
+            f"layer {text!r} must be CIN,COUT,H,W[,STRIDE], all positive "
+            f"integers")
     stride = parts[4] if len(parts) == 5 else 1
     return LayerConfig(parts[0], parts[1], parts[2], parts[3],
                        stride=stride)
+
+
+def _device_from_arg(name: str) -> DeviceSpec:
+    """Resolve a device preset name or alias (an argparse ``type``)."""
+    try:
+        return get_device(name)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
+def _positive_int(text: str) -> int:
+    """An integer >= 1 (an argparse ``type``)."""
+    parts = _positive_ints(text)
+    if len(parts) != 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive integer")
+    return parts[0]
 
 
 def cmd_devices(args) -> int:
@@ -67,7 +96,7 @@ def cmd_devices(args) -> int:
     """
     from repro.nas.latency_table import deform_latency_ms
 
-    cfg = _layer_from_arg(args.dcn_layer)
+    cfg = args.dcn_layer
     rows = [[s.name, s.num_sms, s.core_clock_ghz, s.dram_bandwidth_gbps,
              s.tex_cache_kb_per_sm, round(s.peak_gflops / 1000, 2),
              round(deform_latency_ms(cfg, s, backend=args.backend), 3)]
@@ -94,9 +123,8 @@ def cmd_layers(args) -> int:
     """``repro layers`` — per-layer backend latency comparison."""
     from repro.kernels.dispatch import run_layer_all_backends
 
-    spec = get_device(args.device)
-    layers = ([_layer_from_arg(args.layer)] if args.layer
-              else list(TABLE2_LAYERS))
+    spec = args.device
+    layers = [args.layer] if args.layer else list(TABLE2_LAYERS)
     rows = []
     for cfg in layers:
         res = run_layer_all_backends(cfg, spec, bound=args.bound,
@@ -118,7 +146,7 @@ def cmd_end_to_end(args) -> int:
     from repro.pipeline.geometry import paper_scale_geometry
     from repro.pipeline.inference import network_latency_ms
 
-    spec = get_device(args.device)
+    spec = args.device
     geo = paper_scale_geometry(args.arch)
     manual = manual_interval_placement(geo.num_sites, 3)
     searched = list(manual)
@@ -145,8 +173,8 @@ def cmd_tune(args) -> int:
     from repro.autotune.store import TileStore
     from repro.autotune.tuner import TileTuner
 
-    spec = get_device(args.device)
-    cfg = _layer_from_arg(args.layer)
+    spec = args.device
+    cfg = args.layer
     store = TileStore(args.store) if args.store else None
     tuner = TileTuner(spec, backend=args.backend, budget=args.budget,
                       store=store)
@@ -165,7 +193,7 @@ def cmd_latency_table(args) -> int:
     from repro.nas.latency_table import LatencyTable
     from repro.pipeline.geometry import candidate_site_configs
 
-    spec = get_device(args.device)
+    spec = args.device
     table = LatencyTable(spec, backend=args.backend)
     table.build(candidate_site_configs(args.arch))
     rows = [[cfg.label(), round(lat.regular_ms, 3),
@@ -184,8 +212,8 @@ def cmd_profile(args) -> int:
     """``repro profile`` — nvprof-style counters for one layer."""
     from repro.kernels.dispatch import run_layer_all_backends
 
-    spec = get_device(args.device)
-    cfg = _layer_from_arg(args.layer)
+    spec = args.device
+    cfg = args.layer
     res = run_layer_all_backends(cfg, spec, bound=args.bound,
                                  compute_output=False)
     rows = []
@@ -234,7 +262,7 @@ def cmd_serve(args) -> int:
         print("error: --max-batch and --requests must be >= 1",
               file=_sys.stderr)
         return 1
-    spec = get_device(args.device)
+    spec = args.device
     model, task_kwargs = _build_task_model(args.arch, args.task,
                                            args.input_size, args.seed)
     registry = MetricsRegistry()
@@ -358,7 +386,7 @@ def cmd_trace(args) -> int:
     from repro.pipeline import DefconEngine
     from repro.serve import RequestBatcher, ServingMetrics
 
-    spec = get_device(args.device)
+    spec = args.device
     model, task_kwargs = _build_task_model(args.model, args.task,
                                            args.input_size, args.seed)
     registry = MetricsRegistry()
@@ -502,7 +530,7 @@ def cmd_conformance(args) -> int:
     from repro.conformance import (CaseGenerator, ConformanceRunner,
                                    inject_fault, load_repro)
 
-    spec = get_device(args.device)
+    spec = args.device
     runner = ConformanceRunner(spec)
     inject = (inject_fault(args.inject) if args.inject
               else contextlib.nullcontext())
@@ -558,7 +586,7 @@ def cmd_conformance(args) -> int:
         for path in suite.artifacts:
             print(f"  {path}")
         print(f"replay one with: repro conformance replay <path> "
-              f"--device {args.device}")
+              f"--device {spec.name}")
         return 1
     print(f"\nPASS: {suite.num_cases} cases, all checks within bounds")
     return 0
@@ -837,39 +865,40 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "devices", help="list simulated GPU presets with DCN latency")
     p.add_argument("--dcn-layer", default="128,128,69,69",
+                   type=_layer_from_arg,
                    help="CIN,COUT,H,W[,STRIDE] for the predicted 3x3 DCN "
                         "latency column (default: 128,128,69,69)")
     p.add_argument("--backend", default="tex2dpp",
-                   choices=["pytorch", "tex2d", "tex2dpp"],
+                   choices=BACKENDS,
                    help="backend for the DCN latency column")
 
     p = sub.add_parser("layers", help="per-layer backend comparison")
-    p.add_argument("--device", default="xavier")
-    p.add_argument("--layer", default=None,
+    p.add_argument("--device", default="xavier", type=_device_from_arg)
+    p.add_argument("--layer", default=None, type=_layer_from_arg,
                    help="CIN,COUT,H,W[,STRIDE]; default: Table II shapes")
     p.add_argument("--bound", type=float, default=7.0)
 
     p = sub.add_parser("end-to-end", help="Table III trajectory")
-    p.add_argument("--device", default="xavier")
+    p.add_argument("--device", default="xavier", type=_device_from_arg)
     p.add_argument("--arch", default="r101s")
 
     p = sub.add_parser("tune", help="autotune the CTA tile for a layer")
-    p.add_argument("--device", default="xavier")
-    p.add_argument("--layer", required=True)
+    p.add_argument("--device", default="xavier", type=_device_from_arg)
+    p.add_argument("--layer", required=True, type=_layer_from_arg)
     p.add_argument("--backend", default="tex2d",
                    choices=["tex2d", "tex2dpp"])
-    p.add_argument("--budget", type=int, default=14)
+    p.add_argument("--budget", type=_positive_int, default=14)
     p.add_argument("--method", default="bayes", choices=METHODS)
     p.add_argument("--store", default=None,
                    help="persist/reuse results in this tile-store JSON")
 
     p = sub.add_parser("serve", help="batched serving demo with metrics")
-    p.add_argument("--device", default="xavier")
+    p.add_argument("--device", default="xavier", type=_device_from_arg)
     p.add_argument("--arch", default="r50s")
     p.add_argument("--task", default="classify",
                    choices=["classify", "detect"])
     p.add_argument("--backend", default="tex2dpp",
-                   choices=["pytorch", "tex2d", "tex2dpp"])
+                   choices=BACKENDS)
     p.add_argument("--requests", type=int, default=8)
     p.add_argument("--max-batch", type=int, default=4)
     p.add_argument("--max-wait", type=float, default=0.01)
@@ -878,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tile-store path (implies --autotune; warm start "
                         "when populated)")
     p.add_argument("--autotune", action="store_true")
-    p.add_argument("--tune-budget", type=int, default=6)
+    p.add_argument("--tune-budget", type=_positive_int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="also export a Chrome trace JSON of the run")
@@ -889,16 +918,16 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="trace a serving session (Chrome trace + metrics)")
     p.add_argument("--model", default="r50s",
                    help="model preset (r50s/r101s)")
-    p.add_argument("--device", default="xavier")
+    p.add_argument("--device", default="xavier", type=_device_from_arg)
     p.add_argument("--task", default="classify",
                    choices=["classify", "detect"])
     p.add_argument("--backend", default="tex2dpp",
-                   choices=["pytorch", "tex2d", "tex2dpp"])
+                   choices=BACKENDS)
     p.add_argument("--requests", type=int, default=4)
     p.add_argument("--max-batch", type=int, default=2)
     p.add_argument("--input-size", type=int, default=64)
     p.add_argument("--autotune", action="store_true")
-    p.add_argument("--tune-budget", type=int, default=6)
+    p.add_argument("--tune-budget", type=_positive_int, default=6)
     p.add_argument("--store", default=None,
                    help="tile-store path (implies autotune)")
     p.add_argument("--seed", type=int, default=0)
@@ -936,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
     conf_sub = p.add_subparsers(dest="action", required=True)
     pr = conf_sub.add_parser(
         "run", help="generate cases and run the full check catalogue")
-    pr.add_argument("--device", default="xavier")
+    pr.add_argument("--device", default="xavier", type=_device_from_arg)
     pr.add_argument("--cases", type=int, default=200,
                     help="number of cases to generate (default 200)")
     pr.add_argument("--seed", type=int, default=0)
@@ -954,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay", help="re-run one failure repro JSON deterministically")
     pp.add_argument("repro", metavar="REPRO_JSON",
                     help="path written by a failing `conformance run`")
-    pp.add_argument("--device", default="xavier")
+    pp.add_argument("--device", default="xavier", type=_device_from_arg)
     pp.add_argument("--inject", default=None,
                     choices=["flip-bilinear", "drop-quantization"],
                     help="replay under the same injected fault")
@@ -967,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="comma-separated device presets, one "
                                    "worker each (default: xavier,2080ti)")
     fleet_common.add_argument("--backend", default="tex2dpp",
-                              choices=["pytorch", "tex2d", "tex2dpp"])
+                              choices=BACKENDS)
     fleet_common.add_argument("--router", default="cost",
                               choices=["cost", "shard-cost", "round-robin",
                                        "random"])
@@ -1063,14 +1092,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the markdown table here")
 
     p = sub.add_parser("latency-table", help="build the NAS t(w_n) table")
-    p.add_argument("--device", default="xavier")
+    p.add_argument("--device", default="xavier", type=_device_from_arg)
     p.add_argument("--arch", default="r101s")
-    p.add_argument("--backend", default="pytorch")
+    p.add_argument("--backend", default="pytorch", choices=BACKENDS)
     p.add_argument("--save", default=None, help="write JSON to this path")
 
     p = sub.add_parser("profile", help="nvprof counters for one layer")
-    p.add_argument("--device", default="xavier")
-    p.add_argument("--layer", required=True)
+    p.add_argument("--device", default="xavier", type=_device_from_arg)
+    p.add_argument("--layer", required=True, type=_layer_from_arg)
     p.add_argument("--bound", type=float, default=7.0)
     return parser
 

@@ -50,7 +50,7 @@ def _run(backend: str, arrays: Dict[str, np.ndarray], cfg: LayerConfig,
         arrays["offset"] if offset is None else offset,
         arrays["weight"] if weight is None else weight,
         arrays["bias"] if bias is _UNSET else bias,
-        cfg, spec, tile=tile, compute_output=True, plan_cache=plan_cache)
+        cfg, spec, tile=tile, plan_cache=plan_cache)
     return res.output
 
 

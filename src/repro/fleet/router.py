@@ -120,8 +120,9 @@ class EngineCostModel:
         ``nums`` are the plan's integer band weights and ``index`` this
         worker's position; the shard bounds per site come from the same
         :func:`~repro.kernels.shards.band_bounds` rounding the executor
-        uses, and each shard is priced by actually running
-        :func:`~repro.kernels.shards.run_shard` on synthetic offsets
+        uses, and each shard is priced by the executor's own launch —
+        :func:`~repro.kernels.shards.run_shard` with no input, on
+        synthetic offsets
         (:func:`~repro.nas.latency_table.deform_shard_latency_split_ms`)
         — exact launch grids, not fraction-scaled approximations.  Sites
         where this worker's band rounds empty price as (0, 0).

@@ -27,24 +27,28 @@ caller's.
 One plan covers any (channel, pixel) slice of the column matrix.  A
 whole layer is the full slice: :meth:`FusedPlan.execute` runs
 gather → blend → GEMM as one preplanned pass — four ``np.take`` gathers
-blended in place into the call's column buffer and a single contraction
-through :func:`~repro.nn.im2col.gemm_epilogue` (the matmul that the
-eager reference's ``"ok,nkl->nol"`` einsum ends in, on the same
-operands, so the contraction order — and therefore every output bit —
-is identical).  A fleet shard
-(:mod:`repro.kernels.shards`) is a row band or channel slice of the same
-design: :meth:`FusedPlan.gather` fills only its slice of the columns,
-bitwise equal to that slice of the whole layer's, for the coordinator to
-stitch.  The conformance suite's ``plancache.fused_bit_identical.*`` and
-``shard.bit_identical.*`` checks and ``tests/test_fused.py`` pin
-bit-identical outputs against the eager reference.
+blended in place into the call's column buffer, then
+:func:`layer_epilogue`: a single contraction through
+:func:`~repro.nn.im2col.gemm_epilogue` (the matmul that the eager
+reference's ``"ok,nkl->nol"`` einsum ends in, on the same operands, so
+the contraction order — and therefore every output bit — is identical)
+and one copy into C order.  A fleet shard (:mod:`repro.kernels.shards`)
+is a row band or channel slice of the same design:
+:meth:`FusedPlan.gather` fills only its slice of the columns, bitwise
+equal to that slice of the whole layer's, for the coordinator to stitch
+and finish in the same :func:`layer_epilogue`.  The conformance suite's
+``plancache.fused_bit_identical.*`` and ``shard.bit_identical.*`` checks
+and ``tests/test_fused.py`` pin bit-identical outputs against the eager
+reference.
 
-Plans hang off the :class:`~repro.kernels.plancache.PlanCache` trace
-entry for their offsets, sharing one LRU lifetime and one digest key
-with the memoised fetch trace; eviction drops the tables and the next
-call rebuilds cleanly.  A plan never changes after it is built, so the
-serving worker thread and the caller's thread may run one plan
-concurrently without a lock.
+Both kinds of plan come from the one texture launch,
+:func:`~repro.kernels.tex2d.launch`, and hang off the
+:class:`~repro.kernels.plancache.PlanCache` trace entry of the layer's
+offsets, sharing one LRU lifetime and one digest key with the memoised
+fetch trace; eviction drops the tables and the next call rebuilds
+cleanly.  A price (a launch with no input) builds no plan.  A plan never
+changes after it is built, so the serving worker thread and the
+caller's thread may run one plan concurrently without a lock.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ class FusedPlan:
         self.fp16 = bool(fp16)
         self.n, self.dg, self.cpg = n, dg, cfg.in_channels // dg
         self.hw = cfg.height * cfg.width
-        self.c0, self.c1, self.l0, self.l1 = _slice_bounds(cfg, shard)
+        self.c0, self.c1, self.l0, self.l1 = slice_bounds(cfg, shard)
         self.csel, self.lsel = self.c1 - self.c0, self.l1 - self.l0
         #: (4, n·dg, K·lsel) flat corner texel indices into one layer
         self.idx = idx
@@ -133,13 +137,7 @@ class FusedPlan:
         if self.shard is not None:
             raise ValueError(f"shard plan {self.shard.label()} only "
                              f"gathers; stitch its columns instead")
-        cfg = self.cfg
-        w2 = weight.reshape(cfg.out_channels, cfg.in_channels * cfg.taps)
-        res = gemm_epilogue(w2, self.gather(x), bias,
-                            (cfg.out_height, cfg.out_width))
-        # later layers' bits follow the result's strides: one copy puts it
-        # in C order, whatever the product's layout
-        return res.copy(order="C")
+        return layer_epilogue(self.cfg, self.gather(x), weight, bias)
 
     def _texels(self, x: np.ndarray) -> np.ndarray:
         if x.shape != self.cfg.input_shape():
@@ -173,8 +171,24 @@ class FusedPlan:
         return cols
 
 
-def _slice_bounds(cfg: LayerConfig, shard: Optional["ShardSpec"]
-                  ) -> Tuple[int, int, int, int]:
+def layer_epilogue(cfg: LayerConfig, cols: np.ndarray, weight: np.ndarray,
+                   bias: Optional[np.ndarray]) -> np.ndarray:
+    """A whole layer's output from its full (N, C·K, L) column matrix:
+    the GEMM epilogue, then one copy into C order.
+
+    :meth:`FusedPlan.execute` and the shard stitch
+    (:func:`~repro.kernels.shards.stitch_columns`) both end here, so a
+    stitched output has the unsharded output's bits and strides.
+    """
+    w2 = weight.reshape(cfg.out_channels, cfg.in_channels * cfg.taps)
+    res = gemm_epilogue(w2, cols, bias, (cfg.out_height, cfg.out_width))
+    # later layers' bits follow the result's strides: one copy puts it in
+    # C order, whatever the product's layout
+    return res.copy(order="C")
+
+
+def slice_bounds(cfg: LayerConfig, shard: Optional["ShardSpec"]
+                 ) -> Tuple[int, int, int, int]:
     """``(c0, c1, l0, l1)``: the per-group channel and output-pixel ranges
     of a plan's slice — everything for a whole layer (``shard=None``)."""
     cpg = cfg.in_channels // cfg.deformable_groups
@@ -217,7 +231,7 @@ def build_fused_plan(cfg: LayerConfig, spec: DeviceSpec, fp16: bool,
             f"texture extent {(n * cfg.in_channels, h, w)} exceeds device "
             f"limit {spec.max_texture_extent} — partition the mini-batch "
             f"(paper Section III-B)")
-    _, _, l0, l1 = _slice_bounds(cfg, shard)
+    _, _, l0, l1 = slice_bounds(cfg, shard)
     py, px = positions()
     idx, wts = tap_tables(py[..., l0:l1], px[..., l0:l1], h, w, fp16)
     return FusedPlan(cfg, fp16, idx, wts, shard)

@@ -15,9 +15,9 @@ The :class:`PlanCache` memoises that state at two levels:
   the floored fetch positions, computed once per distinct offset tensor;
 * **per-entry memos** inside each entry — the simulated
   :class:`~repro.gpusim.cache.TextureCacheStats` for every CTA tile ever
-  requested against that trace, the compiled
-  :class:`~repro.kernels.fused.FusedPlan` per channel shape, and the
-  slice plans of fleet shards.  New tiles are served by the one-pass
+  requested against that trace, and the compiled
+  :class:`~repro.kernels.fused.FusedPlan` of the whole layer and of each
+  fleet shard slice of it.  New tiles are served by the one-pass
   re-tiled simulation (one cheap regrouping, no trace rebuild), so a
   tuner sweep over K tiles costs one trace plus K regroupings instead of
   K full simulations.
@@ -31,10 +31,12 @@ re-tiled path replays the exact accounting of ``simulate()`` — so the
 cache is a pure wall-time optimisation with no modelling drift (tests
 assert this property over random offsets, geometries and tiles).
 
-Every lookup — per-tile stats, fused plan, shard plan and the trace
-entry itself — goes through one get-or-build sequence
+Both lookups — :meth:`PlanCache.tex_stats` and
+:meth:`PlanCache.fused_plan`, for a whole layer or a shard — and the
+trace entry they hang off go through one get-or-build sequence
 (:meth:`PlanCache._get_or_build`): lookup, in-flight wait, build, store,
-LRU eviction.  Lookups are keyed exactly, by offset digest: a call
+LRU eviction.  Lookups are keyed exactly, by the :func:`offsets_digest`
+the caller (:func:`~repro.kernels.tex2d.launch`) computed once: a call
 reuses cached state only for the very offsets it was built from, so the
 simulated counters a call returns are always those of its own launch.
 
@@ -123,8 +125,9 @@ class _TraceEntry:
 
     One entry owns everything memoised for one (offset digest, geometry,
     device, fp16) key: the fetch trace, the per-tile cache stats, *and*
-    the fused execution plans — one LRU lifetime, one digest key, so a
-    fused plan can never outlive (or lag behind) the trace it belongs to.
+    the gather plans of the layer and of its shards — one LRU lifetime,
+    one digest key, so a plan can never outlive (or lag behind) the
+    trace it belongs to.
     """
 
     #: (k·l,) floored fetch rows/cols — kept only for a sampled trace
@@ -139,19 +142,16 @@ class _TraceEntry:
     #: (tile, concurrent_layers) → (stats, trace scale)
     stats: Dict[Tuple[Tuple[int, int], int],
                 Tuple[TextureCacheStats, float]] = field(default_factory=dict)
-    #: (in_channels, out_channels) → compiled fused execution plan
-    fused: Dict[Tuple[int, int], FusedPlan] = field(default_factory=dict)
-    #: (shard descriptor, in_channels) → compiled shard slice plan
-    shards: Dict[tuple, FusedPlan] = field(default_factory=dict)
+    #: (shard or None, in_channels, out_channels) → compiled gather plan
+    fused: Dict[tuple, FusedPlan] = field(default_factory=dict)
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes: trace arrays plus every fused and shard plan
-        (per-tile stats are a few ints each and are not counted)."""
+        """Resident bytes: trace arrays plus every gather plan (per-tile
+        stats are a few ints each and are not counted)."""
         held = [a for a in (self.y0, self.x0, self.lines) if a is not None]
         return sum(a.nbytes for a in held) + sum(
-            p.nbytes for plans in (self.fused, self.shards)
-            for p in plans.values())
+            p.nbytes for p in self.fused.values())
 
 
 class PlanCacheStats:
@@ -275,90 +275,62 @@ class PlanCache:
                 tuple(spec.tex_line_tile), plan)
 
     # ------------------------------------------------------------------
-    def tex_stats(self, offset: np.ndarray, cfg: LayerConfig,
-                  spec: DeviceSpec, tile: Tuple[int, int], fp16: bool,
+    def tex_stats(self, digest: str, cfg: LayerConfig, spec: DeviceSpec,
+                  tile: Tuple[int, int], fp16: bool,
                   plan: Optional[SamplePlan], concurrent_layers: int,
-                  positions: Callable[[], Tuple[np.ndarray, np.ndarray]],
-                  digest: Optional[str] = None
+                  positions: Callable[[], Tuple[np.ndarray, np.ndarray]]
                   ) -> Tuple[TextureCacheStats, float]:
         """Memoised equivalent of trace-build + ``simulate`` for one call.
 
-        ``positions`` lazily supplies the representative ``(py, px)``
-        arrays of shape (K, L) — it is only invoked when the trace entry
-        has to be built, so steady-state hits never touch the sampling
-        positions at all.  Returns ``(stats, trace_scale)`` exactly as the
-        uncached path would produce them.  A known digest with an unseen
-        (tile, concurrency) combination is a miss that simulates against
-        its own cached trace.
-
-        ``digest`` is ``offsets_digest(offset)`` when the caller already
-        has it, so a call that looks up both stats and its fused plan
-        hashes its offsets once.
+        ``digest`` is :func:`offsets_digest` of the offsets the trace
+        samples through — the *quantised* ones for tex2D++, so two fp32
+        offset tensors that quantise to the same fp16 values are the same
+        launch and share one entry.  ``positions`` lazily supplies the
+        representative ``(py, px)`` arrays of shape (K, L) — it is only
+        invoked when the trace entry has to be built, so steady-state
+        hits never touch the sampling positions at all.  Returns
+        ``(stats, trace_scale)`` exactly as the uncached path would
+        produce them.  A known digest with an unseen (tile, concurrency)
+        combination is a miss that simulates against its own cached
+        trace.
         """
         plan = plan or SamplePlan()
         tile = (int(tile[0]), int(tile[1]))
         layers = int(concurrent_layers)
         return self._get_or_build(
-            self._trace_key(digest or offsets_digest(offset), cfg, spec,
-                            fp16, plan),
+            self._trace_key(digest, cfg, spec, fp16, plan),
             "stats", (tile, layers),
             lambda entry: self._simulate_tile(entry, cfg, spec, tile, plan,
                                               layers),
             lambda: self._build_entry(cfg, spec, plan, positions))
 
-    def fused_plan(self, offset: np.ndarray, cfg: LayerConfig,
-                   spec: DeviceSpec, fp16: bool,
-                   plan: Optional[SamplePlan],
+    def fused_plan(self, digest: str, cfg: LayerConfig, spec: DeviceSpec,
+                   fp16: bool, plan: Optional[SamplePlan],
                    positions: Callable[[], Tuple[np.ndarray, np.ndarray]],
-                   digest: Optional[str] = None) -> FusedPlan:
-        """Get-or-compile the fused execution plan for one call.
+                   shard: Optional["ShardSpec"] = None) -> FusedPlan:
+        """Get-or-compile the gather plan of a whole layer or of one shard
+        of it (``shard``); a shard's plan counts on ``shard_builds``, a
+        whole layer's on ``fused_builds``.
 
-        ``positions`` lazily supplies the **full** (N, dg, K, L)
-        sampling-position arrays (post fp16 quantisation for tex2D++) —
-        only invoked on a compile.  The plan hangs off the same trace
-        entry as the memoised stats (one digest key, one LRU lifetime),
-        keyed inside it by (in_channels, out_channels).  ``digest`` is as
-        in :meth:`tex_stats`.
+        ``digest`` is the **whole layer's** offsets digest, as in
+        :meth:`tex_stats`, and ``positions`` lazily supplies the full
+        (N, dg, K, L) sampling-position arrays — only invoked on a
+        compile.  The plan hangs off the layer's trace entry (one LRU
+        lifetime), keyed inside it by (shard, in_channels, out_channels),
+        so a row band and a channel slice of the same layer, two bands,
+        and the whole layer never collide.
         """
         plan = plan or SamplePlan()
+        label = {} if shard is None else {"shard": shard.label()}
 
         def build(entry: _TraceEntry) -> FusedPlan:
-            with self._timed_build("fused", cfg):
-                return build_fused_plan(cfg, spec, fp16, positions)
-
-        return self._get_or_build(
-            self._trace_key(digest or offsets_digest(offset), cfg, spec,
-                            fp16, plan),
-            "fused", (cfg.in_channels, cfg.out_channels), build,
-            lambda: self._build_entry(cfg, spec, plan, lambda: tuple(
-                p[0, 0] for p in positions())))
-
-    def shard_plan(self, offset: np.ndarray, cfg: LayerConfig,
-                   spec: DeviceSpec, fp16: bool,
-                   plan: Optional[SamplePlan], shard: "ShardSpec",
-                   positions: Callable[[], Tuple[np.ndarray, np.ndarray]],
-                   digest: Optional[str] = None) -> FusedPlan:
-        """Get-or-compile the slice :class:`FusedPlan` for one shard of
-        one layer (counted on ``shard_builds``, not ``fused_builds``).
-
-        Keyed off the **full-layer** trace entry (full-offset digest +
-        geometry), with the shard descriptor — kind, index/count and the
-        concrete [lo, hi) range — inside the entry key, so a row band
-        and a channel slice of the same layer, or two different bands,
-        can never collide with each other or with the whole-layer fused
-        plan.  Same LRU lifetime and in-flight build coalescing as
-        :meth:`fused_plan`; ``digest`` is as in :meth:`tex_stats`.
-        """
-        plan = plan or SamplePlan()
-
-        def build(entry: _TraceEntry) -> FusedPlan:
-            with self._timed_build("shard", cfg, shard=shard.label()):
+            with self._timed_build("fused" if shard is None else "shard",
+                                   cfg, **label):
                 return build_fused_plan(cfg, spec, fp16, positions, shard)
 
         return self._get_or_build(
-            self._trace_key(digest or offsets_digest(offset), cfg, spec,
-                            fp16, plan),
-            "shards", (shard.descriptor(), cfg.in_channels), build,
+            self._trace_key(digest, cfg, spec, fp16, plan),
+            "fused", (shard, cfg.in_channels, cfg.out_channels), build,
             lambda: self._build_entry(cfg, spec, plan, lambda: tuple(
                 p[0, 0] for p in positions())))
 
@@ -370,7 +342,7 @@ class PlanCache:
         ``slot=None`` resolves the trace entry of ``key`` itself:
         ``build()`` returns a new :class:`_TraceEntry`, stored at the LRU
         bound (the only eviction site).  Otherwise ``slot`` names one of
-        the entry's memo dicts (``stats``/``fused``/``shards``) and
+        the entry's memo dicts (``stats``/``fused``) and
         ``sub`` the key inside it; a miss first resolves the entry (built
         by ``trace()`` if absent), then ``build(entry)`` computes the
         value.  Every slot lookup counts exactly one hit or miss;

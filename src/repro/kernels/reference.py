@@ -37,12 +37,12 @@ COORD_FLOPS = 2
 def run_reference(x: Optional[np.ndarray], offset: np.ndarray,
                   weight: Optional[np.ndarray], bias: Optional[np.ndarray],
                   cfg: LayerConfig, spec: DeviceSpec,
-                  plan: Optional[SamplePlan] = None,
-                  compute_output: bool = True) -> OpResult:
+                  plan: Optional[SamplePlan] = None) -> OpResult:
     """Execute the baseline deformable conv; returns output + kernel stats.
 
-    ``x``, ``weight`` and ``bias`` are read only when ``compute_output``
-    is true; the kernel stats depend on the offsets and geometry alone.
+    A call with ``x=None`` is a price: no output, and ``weight`` and
+    ``bias`` are not read; the kernel stats depend on the offsets and
+    geometry alone.
     """
     plan = plan or SamplePlan()
     n, c, k, l = cfg.batch, cfg.in_channels, cfg.taps, cfg.out_pixels
@@ -52,7 +52,7 @@ def run_reference(x: Optional[np.ndarray], offset: np.ndarray,
     # functional result (exact software bilinear + GEMM)
     # ------------------------------------------------------------------
     output = None
-    if compute_output:
+    if x is not None:
         cols, _ = deform_im2col_arrays(
             x, offset, cfg.kernel_size, cfg.stride, cfg.padding,
             cfg.dilation, cfg.deformable_groups)

@@ -21,18 +21,21 @@ sliced weights or columns — is **not** bit-identical: BLAS picks
 different reduction orders for small shapes, and summing partial
 products reorders the accumulation.  Slice the columns, never the GEMM.)
 
-A shard is a slice of the layer, not a second kind of plan: its gather
-compiles into a slice :class:`~repro.kernels.fused.FusedPlan` through
-the same :func:`~repro.kernels.fused.build_fused_plan` as the whole
-layer (a row band slices the positions along L before the tap tables;
-a channel slice keeps them all), memoised on the layer's
-:class:`~repro.kernels.plancache.PlanCache` trace entry (one digest key,
-one LRU lifetime).  Per-shard KernelStats come from the layer's own
-launch model — :func:`~repro.kernels.tex2d.sample_kernel_stats` and
-:func:`~repro.kernels.reference.gemm_kernel_stats` over the shard's
-channels and pixels — and reuse the plan-cache texture simulation: a row
-band simulates its sliced fetch trace; a channel slice *shares the
-full-layer trace entry* and scales the counters by its channel fraction.
+A shard is a slice of the layer, not a second kind of launch: it runs
+the same :func:`~repro.kernels.tex2d.launch` as the whole layer, over its
+slice.  Its gather compiles into a slice
+:class:`~repro.kernels.fused.FusedPlan` through the same
+:func:`~repro.kernels.fused.build_fused_plan` (a row band slices the
+positions along L before the tap tables; a channel slice keeps them
+all), memoised by the same
+:meth:`~repro.kernels.plancache.PlanCache.fused_plan` lookup on the
+layer's trace entry (one digest key, one LRU lifetime).
+Its KernelStats come from the same sampling-kernel and implicit-GEMM
+builders over the shard's channels, pixels and rows, and reuse the
+plan-cache texture simulation: a row band simulates its sliced fetch
+trace; a channel slice *shares the full-layer trace entry* and scales
+the counters by its channel fraction.  ``run_shard(None, …)`` prices a
+shard without gathering anything.
 
 Traffic accounting for the interconnect model is computed here from the
 actual tap footprint: a row band's input bytes span exactly the input
@@ -52,13 +55,9 @@ from repro.gpusim.kernel import KernelCost, LaunchConfig, estimate_time_ms
 from repro.gpusim.memory import strided_stats
 from repro.gpusim.profiler import KernelStats
 from repro.gpusim.trace import SamplePlan
-from repro.kernels import plancache
 from repro.kernels.config import LayerConfig, OpResult
-from repro.kernels.fused import build_fused_plan
-from repro.kernels.reference import gemm_kernel_stats
-from repro.kernels.tex2d import (DEFAULT_TILE, launch_inputs,
-                                 sample_kernel_stats, texture_stats)
-from repro.nn.im2col import gemm_epilogue
+from repro.kernels.fused import layer_epilogue, slice_bounds
+from repro.kernels.tex2d import DEFAULT_TILE, launch
 
 #: Shard kinds the planner may emit.
 SHARD_KINDS = ("rows", "channels")
@@ -88,10 +87,6 @@ class ShardSpec:
         if not 0 <= self.lo < self.hi:
             raise ValueError(f"empty or inverted shard range "
                              f"[{self.lo}, {self.hi})")
-
-    def descriptor(self) -> Tuple:
-        """Hashable identity used in plan-cache and cost-model memo keys."""
-        return (self.kind, self.index, self.count, self.lo, self.hi)
 
     def label(self) -> str:
         return f"{self.kind}[{self.lo}:{self.hi}]"
@@ -141,7 +136,9 @@ def enumerate_shards(cfg: LayerConfig, kind: str,
 class ShardResult:
     """One executed shard: its column slice plus traffic/perf accounting.
 
-    ``cols`` is the shard's own column slice, fresh from the gather.
+    ``cols`` is the shard's own column slice, fresh from the gather —
+    None, with ``dest_rows``, for a price (``run_shard(None, …)``),
+    which :func:`stitch_columns` refuses.
 
     The *timing* model prices the distributed realisation of the split:
     each shard runs sampling plus **its own slice of the GEMM** on its
@@ -160,7 +157,7 @@ class ShardResult:
     """
 
     shard: ShardSpec
-    cols: np.ndarray
+    cols: Optional[np.ndarray]
     dest_rows: Optional[np.ndarray]
     l0: int
     l1: int
@@ -171,72 +168,27 @@ class ShardResult:
     halo_rows: int
 
 
-def run_shard(x: np.ndarray, offset: np.ndarray, cfg: LayerConfig,
-              spec: DeviceSpec, shard: ShardSpec,
+def run_shard(x: Optional[np.ndarray], offset: np.ndarray,
+              cfg: LayerConfig, spec: DeviceSpec, shard: ShardSpec,
               tile: Tuple[int, int] = DEFAULT_TILE,
               fp16_offsets: bool = False,
               plan: Optional[SamplePlan] = None,
               plan_cache: Optional["PlanCache"] = None) -> ShardResult:
     """Execute one shard of a deformable layer on one (simulated) device.
 
-    The functional half gathers the shard's column slice through a
-    (plan-cache-memoised) slice :class:`~repro.kernels.fused.FusedPlan`;
-    the performance half is :func:`~repro.kernels.tex2d.run_tex2d`'s
-    launch model with the launch grid, offset stream and counters
-    restricted to the shard.  A channel slice reuses the full-layer
-    plan-cache trace entry (one offsets hash keys both lookups) and
-    scales counters by its channel fraction; a row band simulates its
-    own sliced trace (top-aligned against the full CTA grid — a
-    deterministic approximation the planner and executor share).
+    One :func:`~repro.kernels.tex2d.launch` of the shard's slice: its
+    (plan-cache-memoised) slice plan gathers the shard's columns, and
+    its kernel stats are the sampling kernel and the shard's slice of
+    the GEMM.  ``x=None`` prices the shard: the same stats and traffic,
+    no gather.
     """
-    plan = plan or SamplePlan()
-    off, positions = launch_inputs(offset, cfg, spec, tile, fp16_offsets)
+    fplan, (sample, gemm), positions = launch(
+        x, offset, cfg, spec, tile, fp16_offsets, plan, plan_cache, shard)
     n, c, k = cfg.batch, cfg.in_channels, cfg.taps
     dg, h, w = cfg.deformable_groups, cfg.height, cfg.width
-    digest = None if plan_cache is None else plancache.offsets_digest(off)
-
-    # ------------------------------------------------------------------
-    # functional: the shard's slice of the column matrix
-    # ------------------------------------------------------------------
-    if plan_cache is not None:
-        gplan = plan_cache.shard_plan(off, cfg, spec, fp16_offsets, plan,
-                                      shard, positions, digest=digest)
-    else:
-        gplan = build_fused_plan(cfg, spec, fp16_offsets, positions, shard)
-    cols = gplan.gather(x)
-
-    csel, lsel, l0, l1 = gplan.csel, gplan.lsel, gplan.l0, gplan.l1
+    c0, c1, l0, l1 = slice_bounds(cfg, shard)
     band_h = shard.hi - shard.lo if shard.kind == "rows" else cfg.out_height
     offset_bytes = 2 if fp16_offsets else 4
-
-    # ------------------------------------------------------------------
-    # performance: the sampling kernel and the shard's slice of the GEMM
-    # ------------------------------------------------------------------
-    if shard.kind == "rows":
-        # The band's own offsets rows → a distinct trace entry keyed by
-        # the sliced digest (shape is part of the digest, so it can never
-        # alias the full-layer entry).
-        sub_off = np.ascontiguousarray(off[:, :, shard.lo:shard.hi, :])
-        digest = None
-    else:
-        # All channels of a group share the trace — reuse (and warm) the
-        # full-layer entry, scaling counters by the channel fraction.
-        sub_off = off
-    texture = texture_stats(
-        sub_off, cfg, spec, tile, fp16_offsets, plan, plan_cache,
-        lambda: tuple(p[0, 0][:, l0:l1] for p in positions()),
-        digest=digest)
-    name = ("deformable_tex2dpp_shard" if fp16_offsets
-            else "deformable_tex2d_shard")
-    sample_stats = sample_kernel_stats(cfg, spec, texture, csel, lsel,
-                                       band_h, tile, fp16_offsets, name)
-    # A row band contracts all reduction rows over its pixels; a channel
-    # slice takes a partial product over its reduction rows, full-size
-    # and summed at the stitch.  Either way the output ships back.
-    out_bytes = float(n * cfg.out_channels * lsel * 4)
-    gemm_stats = gemm_kernel_stats(cfg.out_channels, n * lsel,
-                                   dg * csel * k, spec,
-                                   "implicit_gemm_shard", out_bytes)
 
     # ------------------------------------------------------------------
     # interconnect traffic from the actual tap footprint
@@ -252,12 +204,14 @@ def run_shard(x: np.ndarray, offset: np.ndarray, cfg: LayerConfig,
         in_bytes = float(n * c * rows_in * w * 4) + off_slice_bytes
     else:
         halo_rows = 0
-        in_bytes = float(n * dg * csel * h * w * 4) + off_slice_bytes
+        in_bytes = float(n * dg * (c1 - c0) * h * w * 4) + off_slice_bytes
 
-    return ShardResult(shard=shard, cols=cols, dest_rows=gplan.dest_rows,
-                       l0=l0, l1=l1, sample=sample_stats,
-                       gemm=gemm_stats, in_bytes=in_bytes,
-                       out_bytes=out_bytes, halo_rows=halo_rows)
+    return ShardResult(
+        shard=shard, cols=None if fplan is None else fplan.gather(x),
+        dest_rows=None if fplan is None else fplan.dest_rows, l0=l0, l1=l1,
+        sample=sample, gemm=gemm, in_bytes=in_bytes,
+        # the shard's slice of the output, shipped to the coordinator
+        out_bytes=gemm.dram_write_bytes, halo_rows=halo_rows)
 
 
 def stitch_columns(results: Sequence[ShardResult], weight: np.ndarray,
@@ -266,12 +220,13 @@ def stitch_columns(results: Sequence[ShardResult], weight: np.ndarray,
     """Reassemble shard column slices into the bit-identical output.
 
     The coordinator-side half of a sharded layer, functionally: write
-    every column slice into one (N, C·K, L) buffer and contract it with
-    the *same* full-shape :func:`~repro.nn.im2col.gemm_epilogue` — and
-    therefore the same reduction order, and the same bits — as the
-    unsharded forward.  The
-    shards must be of one kind and their ranges must tile the layer —
-    disjoint, with no gap — or this raises ``ValueError``.
+    every column slice into one (N, C·K, L) buffer and end in the *same*
+    full-shape :func:`~repro.kernels.fused.layer_epilogue` as the
+    unsharded forward — the same reduction order, so the same bits, and
+    the same C-ordered strides.  The shards must be of one kind, every
+    one executed (a priced shard has no columns), and their ranges must
+    tile the layer — disjoint, with no gap — or this raises
+    ``ValueError``.
 
     The returned kernel prices what the coordinator of the distributed
     realisation actually runs: a memory-bound **stitch pass** over the
@@ -297,14 +252,17 @@ def stitch_columns(results: Sequence[ShardResult], weight: np.ndarray,
             f"{kind} shards {sorted(r.shard.label() for r in results)} do "
             f"not tile [0, {total}) — the planner emitted a non-tiling "
             f"split")
+    priced = sorted(r.shard.label() for r in results if r.cols is None)
+    if priced:
+        raise ValueError(f"shards {priced} were priced, not executed: no "
+                         f"columns to stitch")
     cols = np.empty((n, c * k, l), dtype=np.float32)
     for r in results:
         if r.dest_rows is not None:
             cols[:, r.dest_rows, :] = r.cols
         else:
             cols[:, :, r.l0:r.l1] = r.cols
-    w2 = weight.reshape(cfg.out_channels, c * k)
-    output = gemm_epilogue(w2, cols, bias, (cfg.out_height, cfg.out_width))
+    output = layer_epilogue(cfg, cols, weight, bias)
 
     out_bytes = float(n * cfg.out_channels * l * 4)
     gathered = float(sum(r.out_bytes for r in results))

@@ -23,7 +23,8 @@ fp32 reference is faithfully reproduced (and bounded by tests).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, List, NamedTuple, Optional,
+                    Tuple)
 
 import numpy as np
 
@@ -37,8 +38,12 @@ from repro.gpusim.texture import LayeredTexture2D, TextureDescriptor
 from repro.gpusim.trace import SamplePlan, texture_fetch_trace
 from repro.kernels import plancache
 from repro.kernels.config import LayerConfig, OpResult
-from repro.kernels.fused import build_fused_plan
+from repro.kernels.fused import FusedPlan, build_fused_plan, slice_bounds
 from repro.kernels.reference import COORD_FLOPS, gemm_kernel_stats
+
+if TYPE_CHECKING:
+    from repro.kernels.plancache import PlanCache
+    from repro.kernels.shards import ShardSpec
 
 #: Default CTA tile (output pixels per block) — overridden by the autotuner.
 DEFAULT_TILE = (16, 16)
@@ -49,72 +54,69 @@ def run_tex2d(x: Optional[np.ndarray], offset: np.ndarray,
               cfg: LayerConfig, spec: DeviceSpec,
               tile: Tuple[int, int] = DEFAULT_TILE, fp16_offsets: bool = False,
               plan: Optional[SamplePlan] = None,
-              compute_output: bool = True,
               plan_cache: Optional["PlanCache"] = None) -> OpResult:
     """Execute the texture-hardware deformable conv (tex2D / tex2D++).
 
-    ``fp16_offsets=True`` selects the tex2D++ variant.  The functional
-    forward runs through a compiled :class:`~repro.kernels.fused.FusedPlan`:
-    precomputed tap coordinates and fixed-point blend weights, per-call
-    scratch, one gather → blend → GEMM pass (see
-    docs/performance.md).  ``plan_cache`` (a
+    ``fp16_offsets=True`` selects the tex2D++ variant.  One
+    :func:`launch` of the whole layer, then its
+    :class:`~repro.kernels.fused.FusedPlan` runs gather → blend → GEMM
+    (see docs/performance.md).  ``plan_cache`` (a
     :class:`~repro.kernels.plancache.PlanCache`) memoises that plan, the
     fetch trace and the cache simulation across calls with identical
     offsets, geometry and tile; without one, a one-shot plan is compiled
     and the trace simulated for this call — the uncached reference.
     Outputs and kernel stats are bit-identical either way, and the
-    outputs bit-identical to :func:`eager_tex2d_forward`.  ``x``,
-    ``weight`` and ``bias`` are read only when ``compute_output`` is true.
+    outputs bit-identical to :func:`eager_tex2d_forward`.
+
+    A call with ``x=None`` is a price: it returns the kernel stats and no
+    output, and reads neither ``weight`` nor ``bias``.
     """
-    plan = plan or SamplePlan()
-    off, positions = launch_inputs(offset, cfg, spec, tile, fp16_offsets)
-    # one hash of the quantised offsets keys both lookups
-    digest = None if plan_cache is None else plancache.offsets_digest(off)
-
-    # ------------------------------------------------------------------
-    # functional result through the texture unit
-    # ------------------------------------------------------------------
-    output = None
-    if compute_output:
-        if plan_cache is not None:
-            fplan = plan_cache.fused_plan(off, cfg, spec, fp16_offsets, plan,
-                                          positions, digest=digest)
-        else:
-            fplan = build_fused_plan(cfg, spec, fp16_offsets, positions)
-        output = fplan.execute(x, weight, bias)
-
-    # ------------------------------------------------------------------
-    # performance model: kernel 1 — tex2d sampling, kernel 2 — the
-    # implicit GEMM (identical to the reference backend)
-    # ------------------------------------------------------------------
-    texture = texture_stats(
-        off, cfg, spec, tile, fp16_offsets, plan, plan_cache,
-        lambda: tuple(p[0, 0] for p in positions()), digest=digest)
-    name = "deformable_tex2dpp" if fp16_offsets else "deformable_tex2d"
-    sample_stats = sample_kernel_stats(
-        cfg, spec, texture, cfg.in_channels // cfg.deformable_groups,
-        cfg.out_pixels, cfg.out_height, tile, fp16_offsets, name)
-    gemm_stats = gemm_kernel_stats(cfg.out_channels,
-                                   cfg.batch * cfg.out_pixels,
-                                   cfg.in_channels * cfg.taps, spec)
-    return OpResult(output=output, kernels=[sample_stats, gemm_stats])
+    fplan, kernels, _ = launch(x, offset, cfg, spec, tile, fp16_offsets,
+                               plan, plan_cache)
+    output = None if fplan is None else fplan.execute(x, weight, bias)
+    return OpResult(output=output, kernels=kernels)
 
 
-def launch_inputs(offset: np.ndarray, cfg: LayerConfig, spec: DeviceSpec,
-                  tile: Tuple[int, int], fp16: bool
-                  ) -> Tuple[np.ndarray, Callable[[], Tuple[np.ndarray,
-                                                            np.ndarray]]]:
-    """Check one texture launch's CTA tile and prepare its offsets.
+class Launch(NamedTuple):
+    """One texture launch of a whole layer or one shard of it."""
 
-    Returns the offsets as sampled — fp16-quantised for tex2D++ — and a
-    ``positions()`` callable giving their full (N, dg, K, L) sampling
-    positions.  The positions are needed only to compile a plan or build
-    a trace, so they are computed lazily, once: steady-state cache hits
+    #: the slice's gather plan — None for a price (no input)
+    plan: Optional[FusedPlan]
+    #: [sampling kernel, implicit GEMM]
+    kernels: List[KernelStats]
+    #: the full (N, dg, K, L) sampling positions, computed on first call
+    positions: Callable[[], Tuple[np.ndarray, np.ndarray]]
+
+
+def launch(x: Optional[np.ndarray], offset: np.ndarray, cfg: LayerConfig,
+           spec: DeviceSpec, tile: Tuple[int, int], fp16: bool,
+           plan: Optional[SamplePlan], plan_cache: Optional["PlanCache"],
+           shard: Optional["ShardSpec"] = None) -> Launch:
+    """The tex2D sampling kernel plus the implicit GEMM over one slice of
+    a layer: the whole layer (``shard=None``) or one
+    :class:`~repro.kernels.shards.ShardSpec`.
+
+    Checks the CTA tile, quantises the offsets for tex2D++ (``fp16``) and
+    hashes them once.  When ``x`` is given, the slice's
+    :class:`~repro.kernels.fused.FusedPlan` comes from the plan cache
+    (or is compiled for this call without one); a price (``x=None``)
+    builds no plan.  The texture counters come from one representative
+    channel's fetch trace: the layer's, which a channel slice shares, or
+    for a row band the band's own trace (its own offsets rows, so its own
+    digest; top-aligned against the full CTA grid — a deterministic
+    approximation the planner and executor share).  The kernel stats
+    cover the slice's channels, pixels and rows; a shard's GEMM is its
+    own slice of the product, which it ships to the coordinator.
+
+    Sampling positions are needed only to compile a plan or build a
+    trace, so they are computed lazily, once: steady-state cache hits
     skip them.
     """
     ty, tx = tile
     if ty <= 0 or tx <= 0 or ty * tx > spec.max_threads_per_block:
         raise ValueError(f"tile {tile} invalid for {spec.name}")
+    plan = plan or SamplePlan()
+    c0, c1, l0, l1 = slice_bounds(cfg, shard)
     off = offset.astype(np.float16).astype(np.float32) if fp16 else offset
     memo: list = []
 
@@ -125,35 +127,48 @@ def launch_inputs(offset: np.ndarray, cfg: LayerConfig, spec: DeviceSpec,
                 cfg.padding, cfg.dilation, cfg.deformable_groups))
         return memo[0]
 
-    return off, positions
+    def rep() -> Tuple[np.ndarray, np.ndarray]:
+        return tuple(p[0, 0][:, l0:l1] for p in positions())
 
-
-def texture_stats(off: np.ndarray, cfg: LayerConfig, spec: DeviceSpec,
-                  tile: Tuple[int, int], fp16: bool, plan: SamplePlan,
-                  plan_cache: Optional["PlanCache"],
-                  rep: Callable[[], Tuple[np.ndarray, np.ndarray]],
-                  digest: Optional[str] = None
-                  ) -> Tuple[TextureCacheStats, float]:
-    """Texture-cache counters of one representative channel, and the
-    trace's sampling scale.
-
-    ``rep`` lazily supplies that channel's (K, pixels) sampling
-    positions.  With a plan cache the result is memoised under ``off``
-    (the *quantised* offsets the launch samples through — two fp32
-    offset tensors that quantise to the same fp16 values are the same
-    tex2D++ launch and share one entry); without one, the fetch trace is
-    built and simulated for this call, the uncached reference the cache
-    is bit-identical to.
-    """
+    band = shard is not None and shard.kind == "rows"
     layers = min(cfg.in_channels // cfg.deformable_groups, 4)
-    if plan_cache is not None:
-        return plan_cache.tex_stats(off, cfg, spec, tile, fp16, plan, layers,
-                                    rep, digest=digest)
-    py, px = rep()
-    y0, x0, cta, scale = texture_fetch_trace(py, px, cfg.out_width, tile,
-                                             plan)
-    cache = TextureCacheModel(spec, concurrent_layers=layers)
-    return cache.simulate(y0, x0, cta, cfg.height, cfg.width), scale
+    fplan = None
+    if plan_cache is None:
+        if x is not None:
+            fplan = build_fused_plan(cfg, spec, fp16, positions, shard)
+        py, px = rep()
+        y0, x0, cta, scale = texture_fetch_trace(py, px, cfg.out_width,
+                                                 tile, plan)
+        cache = TextureCacheModel(spec, concurrent_layers=layers)
+        texture = cache.simulate(y0, x0, cta, cfg.height, cfg.width), scale
+    else:
+        digest = None
+        if x is not None:
+            digest = plancache.offsets_digest(off)
+            fplan = plan_cache.fused_plan(digest, cfg, spec, fp16, plan,
+                                          positions, shard)
+        if band or digest is None:
+            # the trace's offsets: the band's own rows, or the layer's
+            trace_off = (np.ascontiguousarray(off[:, :, shard.lo:shard.hi])
+                         if band else off)
+            digest = plancache.offsets_digest(trace_off)
+        texture = plan_cache.tex_stats(digest, cfg, spec, tile, fp16, plan,
+                                       layers, rep)
+
+    n, k, csel, lsel = cfg.batch, cfg.taps, c1 - c0, l1 - l0
+    suffix = "" if shard is None else "_shard"
+    name = ("deformable_tex2dpp" if fp16 else "deformable_tex2d") + suffix
+    sample = sample_kernel_stats(cfg, spec, texture, csel, lsel,
+                                 lsel // cfg.out_width, tile, fp16, name)
+    # A row band contracts all reduction rows over its pixels; a channel
+    # slice takes a partial product over its reduction rows, full-size
+    # and summed at the stitch.  Either way a shard's output ships back;
+    # a whole layer's stays on its device.
+    gemm = gemm_kernel_stats(
+        cfg.out_channels, n * lsel, cfg.deformable_groups * csel * k, spec,
+        "implicit_gemm" + suffix,
+        0.0 if shard is None else float(n * cfg.out_channels * lsel * 4))
+    return Launch(fplan, [sample, gemm], positions)
 
 
 def sample_kernel_stats(cfg: LayerConfig, spec: DeviceSpec,
@@ -165,10 +180,11 @@ def sample_kernel_stats(cfg: LayerConfig, spec: DeviceSpec,
     channels × ``pixels`` output pixels spanning ``rows`` output rows —
     a whole layer, or one shard of it.
 
-    ``texture`` is :func:`texture_stats`'s representative-channel result;
-    every channel of every (batch, group) shares that trace, so its
-    counters scale by ``n·dg·channels`` (cache behaviour per layer is
-    identical — each layer's lines are distinct but isomorphic).
+    ``texture`` is the (counters, trace scale) of :func:`launch`'s
+    representative channel; every channel of every (batch, group)
+    shares that trace, so its counters scale by ``n·dg·channels`` (cache
+    behaviour per layer is identical — each layer's lines are distinct
+    but isomorphic).
     """
     n, k, dg = cfg.batch, cfg.taps, cfg.deformable_groups
     ty, tx = tile
@@ -190,8 +206,8 @@ def sample_kernel_stats(cfg: LayerConfig, spec: DeviceSpec,
 
     coord_flops = float(n * dg * channels * k * pixels * COORD_FLOPS)
     tiles = -(-rows // ty) * -(-cfg.out_width // tx)
-    launch = LaunchConfig(grid=max(1, tiles * n * dg * channel_blocks),
-                          block=ty * tx)
+    grid = LaunchConfig(grid=max(1, tiles * n * dg * channel_blocks),
+                        block=ty * tx)
     sample_cost = KernelCost(
         flops=coord_flops,
         dram_bytes=tex_stats.miss_bytes + offs_traffic,
@@ -202,7 +218,7 @@ def sample_kernel_stats(cfg: LayerConfig, spec: DeviceSpec,
     )
     return KernelStats(
         name=name,
-        duration_ms=estimate_time_ms(sample_cost, launch, spec),
+        duration_ms=estimate_time_ms(sample_cost, grid, spec),
         flop_count_sp=coord_flops,
         gld_requests=offs.requests,
         gld_transactions=offs.transactions,
@@ -213,19 +229,6 @@ def sample_kernel_stats(cfg: LayerConfig, spec: DeviceSpec,
         dram_read_bytes=tex_stats.miss_bytes + offs_traffic,
         dram_write_bytes=col_bytes,
     )
-
-
-def run_tex2dpp(x: Optional[np.ndarray], offset: np.ndarray,
-                weight: Optional[np.ndarray], bias: Optional[np.ndarray],
-                cfg: LayerConfig, spec: DeviceSpec,
-                tile: Tuple[int, int] = DEFAULT_TILE,
-                plan: Optional[SamplePlan] = None,
-                compute_output: bool = True,
-                plan_cache: Optional["PlanCache"] = None) -> OpResult:
-    """The tex2D++ variant: fp16 offsets, half the offset bandwidth."""
-    return run_tex2d(x, offset, weight, bias, cfg, spec, tile=tile,
-                     fp16_offsets=True, plan=plan,
-                     compute_output=compute_output, plan_cache=plan_cache)
 
 
 def eager_tex2d_forward(x: np.ndarray, offset: np.ndarray,

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-import numpy as np
-
 from repro.gpusim.device import DeviceSpec
 from repro.kernels.config import LayerConfig, synth_offsets
 from repro.kernels.dispatch import run_deform_op
@@ -56,8 +54,7 @@ def deform_latency_split_ms(cfg: LayerConfig, spec: DeviceSpec,
     The sum is exactly :func:`deform_latency_ms`.
     """
     off = synth_offsets(cfg, bound=bound, seed=seed)
-    res = run_deform_op(backend, None, off, None, None, cfg, spec,
-                        compute_output=False)
+    res = run_deform_op(backend, None, off, None, None, cfg, spec)
     gemm_ms = sum(k.duration_ms for k in res.kernels
                   if k.name == "implicit_gemm")
     return res.latency_ms - gemm_ms, gemm_ms
@@ -70,20 +67,19 @@ def deform_shard_latency_split_ms(cfg: LayerConfig, spec: DeviceSpec,
                                   ) -> Tuple[float, float]:
     """(sampling ms, GEMM ms) of *one shard* of the deformable operator.
 
-    The sharded sibling of :func:`deform_latency_split_ms`: runs
-    :func:`~repro.kernels.shards.run_shard` on synthetic offsets for the
-    exact :class:`~repro.kernels.shards.ShardSpec` bounds the executor
-    would use, so the shard planner prices the same launch-grid and
+    The sharded sibling of :func:`deform_latency_split_ms`: prices
+    :func:`~repro.kernels.shards.run_shard` (no input, so no gather) on
+    synthetic offsets for the exact
+    :class:`~repro.kernels.shards.ShardSpec` bounds the executor would
+    use, so the shard planner prices the same launch-grid and
     wave-efficiency effects the serve-time simulation will report —
     small shard GEMMs do *not* scale linearly with their fraction, and
     pricing them as if they did makes the router shard when it loses.
     """
     from repro.kernels.shards import run_shard
 
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=cfg.input_shape()).astype(np.float32)
     off = synth_offsets(cfg, bound=bound, seed=seed)
-    res = run_shard(x, off, cfg, spec, shard,
+    res = run_shard(None, off, cfg, spec, shard,
                     fp16_offsets=(backend == "tex2dpp"))
     return res.sample.duration_ms, res.gemm.duration_ms
 

@@ -110,7 +110,6 @@ class TextureRuntime:
     #: perf-model plan cache shared by every layer execution
     plan_cache: PlanCache
     tiles: Dict[TileKey, Tuple[int, int]] = field(default_factory=dict)
-    default_tile: Tuple[int, int] = DEFAULT_TILE
     cache_stats: TileCacheStats = field(default_factory=TileCacheStats)
     #: fleet shard-execution hook (a
     #: :class:`~repro.fleet.shard.ShardContext`): when set, each layer is
@@ -149,8 +148,8 @@ class TextureRuntime:
                 logger.warning("tile cache miss: no tuned tile for geometry "
                                "%s (have %d tuned entries); falling back to "
                                "the untuned default %s", key, len(self.tiles),
-                               self.default_tile)
-            return self.default_tile
+                               DEFAULT_TILE)
+            return DEFAULT_TILE
 
     @staticmethod
     def layer_config(layer: DeformConv2d, x: Tensor) -> LayerConfig:
@@ -181,8 +180,7 @@ class TextureRuntime:
                             x.data.astype(np.float32, copy=False),
                             offsets.data.astype(np.float32, copy=False),
                             layer.weight.data, bias, cfg, self.spec,
-                            tile=tile, compute_output=True,
-                            layer=getattr(layer, "layer_name", ""),
+                            tile=tile, layer=getattr(layer, "layer_name", ""),
                             plan_cache=self.plan_cache)
         for k in res.kernels:
             self.log.add(k)
@@ -224,7 +222,6 @@ class DefconEngine:
                  tile_store: Optional[object] = None,
                  registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[SpanTracer] = None,
-                 max_log_records: Optional[int] = ProfileLog.DEFAULT_MAX_RECORDS,
                  plan_cache: Optional[PlanCache] = None):
         if backend not in BACKENDS:
             raise ValueError(
@@ -232,7 +229,7 @@ class DefconEngine:
         self.model = model
         self.spec = spec
         self.backend = backend
-        self.log = ProfileLog(max_records=max_log_records)
+        self.log = ProfileLog()
         self.tile_store = tile_store
         self.tune_evaluations = 0
         self.registry = registry if registry is not None else MetricsRegistry()

@@ -100,7 +100,7 @@ def deform_op_ms(site: LayerConfig, spec: DeviceSpec, backend: str,
     """
     off = synth_offsets(site, sigma=2.0, bound=bound, seed=seed)
     res = run_deform_op(backend, None, off, None, None, site, spec,
-                        tile=tile, compute_output=False)
+                        tile=tile)
     sample, gemm = res.kernels[0], res.kernels[1]
     return (sample.duration_ms * DCN_SAMPLE_SCALE
             + gemm.duration_ms / ENGINE_SPEEDUP)
@@ -122,8 +122,7 @@ def profile_network(geometry: NetworkGeometry, placement: Sequence[bool],
         if not use_dcn:
             continue
         off = synth_offsets(cfg, sigma=2.0, bound=bound, seed=seed)
-        res = run_deform_op(backend, None, off, None, None, cfg, spec,
-                            compute_output=False)
+        res = run_deform_op(backend, None, off, None, None, cfg, spec)
         for k in res.kernels:
             log.add(k)
     return log

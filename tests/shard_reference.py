@@ -226,7 +226,7 @@ def run_shard(x: np.ndarray, offset: np.ndarray, cfg: LayerConfig,
 
     if plan_cache is not None:
         tex_stats, scale = plan_cache.tex_stats(
-            sub_off, cfg, spec, tile, fp16_offsets, plan,
+            offsets_digest(sub_off), cfg, spec, tile, fp16_offsets, plan,
             concurrent_layers, rep)
     else:
         from repro.gpusim.cache import TextureCacheModel
@@ -348,7 +348,7 @@ class ReferencePlanCache(PlanCache):
 
         return self._get_or_build(
             self._trace_key(offsets_digest(offset), cfg, spec, fp16, plan),
-            "shards", (shard.descriptor(), cfg.in_channels), build,
+            "fused", (shard, cfg.in_channels, cfg.out_channels), build,
             lambda: self._build_entry(cfg, spec, plan, lambda: tuple(
                 p[0, 0] for p in positions())))
 
@@ -398,9 +398,8 @@ def tex2d_kernels(offset: np.ndarray, cfg: LayerConfig, spec: DeviceSpec,
         # to the same fp16 values must share one cache entry and one
         # trace build (they are the same tex2D++ launch).
         tex_stats, scale = plan_cache.tex_stats(
-            off, cfg, spec, tile, fp16_offsets, plan, concurrent_layers,
-            lambda: (positions()[0][0, 0], positions()[1][0, 0]),
-            digest=digest)
+            digest, cfg, spec, tile, fp16_offsets, plan, concurrent_layers,
+            lambda: (positions()[0][0, 0], positions()[1][0, 0]))
     else:
         py, px = positions()
         y0, x0, cta, scale = texture_fetch_trace(py[0, 0], px[0, 0],

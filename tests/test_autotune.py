@@ -182,6 +182,11 @@ class TestTileTuner:
         with pytest.raises(ValueError):
             TileTuner(XAVIER, backend="pytorch")
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_rejects_a_budget_below_one(self, budget):
+        with pytest.raises(ValueError, match="at least one evaluation"):
+            TileTuner(XAVIER, budget=budget)
+
     def test_unknown_method(self):
         tuner = TileTuner(XAVIER, budget=4)
         with pytest.raises(ValueError):

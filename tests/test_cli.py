@@ -68,9 +68,62 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "pytorch" in out and "tex2dpp" in out
 
-    def test_unknown_device_errors(self):
-        with pytest.raises(KeyError):
+    def test_unknown_device_errors(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["layers", "--device", "tpu"])
+        assert exc.value.code == 2
+        assert "unknown device 'tpu'" in capsys.readouterr().err
+
+
+#: one argv per subcommand that takes ``--device``, valid apart from it
+DEVICE_COMMANDS = (
+    ["layers"], ["end-to-end"], ["tune", "--layer", "8,8,8,8"], ["serve"],
+    ["trace"], ["conformance", "run"], ["conformance", "replay", "r.json"],
+    ["latency-table"], ["profile", "--layer", "8,8,8,8"])
+
+
+def _usage_error(argv, capsys):
+    """``main(argv)`` stops at parse time: exit 2, a usage line, the
+    error on stderr and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "Traceback" not in err
+    return err
+
+
+class TestParseTimeErrors:
+    @pytest.mark.parametrize("argv", DEVICE_COMMANDS,
+                             ids=lambda a: " ".join(a[:2]))
+    def test_unknown_device(self, argv, capsys):
+        err = _usage_error(argv + ["--device", "nope"], capsys)
+        assert "argument --device: unknown device 'nope'" in err
+
+    @pytest.mark.parametrize("layer", ["8,8,8", "a,b,c,d", "8,8,0,8",
+                                       "8,-8,8,8", "8,8,8,8,0", ""])
+    @pytest.mark.parametrize("argv", [["layers", "--layer"],
+                                      ["tune", "--layer"],
+                                      ["profile", "--layer"],
+                                      ["devices", "--dcn-layer"]],
+                             ids=lambda a: a[0])
+    def test_malformed_layer(self, argv, layer, capsys):
+        err = _usage_error(argv + [layer], capsys)
+        assert "must be CIN,COUT,H,W[,STRIDE], all positive" in err
+
+    def test_latency_table_backend_choices(self, capsys):
+        err = _usage_error(["latency-table", "--backend", "foo"], capsys)
+        assert "argument --backend: invalid choice: 'foo'" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-3", "two"])
+    @pytest.mark.parametrize("argv", [["tune", "--layer", "8,8,8,8",
+                                       "--budget"],
+                                      ["serve", "--tune-budget"],
+                                      ["trace", "--tune-budget"]],
+                             ids=lambda a: a[0])
+    def test_tuning_budget_must_be_positive(self, argv, budget, capsys):
+        err = _usage_error(argv + [budget], capsys)
+        assert f"argument {argv[-1]}: {budget!r} is not a positive" in err
 
 
 class TestServeAndTiles:

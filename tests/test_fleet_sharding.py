@@ -27,6 +27,8 @@ from repro.kernels.tiling import deformation_halo
 pytestmark = pytest.mark.fleet
 
 SMALL = LayerConfig(8, 8, 14, 14)
+#: at N > 1 a GEMM product's memory order is not C order
+BATCHED = LayerConfig(16, 16, 16, 16, batch=4)
 
 
 @pytest.fixture(scope="module")
@@ -346,29 +348,47 @@ class TestRoutingDeterminism:
 # group's shard.bit_identical.* checks)
 # ----------------------------------------------------------------------
 class TestShardBitIdentity:
+    @staticmethod
+    def _arrays(cfg):
+        g = np.random.default_rng(3)
+        x = g.normal(size=cfg.input_shape()).astype(np.float32)
+        w = g.normal(size=cfg.weight_shape()).astype(np.float32)
+        b = g.normal(size=(cfg.out_channels,)).astype(np.float32)
+        off = synth_offsets(cfg, bound=7.0, seed=3)
+        base = run_deform_op("tex2dpp", x, off, w, b, cfg, XAVIER).output
+        return x, off, w, b, base
+
     @pytest.fixture(scope="class")
     def arrays(self):
-        g = np.random.default_rng(3)
-        x = g.normal(size=SMALL.input_shape()).astype(np.float32)
-        w = g.normal(size=SMALL.weight_shape()).astype(np.float32)
-        b = g.normal(size=(SMALL.out_channels,)).astype(np.float32)
-        off = synth_offsets(SMALL, bound=7.0, seed=3)
-        base = run_deform_op("tex2dpp", x, off, w, b, SMALL, XAVIER).output
-        return x, off, w, b, base
+        return self._arrays(SMALL)
 
     @pytest.mark.parametrize("kind", SHARD_KINDS)
     @pytest.mark.parametrize("weights", [(2.0, 1.0), (1.0, 1.0, 1.0)])
     def test_stitched_equals_unsharded(self, arrays, kind, weights):
-        x, off, w, b, base = arrays
-        pc = PlanCache(max_entries=8)
-        for _ in ("cold", "warm"):
-            shards = [s for s in enumerate_shards(SMALL, kind, weights)
-                      if s is not None]
-            results = [run_shard(x, off, SMALL, XAVIER, s,
-                                 fp16_offsets=True, plan_cache=pc)
-                       for s in shards]
-            out = stitch_columns(results, w, b, SMALL, XAVIER).output
-            assert np.array_equal(out, base)
+        """Same bits and same strides as the unsharded output, at N = 1
+        and at N = 4."""
+        for cfg, (x, off, w, b, base) in ((SMALL, arrays),
+                                          (BATCHED, self._arrays(BATCHED))):
+            pc = PlanCache(max_entries=8)
+            for _ in ("cold", "warm"):
+                shards = [s for s in enumerate_shards(cfg, kind, weights)
+                          if s is not None]
+                results = [run_shard(x, off, cfg, XAVIER, s,
+                                     fp16_offsets=True, plan_cache=pc)
+                           for s in shards]
+                out = stitch_columns(results, w, b, cfg, XAVIER).output
+                assert np.array_equal(out, base)
+                assert out.strides == base.strides
+
+    def test_stitch_refuses_priced_shards(self, arrays):
+        """A price (no input) gathers no columns: nothing to stitch."""
+        x, off, w, b, _ = arrays
+        shards = enumerate_shards(SMALL, "rows", (1.0, 1.0))
+        results = [run_shard(x, off, SMALL, XAVIER, shards[0]),
+                   run_shard(None, off, SMALL, XAVIER, shards[1])]
+        assert results[1].cols is None
+        with pytest.raises(ValueError, match="priced"):
+            stitch_columns(results, w, b, SMALL, XAVIER)
 
     def test_shard_stats_shape(self, arrays):
         x, off, w, b, _ = arrays

@@ -257,11 +257,11 @@ def test_concurrent_misses_build_trace_exactly_once():
     """The double-build race: N threads missing the same key must
     coalesce onto one ``_build_entry`` — ``trace_builds`` stays exact."""
     cfg = GEOMETRIES[0]
-    x, off, w, b = _inputs(cfg)
+    _, off, _, _ = _inputs(cfg)
     for trial in range(5):
         pc = PlanCache()
-        _hammer(8, lambda i: run_tex2d(x, off, w, b, cfg, XAVIER,
-                                       compute_output=False, plan_cache=pc))
+        _hammer(8, lambda i: run_tex2d(None, off, None, None, cfg, XAVIER,
+                                       plan_cache=pc))
         assert pc.stats.trace_builds == 1, f"trial {trial}"
         assert len(pc) == 1
 
@@ -288,12 +288,10 @@ def test_concurrent_fused_calls_compile_once_and_agree():
 def test_concurrent_distinct_keys_still_build_each():
     """Coalescing must be per key — distinct offsets build separately."""
     cfg = GEOMETRIES[0]
-    x, _, w, b = _inputs(cfg)
     offsets = [synth_offsets(cfg, seed=s) for s in range(4)]
     pc = PlanCache()
-    _hammer(8, lambda i: run_tex2d(x, offsets[i % len(offsets)], w, b, cfg,
-                                   XAVIER, compute_output=False,
-                                   plan_cache=pc))
+    _hammer(8, lambda i: run_tex2d(None, offsets[i % len(offsets)], None,
+                                   None, cfg, XAVIER, plan_cache=pc))
     assert pc.stats.trace_builds == len(offsets)
     assert len(pc) == len(offsets)
 
@@ -344,7 +342,9 @@ def test_concurrent_mixed_lookups_with_evictions_stay_exact():
     assert len(pc) <= pc.max_entries
     assert not pc._building, "in-flight build guard left behind"
     resident = sum(e.nbytes for e in pc._entries.values())
-    assert resident > 0 and any(e.shards for e in pc._entries.values())
+    assert resident > 0 and any(p.shard is not None
+                                for e in pc._entries.values()
+                                for p in e.fused.values())
     assert _resident(pc) == resident
     for kind, off, shard, res in checks:
         if kind == "shard":

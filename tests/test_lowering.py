@@ -17,7 +17,6 @@ import pytest
 import repro.deform.deform_conv
 import repro.kernels.fused
 import repro.kernels.reference
-import repro.kernels.shards
 import repro.nn.im2col
 from repro.gpusim import XAVIER
 from repro.nn import functional as F
@@ -247,7 +246,7 @@ def test_whole_detect_bit_identical_to_reference_lowering(
         m.setattr(F, "conv2d", _reference_conv2d)
         m.setattr(F, "im2col", ref.im2col)
         for module in (repro.deform.deform_conv, repro.kernels.fused,
-                       repro.kernels.reference, repro.kernels.shards):
+                       repro.kernels.reference):
             m.setattr(module, "gemm_epilogue", ref.gemm_epilogue)
         expect = _detect(detect_model, images)
     assert expect, "no detections to compare"

@@ -20,11 +20,12 @@ from repro.deform.deform_conv import deform_im2col_arrays, sampling_positions
 from repro.gpusim import RTX_2080TI, XAVIER
 from repro.gpusim.trace import SamplePlan
 from repro.kernels import LayerConfig, PlanCache, plancache, synth_offsets
-from repro.kernels.fused import build_fused_plan
+from repro.kernels.fused import FusedPlan, build_fused_plan
 from repro.kernels.reference import run_reference
 from repro.kernels.shards import (SHARD_KINDS, ShardSpec, enumerate_shards,
                                   run_shard, stitch_columns)
-from repro.kernels.tex2d import eager_tex2d_forward, run_tex2d
+from repro.kernels.tex2d import eager_tex2d_forward, launch, run_tex2d
+from repro.nas.latency_table import deform_shard_latency_split_ms
 from repro.nn.im2col import gemm_epilogue
 
 from helpers import rng
@@ -261,6 +262,71 @@ def test_shard_call_hashes_each_offsets_key_once(kind, hashes_per_call,
     hashes.clear()
     run_shard(x, off, cfg, XAVIER, shard)
     assert hashes == []
+
+
+# ----------------------------------------------------------------------
+# one launch: a price is a launch with no input
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("fp16", [False, True], ids=["tex2d", "tex2dpp"])
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_full_slices_launch_the_whole_layers_sampling_kernel(geometry,
+                                                             fp16):
+    """A full-height row band and a full-width channel slice sample what
+    the whole layer samples: every field of the sampling kernel but its
+    name is equal — uncached, cold and warm."""
+    cfg = GEOMETRIES[geometry]
+    _, off, _, _ = _inputs(cfg)
+    full = (ShardSpec("rows", 0, 1, 0, cfg.out_height),
+            ShardSpec("channels", 0, 1, 0,
+                      cfg.in_channels // cfg.deformable_groups))
+
+    def sampling(pc, shard=None):
+        stats = launch(None, off, cfg, XAVIER, TILE, fp16, None, pc,
+                       shard).kernels[0]
+        return {k: v for k, v in stats.__dict__.items() if k != "name"}
+
+    cache = PlanCache()
+    for pc in (None, cache, cache):
+        whole = sampling(pc)
+        for shard in full:
+            assert sampling(pc, shard) == whole, (shard.kind, pc)
+
+
+@pytest.mark.parametrize("kind", SHARD_KINDS)
+def test_shard_price_gathers_nothing_and_draws_no_input(kind, monkeypatch):
+    """The shard planner's price returns the former shard path's (sample
+    ms, GEMM ms), which it computed after drawing a random input and
+    gathering its columns; now it calls no gather and draws no input."""
+    cfg = LayerConfig(16, 16, 12, 12)
+    shards = enumerate_shards(cfg, kind, (1, 1))
+    x = rng(0).normal(size=cfg.input_shape()).astype(np.float32)
+    off = synth_offsets(cfg, bound=7.0, seed=0)
+    want = [ref.run_shard(x, off, cfg, XAVIER, s, fp16_offsets=True)
+            for s in shards]
+
+    def no_gather(self, x):
+        raise AssertionError("a price gathered columns")
+
+    drawn = []
+    real_rng = np.random.default_rng
+
+    class RecordingRng:
+        def __init__(self, *args, **kwargs):
+            self._rng = real_rng(*args, **kwargs)
+
+        def normal(self, *args, size=None, **kwargs):
+            drawn.append(size)
+            return self._rng.normal(*args, size=size, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(FusedPlan, "gather", no_gather)
+    monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+    for shard, former in zip(shards, want):
+        assert deform_shard_latency_split_ms(cfg, XAVIER, shard) == \
+            (former.sample.duration_ms, former.gemm.duration_ms)
+    assert drawn and cfg.input_shape() not in drawn
 
 
 # ----------------------------------------------------------------------

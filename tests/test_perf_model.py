@@ -89,15 +89,14 @@ def test_retiled_simulation_all_corners_out_of_bounds():
 @pytest.mark.parametrize("fp16", [False, True], ids=["tex2d", "tex2dpp"])
 @pytest.mark.parametrize("cfg", GEOMETRIES[:2], ids=lambda c: c.label())
 def test_plan_cache_stats_bit_identical(cfg, fp16):
-    x, off, w = _inputs(cfg)
+    _, off, _ = _inputs(cfg)
     cache = PlanCache()
     for tile in TILES[:3]:
-        ref = run_tex2d(x, off, w, None, cfg, XAVIER, tile=tile,
-                        fp16_offsets=fp16, compute_output=False)
+        ref = run_tex2d(None, off, None, None, cfg, XAVIER, tile=tile,
+                        fp16_offsets=fp16)
         for _ in range(2):               # miss then hit: both identical
-            got = run_tex2d(x, off, w, None, cfg, XAVIER, tile=tile,
-                            fp16_offsets=fp16, compute_output=False,
-                            plan_cache=cache)
+            got = run_tex2d(None, off, None, None, cfg, XAVIER, tile=tile,
+                            fp16_offsets=fp16, plan_cache=cache)
             assert got.sample_kernel == ref.sample_kernel
             assert got.kernels[1] == ref.kernels[1]
     # 3 tiles × 2 runs: one trace build, misses on first sight of each
@@ -109,33 +108,31 @@ def test_plan_cache_stats_bit_identical(cfg, fp16):
 
 def test_plan_cache_distinguishes_offsets():
     cfg = GEOMETRIES[0]
-    x, off_a, w = _inputs(cfg, seed=0)
+    _, off_a, _ = _inputs(cfg, seed=0)
     off_b = synth_offsets(cfg, seed=99)
     assert offsets_digest(off_a) != offsets_digest(off_b)
     cache = PlanCache()
     for off in (off_a, off_b):
-        ref = run_tex2d(x, off, w, None, cfg, XAVIER,
-                        compute_output=False)
-        got = run_tex2d(x, off, w, None, cfg, XAVIER,
-                        compute_output=False, plan_cache=cache)
+        ref = run_tex2d(None, off, None, None, cfg, XAVIER)
+        got = run_tex2d(None, off, None, None, cfg, XAVIER,
+                        plan_cache=cache)
         assert got.sample_kernel == ref.sample_kernel
     assert cache.stats.trace_builds == 2
 
 
 def test_plan_cache_lru_eviction_stays_correct():
     cfg = GEOMETRIES[0]
-    x, _, w = _inputs(cfg)
     registry = MetricsRegistry()
     cache = PlanCache(max_entries=1, registry=registry)
     offs = [synth_offsets(cfg, seed=s) for s in range(3)]
-    refs = [run_tex2d(x, off, w, None, cfg, XAVIER, compute_output=False)
+    refs = [run_tex2d(None, off, None, None, cfg, XAVIER)
             for off in offs]
     # cycle twice through 3 offset tensors with capacity 1: every lookup
     # misses and rebuilds, but results never drift
     for _ in range(2):
         for off, ref in zip(offs, refs):
-            got = run_tex2d(x, off, w, None, cfg, XAVIER,
-                            compute_output=False, plan_cache=cache)
+            got = run_tex2d(None, off, None, None, cfg, XAVIER,
+                            plan_cache=cache)
             assert got.sample_kernel == ref.sample_kernel
     assert len(cache) == 1
     assert cache.stats.trace_builds == 6   # evicted every time
@@ -150,14 +147,14 @@ def test_plan_cache_sampled_trace_fallback_bit_identical():
     """Beyond plan.max_fetches the trace is CTA-sampled (tile-dependent);
     the cache must replay that sampling exactly per tile."""
     cfg = LayerConfig(4, 4, 40, 40)
-    x, off, w = _inputs(cfg)
+    _, off, _ = _inputs(cfg)
     plan = SamplePlan(max_fetches=cfg.taps * cfg.out_pixels // 4)
     cache = PlanCache()
     for tile in ((8, 8), (4, 16), (16, 16)):
-        ref = run_tex2d(x, off, w, None, cfg, XAVIER, tile=tile, plan=plan,
-                        compute_output=False)
-        got = run_tex2d(x, off, w, None, cfg, XAVIER, tile=tile, plan=plan,
-                        compute_output=False, plan_cache=cache)
+        ref = run_tex2d(None, off, None, None, cfg, XAVIER, tile=tile,
+                        plan=plan)
+        got = run_tex2d(None, off, None, None, cfg, XAVIER, tile=tile,
+                        plan=plan, plan_cache=cache)
         assert got.sample_kernel == ref.sample_kernel
     assert cache.stats.trace_builds == 1
 
@@ -173,13 +170,12 @@ def test_plan_cache_functional_output_unchanged():
 
 def test_plan_cache_observability():
     cfg = GEOMETRIES[0]
-    x, off, w = _inputs(cfg)
+    _, off, _ = _inputs(cfg)
     registry = MetricsRegistry()
     tracer = SpanTracer()
     cache = PlanCache(registry=registry, tracer=tracer)
     for _ in range(3):
-        run_tex2d(x, off, w, None, cfg, XAVIER, compute_output=False,
-                  plan_cache=cache)
+        run_tex2d(None, off, None, None, cfg, XAVIER, plan_cache=cache)
     snap = registry.snapshot()
     lookups = {tuple(sorted(s["labels"].items())): s["value"]
                for s in snap["plan_cache_lookups"]["series"]}
@@ -221,7 +217,7 @@ def test_plan_cache_counts_on_its_registry_from_the_first_call():
     the first call; one built without a registry counts on its own
     ``cache.registry``; ``cache.stats`` reads both back as ints."""
     cfg = GEOMETRIES[0]
-    x, off, w = _inputs(cfg)
+    _, off, _ = _inputs(cfg)
     registry = MetricsRegistry()
     bound = PlanCache(registry=registry)
     private = PlanCache()
@@ -230,8 +226,7 @@ def test_plan_cache_counts_on_its_registry_from_the_first_call():
     for cache in (bound, private):
         lookups = cache.registry.get("plan_cache_lookups")
         for call in range(2):
-            run_tex2d(x, off, w, None, cfg, XAVIER, compute_output=False,
-                      plan_cache=cache)
+            run_tex2d(None, off, None, None, cfg, XAVIER, plan_cache=cache)
             assert lookups.value(result="miss") == 1.0
             assert lookups.value(result="hit") == float(call)
         stats = cache.stats
@@ -253,14 +248,11 @@ def _uncached_grid(cfg):
     tuner = TileTuner(XAVIER, seed=0)
     off = synth_offsets(cfg, sigma=tuner.offset_sigma, bound=tuner.bound,
                         seed=0)
-    x = np.zeros(cfg.input_shape(), dtype=np.float32)
-    w = np.zeros(cfg.weight_shape(), dtype=np.float32)
     plan = SamplePlan(seed=0)
 
     def objective(tile):
-        return run_tex2d(x, off, w, None, cfg, XAVIER, tile=tuple(tile),
-                         plan=plan, compute_output=False
-                         ).sample_kernel.duration_ms
+        return run_tex2d(None, off, None, None, cfg, XAVIER,
+                         tile=tuple(tile), plan=plan).sample_kernel.duration_ms
 
     return grid_search(tuner.space(cfg), objective)
 
