@@ -18,7 +18,13 @@ docs/performance.md:
   warm-cache stats lookup) *with the plan cache already warm*, with
   bit-identical outputs and kernel stats.  The two sides are timed in
   interleaved pairs; the speedup is the median pair ratio and the
-  reported times are per-side medians.
+  reported times are per-side medians;
+* **miss path**: the call a serving request makes at each DCN site of
+  perfbench's r50s YolactLite (128 px, batch 1, tex2D++): fresh offsets
+  on every call, so every plan-cache lookup misses and the call pays
+  the trace, the tap tables and the tile's counters.  Outputs and
+  kernel stats must be bit-identical to the uncached call
+  (``plan_cache=None``); the per-site median ms is reported, not gated.
 
 The CI ``perf-smoke`` job runs this on every push and fails if the cached
 paths stop being faster.  It pins BLAS to one thread
@@ -53,6 +59,11 @@ STEADY_ITERS = 10
 #: fused-vs-eager runs the full functional forward (~hundreds of ms per
 #: eager call at this geometry), timed in a few interleaved pairs
 FUSED_PAIRS = 5
+#: the DCN sites of perfbench's r50s YolactLite at 128 px, batch 1
+MISS_SITES = (LayerConfig(16, 16, 32, 32), LayerConfig(32, 32, 16, 16),
+              LayerConfig(64, 64, 8, 8))
+#: fresh-offset calls timed per site
+MISS_CALLS = 20
 
 
 def _steady_state(cfg):
@@ -123,6 +134,34 @@ def _fused_serving(cfg):
         speedup
 
 
+def _miss_path(cfg):
+    """Median ms of a ``run_tex2d`` call whose offsets are new to its
+    plan cache; every output and kernel stat equals the uncached call's."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=cfg.input_shape()).astype(np.float32)
+    w = rng.normal(size=cfg.weight_shape()).astype(np.float32)
+    b = rng.normal(size=(cfg.out_channels,)).astype(np.float32)
+    offsets = [synth_offsets(cfg, sigma=2.0, bound=7.0, seed=seed)
+               for seed in range(MISS_CALLS)]
+    cache = PlanCache()
+    times, results = [], []
+    for off in offsets:
+        t0 = time.perf_counter()
+        results.append(run_tex2d(x, off, w, b, cfg, XAVIER,
+                                 fp16_offsets=True, plan_cache=cache))
+        times.append(time.perf_counter() - t0)
+    assert cache.stats.hits == 0, "fresh offsets hit the plan cache"
+    for off, res in zip(offsets, results):
+        ref = run_tex2d(x, off, w, b, cfg, XAVIER, fp16_offsets=True)
+        assert np.array_equal(res.output, ref.output) and \
+            res.output.strides == ref.output.strides, \
+            "miss-path output drifted from the uncached call"
+        assert [k.__dict__ for k in res.kernels] == \
+            [k.__dict__ for k in ref.kernels], \
+            "miss-path kernel stats drifted from the uncached call"
+    return float(np.median(times))
+
+
 def _uncached_grid(cfg):
     """The legacy baseline: a grid search over the tuner's tile space
     that runs one full, uncached simulation per candidate tile (the
@@ -163,6 +202,7 @@ def regenerate():
     uncached_s, cached_s = _steady_state(LAYER)
     eager_s, fused_s, fused_x = _fused_serving(LAYER)
     legacy_s, fast_s, tiles = _tuner_sweep(SWEEP_LAYERS)
+    miss_s = {cfg.label(): _miss_path(cfg) for cfg in MISS_SITES}
     steady_x = uncached_s / cached_s
     sweep_x = legacy_s / fast_s
     rows = [
@@ -175,7 +215,9 @@ def regenerate():
         ["%d-layer tile sweep (%d tiles)" % (len(SWEEP_LAYERS), tiles),
          f"{legacy_s * 1e3:.1f}", f"{fast_s * 1e3:.1f}",
          f"{sweep_x:.1f}x"],
-    ]
+    ] + [
+        [f"miss-path call {label} (median of {MISS_CALLS})", "",
+         f"{sec * 1e3:.2f}", ""] for label, sec in miss_s.items()]
     text = format_table(
         ["hot path", "baseline ms", "optimised ms", "speedup"],
         rows,
@@ -198,7 +240,10 @@ def regenerate():
          "tuner_sweep": {"tiles": tiles,
                          "legacy_ms": legacy_s * 1e3,
                          "fast_ms": fast_s * 1e3,
-                         "speedup": sweep_x}},
+                         "speedup": sweep_x},
+         "miss_path": {"calls": MISS_CALLS,
+                       **{f"{label}_ms": sec * 1e3
+                          for label, sec in miss_s.items()}}},
         device=XAVIER.name)
     return steady_x, fused_x, sweep_x
 

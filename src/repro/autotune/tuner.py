@@ -23,9 +23,10 @@ from repro.autotune.random_search import grid_search, random_search
 from repro.autotune.space import SearchSpace
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.trace import SamplePlan
+from repro.kernels import plancache
 from repro.kernels.config import LayerConfig, synth_offsets
-from repro.kernels.dispatch import run_deform_op
 from repro.kernels.plancache import PlanCache
+from repro.kernels.tex2d import launch, texture_offsets
 from repro.kernels.tiling import enumerate_tiles
 from repro.obs.registry import MetricsRegistry
 
@@ -102,22 +103,26 @@ class TileTuner:
     def objective(self, cfg: LayerConfig):
         """Build the latency objective for one layer.
 
-        Every candidate tile is priced on the same synthetic offsets: the
-        kernels run with no input (``x=None``), so no input or weight
-        array is built and no output computed.
+        Every candidate tile is priced on the same synthetic offsets: each
+        evaluation is a texture launch with no input (``x=None``), so no
+        input or weight array is built and no output computed.  The
+        offsets are quantised (tex2D++) and hashed once per search, and
+        every launch takes that digest.
         """
-        off = synth_offsets(cfg, sigma=self.offset_sigma, bound=self.bound,
-                            seed=self.seed)
+        fp16 = self.backend == "tex2dpp"
+        off = texture_offsets(synth_offsets(
+            cfg, sigma=self.offset_sigma, bound=self.bound, seed=self.seed),
+            fp16)
+        digest = plancache.offsets_digest(off)
         plan = SamplePlan(seed=self.seed)
         plan_cache = self._search_plan_cache()
 
         def latency(tile: Tuple[int, int]) -> float:
             self.objective_evaluations += 1
             self._eval_counter.inc(backend=self.backend)
-            res = run_deform_op(self.backend, None, off, None, None, cfg,
-                                self.spec, tile=tuple(tile), plan=plan,
-                                plan_cache=plan_cache)
-            return res.sample_kernel.duration_ms
+            sample, _ = launch(None, off, cfg, self.spec, tuple(tile), fp16,
+                               plan, plan_cache, digest=digest).kernels
+            return sample.duration_ms
 
         return latency
 

@@ -585,7 +585,8 @@ class ShardContext:
                 plan=self.plan.label,
                 shards=[r["shard"] for r in shard_rows])
         self.applied = True
-        return Tensor(stitched.output.astype("float32"))
+        # the stitch's fresh, C-ordered float32 output is the layer's
+        return Tensor(stitched.output)
 
     def _run_local(self, runtime, layer, cfg, x, offsets) -> Tensor:
         """Unsplittable layer: run on the coordinator, charge serially."""

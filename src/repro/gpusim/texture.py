@@ -73,31 +73,66 @@ def linear_filter_taps(y: np.ndarray, x: np.ndarray, h: int, w: int,
     """The four bilinear taps of CUDA linear filtering, fully resolved.
 
     ``y``/``x`` are the *texture-space* coordinates (after any fp16
-    quantisation).  Returns four ``(iy, jx, weight)`` tuples — resolved
-    texel indices plus the 1.8 fixed-point blend weight with the
-    out-of-bounds mask already folded in (border reads contribute zero).
+    quantisation; float16 coordinates are filtered in float32, as the
+    float32 round trip would be).  Returns four ``(iy, jx, weight)``
+    tuples — resolved texel indices plus the 1.8 fixed-point blend
+    weight with the out-of-bounds mask already folded in (border reads
+    contribute zero).
     Both the eager fetch path and the fused execution plans consume this
-    helper, so their corner numerics can never drift apart.  The two
-    rows, the two columns and the (1 − α), (1 − β) factors are resolved
-    once and shared by the corners that use them.
+    corner math (:func:`filter_axis`), so their numerics can never drift
+    apart.  Each axis is resolved once and its two corners are shared by
+    the taps that use them.
+    """
+    iy, wy = filter_axis(y, h, address_mode, normalized)
+    jx, wx = filter_axis(x, w, address_mode, normalized)
+    # corners (0, 0), (0, 1), (1, 0), (1, 1)
+    return [(iy[a], jx[b], wy[a] * wx[b]) for a in (0, 1) for b in (0, 1)]
+
+
+def filter_axis(coord: np.ndarray, extent, address_mode: str,
+                normalized: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """One axis of CUDA linear filtering, resolved once.
+
+    Returns ``(idx, wts)``, each of shape ``(2,) + coord.shape``: along
+    the first axis the floor corner and the ``+1`` corner, as int64 texel
+    indices (address mode applied) and 1.8 fixed-point weights ``1 − α``
+    and ``α``, an out-of-bounds border corner's weight zeroed.  A row's
+    weight times a column's is bit-identical to masking the product, as
+    weights are never negative, so every bilinear corner is one product
+    of these.
+
+    Unnormalised coordinates (every deformable kernel's) are resolved on
+    the two buffers in place: one floor, one int64 cast, one unsigned
+    compare for both corners' bounds, one clamp.  ``extent`` may be an
+    array broadcasting against ``coord``: a stack of several axes, each
+    with its own extent, then resolves in one pass.
     """
     # Linear filtering: xB = x − 0.5; i = floor(xB); α = frac(xB) in 1.8
     # fixed point (CUDA Programming Guide, appendix on texture fetching).
-    yb = y - 0.5
-    xb = x - 0.5
-    i0 = np.floor(yb)
-    j0 = np.floor(xb)
-    alpha = quantize_fraction(yb - i0)
-    beta = quantize_fraction(xb - j0)
-    i0 = i0.astype(np.int64)
-    j0 = j0.astype(np.int64)
-    rows = [_apply_address_mode(i0 + d, h, address_mode, normalized) + (wy,)
-            for d, wy in ((0, 1 - alpha), (1, alpha))]
-    cols = [_apply_address_mode(j0 + d, w, address_mode, normalized) + (wx,)
-            for d, wx in ((0, 1 - beta), (1, beta))]
-    # corners (0, 0), (0, 1), (1, 0), (1, 1)
-    return [(iy, jx, wy * wx * (ok_y & ok_x))
-            for iy, ok_y, wy in rows for jx, ok_x, wx in cols]
+    frac = np.asarray(np.subtract(
+        coord, 0.5, dtype=np.result_type(coord, np.float32)))
+    floor = np.floor(frac)
+    frac -= floor
+    alpha = quantize_fraction(frac)
+    wts = np.empty((2,) + alpha.shape, dtype=alpha.dtype)
+    np.subtract(1, alpha, out=wts[0, ...])
+    wts[1] = alpha
+    idx = np.empty(wts.shape, dtype=np.int64)
+    idx[0] = floor                  # the float → int64 cast of astype
+    np.add(idx[0, ...], 1, out=idx[1, ...])
+    if normalized:
+        for d in (0, 1):
+            idx[d], ok = _apply_address_mode(idx[d], extent, address_mode,
+                                             True)
+            wts[d] *= ok
+        return idx, wts
+    # Pixel coordinates: wrap and mirror fold nothing, so every mode
+    # clamps, and border zeroes the out-of-range corners — viewed
+    # unsigned, a negative index is out of range too.
+    if address_mode == "border":
+        wts *= idx.view(np.uint64) < np.asarray(extent, dtype=np.uint64)
+    np.minimum(np.maximum(idx, 0, out=idx), np.subtract(extent, 1), out=idx)
+    return idx, wts
 
 
 def _apply_address_mode(coord: np.ndarray, extent: int, mode: str,

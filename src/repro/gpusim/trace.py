@@ -119,6 +119,20 @@ def _cta_ids(out_h: int, out_w: int, ty: int, tx: int) -> np.ndarray:
     return ids
 
 
+def fetch_pixels(k: int, l: int) -> np.ndarray:
+    """Fetch → issuing output pixel for a (K, L) tap-major fetch trace:
+    ``(k * l,)`` ints, ``arange(l)`` once per tap.  Built once per
+    (k, l) and shared read-only, like :func:`cta_ids_for_tile`."""
+    return _fetch_pixels(int(k), int(l))
+
+
+@lru_cache(maxsize=64)
+def _fetch_pixels(k: int, l: int) -> np.ndarray:
+    pixels = np.tile(np.arange(l), k)
+    pixels.flags.writeable = False
+    return pixels
+
+
 def sample_trace_ctas(y0: np.ndarray, x0: np.ndarray, cta: np.ndarray,
                       num_fetches: int, plan: SamplePlan
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:

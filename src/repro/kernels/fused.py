@@ -15,8 +15,9 @@ once per call when no plan cache is supplied:
   per tap, address mode already resolved to flat ``iy * W + jx`` form;
 * **fixed-point blend weights** — the 1.8 fixed-point corner weights
   with the out-of-bounds (border) mask folded in, via the same
-  :func:`~repro.gpusim.texture.linear_filter_taps` helper the eager
-  fetch uses, so the numerics cannot drift.
+  :func:`~repro.gpusim.texture.filter_axis` corner math the eager
+  fetch's :func:`~repro.gpusim.texture.linear_filter_taps` uses, so the
+  numerics cannot drift.
 
 A plan holds those tables and nothing else: the corner buffer and the
 im2col columns are allocated per call, like
@@ -53,12 +54,13 @@ caller's thread may run one plan concurrently without a lock.
 
 from __future__ import annotations
 
+from math import prod
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.gpusim.device import DeviceSpec
-from repro.gpusim.texture import linear_filter_taps
+from repro.gpusim.texture import filter_axis
 from repro.kernels.config import LayerConfig
 from repro.nn.im2col import gemm_epilogue
 
@@ -244,11 +246,15 @@ def tap_tables(py: np.ndarray, px: np.ndarray, h: int, w: int,
     The one compilation step of :func:`build_fused_plan` (a whole layer
     or a row-band or channel slice of the same positions): pixel coords →
     texture coords (+0.5), the tex2D++ fp16 coordinate quantisation, then
-    :func:`~repro.gpusim.texture.linear_filter_taps` — exactly
-    ``fetch_at_pixel_coords`` + ``fetch``.  Because every operation is
-    elementwise, tables built from a *slice* of the positions are
-    bitwise equal to the same slice of the full tables, which is what
-    makes stitched shard outputs bit-identical to the unsharded forward.
+    :func:`~repro.gpusim.texture.filter_axis` — exactly
+    ``fetch_at_pixel_coords`` + ``fetch``.  Rows and columns are one
+    stacked array, so each axis is resolved once, in one pass over both,
+    with one fp16 cast; each corner's index and weight rows are then one
+    broadcast product of a row corner and a column corner, written
+    straight into the tables.  Because every operation is elementwise,
+    tables built from a *slice* of the positions are bitwise equal to
+    the same slice of the full tables, which is what makes stitched
+    shard outputs bit-identical to the unsharded forward.
 
     Returns ``idx`` of shape (4, N·dg, S) — flat corner texel indices —
     and ``wts`` of shape (4, N·dg, 1, S), the fixed-point blend weights
@@ -256,18 +262,22 @@ def tap_tables(py: np.ndarray, px: np.ndarray, h: int, w: int,
     position axis.
     """
     n, dg = py.shape[0], py.shape[1]
-    s = int(np.prod(py.shape[2:], dtype=np.int64))
-    y = (py.reshape(n, dg, 1, s) + 0.5).astype(np.float32)
-    x = (px.reshape(n, dg, 1, s) + 0.5).astype(np.float32)
+    s = prod(py.shape[2:])
+    # both axes as one (2, N·dg, S) stack: float32 texture coords, one
+    # fp16 quantisation for tex2D++, then each axis's two corners
+    # resolved in one pass (widening fp16 back to float32 on the way in)
+    t = np.empty((2, n * dg, s), dtype=np.float32)
+    for axis, p in enumerate((py, px)):
+        np.add(p.reshape(n * dg, s), 0.5, out=t[axis])
     if fp16:
-        y = y.astype(np.float16).astype(np.float32)
-        x = x.astype(np.float16).astype(np.float32)
+        t = t.astype(np.float16)
+    i, wq = filter_axis(t, np.array([[[h]], [[w]]]), "border", False)
+    # corner (a, b) = row corner a × column corner b, q = 2a + b
     idx = np.empty((4, n * dg, s), dtype=np.int64)
     wts = np.empty((4, n * dg, 1, s), dtype=np.float32)
-    for q, (iy, jx, wq) in enumerate(
-            linear_filter_taps(y, x, h, w, "border", False)):
-        flat = idx[q].reshape(y.shape)
-        np.multiply(iy, w, out=flat)
-        flat += jx
-        wts[q] = wq.reshape(n * dg, 1, s)
+    corners = idx.reshape(2, 2, n * dg, s)
+    np.multiply(i[:, 0, None], w, out=corners)
+    corners += i[None, :, 1]
+    np.multiply(wq[:, 0, None], wq[None, :, 1],
+                out=wts.reshape(2, 2, n * dg, s))
     return idx, wts

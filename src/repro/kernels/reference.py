@@ -14,6 +14,7 @@ The functional output is the exact fp32 software-interpolation result.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -130,12 +131,19 @@ def gemm_kernel_stats(m: int, n: int, k: int, spec: DeviceSpec,
     matrix, or a shard's slice of it — at cuBLAS-grade efficiency, one
     256-thread CTA per 128×64 output tile.  ``write_bytes`` is the output
     a shard ships to the coordinator; a whole layer's output stays on
-    its device and is not priced here.
+    its device and is not priced here.  The counters are a function of
+    the shape, memoised per geometry; each call returns its own record.
     """
+    return KernelStats(**_gemm_fields(m, n, k, spec, name, write_bytes))
+
+
+@lru_cache(maxsize=256)
+def _gemm_fields(m: int, n: int, k: int, spec: DeviceSpec, name: str,
+                 write_bytes: float) -> dict:
     gemm = gemm_cost(m, n, k)
     launch = LaunchConfig(grid=max(1, -(-(m * n) // (128 * 64))), block=256)
     loads = strided_stats(int(gemm.dram_bytes // 4), 4, spec)
-    return KernelStats(
+    return dict(
         name=name,
         duration_ms=estimate_time_ms(gemm, launch, spec),
         flop_count_sp=gemm.flops,

@@ -23,6 +23,7 @@ fp32 reference is faithfully reproduced (and bounded by tests).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import (TYPE_CHECKING, Callable, List, NamedTuple, Optional,
                     Tuple)
 
@@ -91,22 +92,29 @@ class Launch(NamedTuple):
 def launch(x: Optional[np.ndarray], offset: np.ndarray, cfg: LayerConfig,
            spec: DeviceSpec, tile: Tuple[int, int], fp16: bool,
            plan: Optional[SamplePlan], plan_cache: Optional["PlanCache"],
-           shard: Optional["ShardSpec"] = None) -> Launch:
+           shard: Optional["ShardSpec"] = None,
+           digest: Optional[str] = None) -> Launch:
     """The tex2D sampling kernel plus the implicit GEMM over one slice of
     a layer: the whole layer (``shard=None``) or one
     :class:`~repro.kernels.shards.ShardSpec`.
 
-    Checks the CTA tile, quantises the offsets for tex2D++ (``fp16``) and
-    hashes them once.  When ``x`` is given, the slice's
-    :class:`~repro.kernels.fused.FusedPlan` comes from the plan cache
-    (or is compiled for this call without one); a price (``x=None``)
-    builds no plan.  The texture counters come from one representative
-    channel's fetch trace: the layer's, which a channel slice shares, or
-    for a row band the band's own trace (its own offsets rows, so its own
-    digest; top-aligned against the full CTA grid — a deterministic
-    approximation the planner and executor share).  The kernel stats
-    cover the slice's channels, pixels and rows; a shard's GEMM is its
-    own slice of the product, which it ships to the coordinator.
+    Checks the CTA tile, quantises the offsets for tex2D++ (``fp16``;
+    :func:`texture_offsets`) and hashes them once — or takes ``digest``,
+    :func:`~repro.kernels.plancache.offsets_digest` of those quantised
+    offsets, from a caller that prices many tiles on one tensor.  When
+    ``x`` is given, the slice's :class:`~repro.kernels.fused.FusedPlan`
+    comes from the plan cache (or is compiled for this call without
+    one); a price (``x=None``) builds no plan.  The texture counters come
+    from one representative channel's fetch trace: the layer's, which a
+    channel slice shares, or for a row band the band's own trace (its
+    own offsets rows, so its own digest; top-aligned against the full
+    CTA grid — a deterministic approximation the planner and executor
+    share).  A launch whose plan and counters hang off one trace entry —
+    a whole layer, a channel slice, any price but a band's — settles
+    both in one :meth:`~repro.kernels.plancache.PlanCache.lookup`.  The
+    kernel stats cover the slice's channels, pixels and rows; a shard's
+    GEMM is its own slice of the product, which it ships to the
+    coordinator.
 
     Sampling positions are needed only to compile a plan or build a
     trace, so they are computed lazily, once: steady-state cache hits
@@ -115,9 +123,10 @@ def launch(x: Optional[np.ndarray], offset: np.ndarray, cfg: LayerConfig,
     ty, tx = tile
     if ty <= 0 or tx <= 0 or ty * tx > spec.max_threads_per_block:
         raise ValueError(f"tile {tile} invalid for {spec.name}")
+    tile = (int(ty), int(tx))
     plan = plan or SamplePlan()
     c0, c1, l0, l1 = slice_bounds(cfg, shard)
-    off = offset.astype(np.float16).astype(np.float32) if fp16 else offset
+    off = texture_offsets(offset, fp16)
     memo: list = []
 
     def positions() -> Tuple[np.ndarray, np.ndarray]:
@@ -127,33 +136,30 @@ def launch(x: Optional[np.ndarray], offset: np.ndarray, cfg: LayerConfig,
                 cfg.padding, cfg.dilation, cfg.deformable_groups))
         return memo[0]
 
-    def rep() -> Tuple[np.ndarray, np.ndarray]:
-        return tuple(p[0, 0][:, l0:l1] for p in positions())
-
-    band = shard is not None and shard.kind == "rows"
     layers = min(cfg.in_channels // cfg.deformable_groups, 4)
     fplan = None
     if plan_cache is None:
         if x is not None:
             fplan = build_fused_plan(cfg, spec, fp16, positions, shard)
-        py, px = rep()
+        py, px = (p[0, 0][:, l0:l1] for p in positions())
         y0, x0, cta, scale = texture_fetch_trace(py, px, cfg.out_width,
                                                  tile, plan)
         cache = TextureCacheModel(spec, concurrent_layers=layers)
         texture = cache.simulate(y0, x0, cta, cfg.height, cfg.width), scale
-    else:
-        digest = None
+    elif shard is not None and shard.kind == "rows":
         if x is not None:
-            digest = plancache.offsets_digest(off)
-            fplan = plan_cache.fused_plan(digest, cfg, spec, fp16, plan,
-                                          positions, shard)
-        if band or digest is None:
-            # the trace's offsets: the band's own rows, or the layer's
-            trace_off = (np.ascontiguousarray(off[:, :, shard.lo:shard.hi])
-                         if band else off)
-            digest = plancache.offsets_digest(trace_off)
-        texture = plan_cache.tex_stats(digest, cfg, spec, tile, fp16, plan,
-                                       layers, rep)
+            fplan = plan_cache.fused_plan(
+                digest or plancache.offsets_digest(off), cfg, spec, fp16,
+                plan, positions, shard)
+        band = np.ascontiguousarray(off[:, :, shard.lo:shard.hi])
+        texture = plan_cache.tex_stats(
+            plancache.offsets_digest(band), cfg, spec, tile, fp16, plan,
+            layers, positions, slice(l0, l1))
+    else:
+        fplan, texture = plan_cache.lookup(
+            digest or plancache.offsets_digest(off), cfg, spec, fp16, plan,
+            positions, fused=x is not None, shard=shard, tile=tile,
+            concurrent_layers=layers)
 
     n, k, csel, lsel = cfg.batch, cfg.taps, c1 - c0, l1 - l0
     suffix = "" if shard is None else "_shard"
@@ -171,6 +177,15 @@ def launch(x: Optional[np.ndarray], offset: np.ndarray, cfg: LayerConfig,
     return Launch(fplan, [sample, gemm], positions)
 
 
+def texture_offsets(offset: np.ndarray, fp16: bool) -> np.ndarray:
+    """The offsets a launch samples through: float16 for tex2D++ (whose
+    texture unit keeps 8 fractional bits, so nothing is lost), as given
+    for tex2D.  Positions computed from float16 offsets are bit-equal to
+    those of the float32 round trip — the float32 sum converts each
+    float16 exactly — and the digest reads half the bytes."""
+    return offset.astype(np.float16, copy=False) if fp16 else offset
+
+
 def sample_kernel_stats(cfg: LayerConfig, spec: DeviceSpec,
                         texture: Tuple[TextureCacheStats, float],
                         channels: int, pixels: int, rows: int,
@@ -184,30 +199,15 @@ def sample_kernel_stats(cfg: LayerConfig, spec: DeviceSpec,
     representative channel; every channel of every (batch, group)
     shares that trace, so its counters scale by ``n·dg·channels`` (cache
     behaviour per layer is identical — each layer's lines are distinct
-    but isomorphic).
+    but isomorphic).  Everything that does not read the counters — the
+    offset stream, the coordinate FLOPs, the launch grid — comes from a
+    per-geometry memo.
     """
-    n, k, dg = cfg.batch, cfg.taps, cfg.deformable_groups
-    ty, tx = tile
     tex_stats, scale = texture
+    n, dg = cfg.batch, cfg.deformable_groups
     tex_stats = tex_stats.scaled(scale * n * dg * channels)
-
-    # Channel blocks are spread across the grid's z dimension so channel
-    # count contributes parallelism, not per-CTA serialisation.
-    channel_blocks = max(1, -(-channels // spec.offset_channel_block))
-
-    # Offsets are re-read once per channel block a CTA processes; fp16
-    # storage (tex2D++) halves this stream — the paper's bandwidth saving.
-    # The re-read count is the *ceil* block count, matching the launch
-    # grid: a partial trailing block still issues a full offset read.
-    offset_bytes = 2 if fp16 else 4
-    offs = strided_stats(n * 2 * k * pixels * dg, offset_bytes, spec)
-    offs_traffic = offs.bytes_transferred * channel_blocks
-    col_bytes = float(n * dg * channels * k * pixels * 4)
-
-    coord_flops = float(n * dg * channels * k * pixels * COORD_FLOPS)
-    tiles = -(-rows // ty) * -(-cfg.out_width // tx)
-    grid = LaunchConfig(grid=max(1, tiles * n * dg * channel_blocks),
-                        block=ty * tx)
+    offs, offs_traffic, coord_flops, col_bytes, grid = _sample_geometry(
+        cfg, spec, channels, pixels, rows, tile, fp16)
     sample_cost = KernelCost(
         flops=coord_flops,
         dram_bytes=tex_stats.miss_bytes + offs_traffic,
@@ -229,6 +229,34 @@ def sample_kernel_stats(cfg: LayerConfig, spec: DeviceSpec,
         dram_read_bytes=tex_stats.miss_bytes + offs_traffic,
         dram_write_bytes=col_bytes,
     )
+
+
+@lru_cache(maxsize=256)
+def _sample_geometry(cfg: LayerConfig, spec: DeviceSpec, channels: int,
+                     pixels: int, rows: int, tile: Tuple[int, int],
+                     fp16: bool):
+    """The sampling kernel's offset stream, re-read traffic, coordinate
+    FLOPs, column bytes and launch grid — a function of the geometry."""
+    n, k, dg = cfg.batch, cfg.taps, cfg.deformable_groups
+    ty, tx = tile
+    # Channel blocks are spread across the grid's z dimension so channel
+    # count contributes parallelism, not per-CTA serialisation.
+    channel_blocks = max(1, -(-channels // spec.offset_channel_block))
+
+    # Offsets are re-read once per channel block a CTA processes; fp16
+    # storage (tex2D++) halves this stream — the paper's bandwidth saving.
+    # The re-read count is the *ceil* block count, matching the launch
+    # grid: a partial trailing block still issues a full offset read.
+    offset_bytes = 2 if fp16 else 4
+    offs = strided_stats(n * 2 * k * pixels * dg, offset_bytes, spec)
+    offs_traffic = offs.bytes_transferred * channel_blocks
+    col_bytes = float(n * dg * channels * k * pixels * 4)
+
+    coord_flops = float(n * dg * channels * k * pixels * COORD_FLOPS)
+    tiles = -(-rows // ty) * -(-cfg.out_width // tx)
+    grid = LaunchConfig(grid=max(1, tiles * n * dg * channel_blocks),
+                        block=ty * tx)
+    return offs, offs_traffic, coord_flops, col_bytes, grid
 
 
 def eager_tex2d_forward(x: np.ndarray, offset: np.ndarray,

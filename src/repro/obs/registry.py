@@ -26,6 +26,12 @@ LabelKey = Tuple[Tuple[str, str], ...]
 
 
 def _label_key(labels: Dict[str, str]) -> LabelKey:
+    # most series carry no label or one: nothing to sort
+    if not labels:
+        return ()
+    if len(labels) == 1:
+        ((k, v),) = labels.items()
+        return ((str(k), str(v)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

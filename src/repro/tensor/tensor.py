@@ -333,6 +333,9 @@ class Tensor:
         kernel is applied).
         """
         out = np.clip(self.data, lo, hi)
+        if not (self.requires_grad and is_grad_enabled()):
+            # nothing would read the backward mask
+            return Tensor(out)
         mask = np.ones_like(self.data, dtype=bool)
         if lo is not None:
             mask &= self.data >= lo

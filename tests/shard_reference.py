@@ -15,12 +15,14 @@ count for count.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional, Tuple
+import time
+from contextlib import contextmanager
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.deform.deform_conv import sampling_positions
-from repro.gpusim.cache import TextureCacheModel
+from repro.gpusim.cache import TextureCacheModel, TextureCacheStats
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import (KernelCost, LaunchConfig, estimate_time_ms,
                                  gemm_cost)
@@ -34,6 +36,7 @@ from repro.kernels.plancache import PlanCache, _TraceEntry, offsets_digest
 from repro.kernels.reference import COORD_FLOPS, SOFTWARE_INTERP_FLOPS
 from repro.kernels.shards import ShardResult, ShardSpec
 from repro.kernels.tex2d import DEFAULT_TILE
+from repro.obs.tracer import maybe_span
 
 
 class ShardGatherPlan:
@@ -229,7 +232,7 @@ def run_shard(x: np.ndarray, offset: np.ndarray, cfg: LayerConfig,
             offsets_digest(sub_off), cfg, spec, tile, fp16_offsets, plan,
             concurrent_layers, rep)
     else:
-        from repro.gpusim.cache import TextureCacheModel
+        from repro.gpusim.cache import TextureCacheModel, TextureCacheStats
         from repro.gpusim.trace import texture_fetch_trace
         py_r, px_r = rep()
         y0, x0, cta, scale = texture_fetch_trace(py_r, px_r, cfg.out_width,
@@ -323,7 +326,145 @@ def run_shard(x: np.ndarray, offset: np.ndarray, cfg: LayerConfig,
 
 class ReferencePlanCache(PlanCache):
     """A :class:`PlanCache` whose shard lookups compile the former
-    :class:`ShardGatherPlan`; every other lookup is today's."""
+    :class:`ShardGatherPlan`, through the former get-or-build sequence
+    (one lookup per slot, per-slot in-flight events), kept verbatim here
+    with the trace build and the ``tex_stats`` lookup it used; entry
+    keys, storage, tile simulation and counters are today's."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._building: Dict[tuple, threading.Event] = {}
+
+    def tex_stats(self, digest: str, cfg: LayerConfig, spec: DeviceSpec,
+                  tile: Tuple[int, int], fp16: bool,
+                  plan: Optional[SamplePlan], concurrent_layers: int,
+                  positions: Callable[[], Tuple[np.ndarray, np.ndarray]]
+                  ) -> Tuple[TextureCacheStats, float]:
+        """Memoised equivalent of trace-build + ``simulate`` for one call.
+
+        ``digest`` is :func:`offsets_digest` of the offsets the trace
+        samples through — the *quantised* ones for tex2D++, so two fp32
+        offset tensors that quantise to the same fp16 values are the same
+        launch and share one entry.  ``positions`` lazily supplies the
+        representative ``(py, px)`` arrays of shape (K, L) — it is only
+        invoked when the trace entry has to be built, so steady-state
+        hits never touch the sampling positions at all.  Returns
+        ``(stats, trace_scale)`` exactly as the uncached path would
+        produce them.  A known digest with an unseen (tile, concurrency)
+        combination is a miss that simulates against its own cached
+        trace.
+        """
+        plan = plan or SamplePlan()
+        tile = (int(tile[0]), int(tile[1]))
+        layers = int(concurrent_layers)
+        return self._get_or_build(
+            self._trace_key(digest, cfg, spec, fp16, plan),
+            "stats", (tile, layers),
+            lambda entry: self._simulate_tile(entry, cfg, spec, tile, plan,
+                                              layers),
+            lambda: self._build_entry(cfg, spec, plan, positions))
+
+    def _get_or_build(self, key: tuple, slot: Optional[str], sub,
+                      build: Callable, trace: Optional[Callable] = None):
+        """The one lookup → in-flight wait → build → store sequence.
+
+        ``slot=None`` resolves the trace entry of ``key`` itself:
+        ``build()`` returns a new :class:`_TraceEntry`, stored at the LRU
+        bound (the only eviction site).  Otherwise ``slot`` names one of
+        the entry's memo dicts (``stats``/``fused``) and
+        ``sub`` the key inside it; a miss first resolves the entry (built
+        by ``trace()`` if absent), then ``build(entry)`` computes the
+        value.  Every slot lookup counts exactly one hit or miss;
+        resolving the entry counts nothing.
+
+        Concurrent misses on one ``(key, slot, sub)`` coalesce: the first
+        thread builds under an in-flight event and the rest wait, then
+        re-check (looping guards against builder failure or instant
+        eviction, in which case a waiter becomes the builder).
+        """
+        guard = (key, slot, sub)
+        while True:
+            with self._lock:
+                entry = self._entries.get(key)
+                if entry is not None:
+                    self._entries.move_to_end(key)
+                    value = entry if slot is None \
+                        else getattr(entry, slot).get(sub)
+                    if value is not None:
+                        if slot is not None:
+                            self.stats.record("hits")
+                        return value
+                event = self._building.get(guard)
+                if event is None:
+                    event = self._building[guard] = threading.Event()
+                    break
+            event.wait()
+        try:
+            if slot is None:
+                value = build()
+                with self._lock:
+                    self._entries[key] = value
+                    self._resident.inc(value.nbytes)
+                    while len(self._entries) > self.max_entries:
+                        _, dropped = self._entries.popitem(last=False)
+                        self._resident.dec(dropped.nbytes)
+                        self.stats.record("evictions")
+                return value
+            self.stats.record("misses")
+            entry = self._get_or_build(key, None, None, trace)
+            built = build(entry)
+            with self._lock:
+                value = getattr(entry, slot).setdefault(sub, built)
+                # a kept plan counts once, and only on a live entry
+                if (value is built and slot != "stats"
+                        and self._entries.get(key) is entry):
+                    self._resident.inc(built.nbytes)
+            return value
+        finally:
+            with self._lock:
+                del self._building[guard]
+            event.set()
+
+    @contextmanager
+    def _timed_build(self, kind: str, cfg: LayerConfig, **args):
+        """One ``<kind>_builds`` build: counted, spanned as
+        ``plancache.build_<kind>`` and timed into the build-ms window."""
+        self.stats.record(f"{kind}_builds")
+        t0 = time.perf_counter()
+        try:
+            with maybe_span(self.tracer, f"plancache.build_{kind}",
+                            cat="plancache", geometry=cfg.label(), **args):
+                yield
+        finally:
+            self.stats.record_build_ms(
+                kind, (time.perf_counter() - t0) * 1e3)
+
+    def _build_entry(self, cfg: LayerConfig, spec: DeviceSpec,
+                     plan: SamplePlan,
+                     positions: Callable[[], Tuple[np.ndarray, np.ndarray]]
+                     ) -> _TraceEntry:
+        """Build the tile-independent trace state (the expensive half)."""
+        with self._timed_build("trace", cfg):
+            py, px = positions()
+            k, l = py.shape
+            y0 = np.floor(py).ravel().astype(np.int64)
+            x0 = np.floor(px).ravel().astype(np.int64)
+            lines = None
+            if y0.size <= plan.max_fetches:
+                # Within the sampling budget the trace is exact, so the
+                # texel→line mapping is tile-independent and
+                # precomputable.  (Beyond it, whole-CTA sampling depends
+                # on the tile and each tile replays the sampling step
+                # instead.)
+                pixel = np.broadcast_to(np.arange(l), (k, l)).ravel()
+                model = TextureCacheModel(spec)
+                lines = model.precompute(y0, x0, pixel, cfg.height,
+                                         cfg.width)
+                # every tile reads the line trace alone
+                y0 = x0 = None
+            return _TraceEntry(y0=y0, x0=x0, lines=lines, k=k, l=l,
+                               out_h=cfg.out_height, out_w=cfg.out_width)
+
 
     def shard_plan(self, offset: np.ndarray, cfg: LayerConfig,
                    spec: DeviceSpec, fp16: bool,

@@ -1,9 +1,11 @@
 """The DCN plan-cache miss path: exact counting in place of hash-sorts,
-one offsets hash per call, geometry tables built once, and bilinear taps
-that resolve each row and column once.
+one offsets hash per call, geometry tables built once, each axis
+resolved once for the tap tables and the line trace, and one plan-cache
+transaction per launch.
 
 Every change here must leave the same bits: the trace's deduplicated
-(pixel, line) pairs equal ``np.unique``'s arrays, dtype included, and
+(pixel, line) pairs equal ``np.unique``'s arrays, dtype included, the
+line trace equals the verbatim copy in ``tests/trace_reference.py``, and
 the texture taps and tap tables equal the verbatim copies in
 ``tests/texture_reference.py``.
 """
@@ -15,8 +17,10 @@ import numpy as np
 import pytest
 
 import repro.kernels.plancache as plancache
+import repro.kernels.tex2d as tex2d
 import repro.pipeline.engine as engine
 import texture_reference as ref
+import trace_reference
 from repro.deform import DeformConv2d
 from repro.deform.deform_conv import _base_positions, sampling_positions
 from repro.gpusim import XAVIER
@@ -24,8 +28,10 @@ from repro.gpusim.cache import TABLE_BOUND, TextureCacheModel, unique_keys
 from repro.gpusim.profiler import ProfileLog
 from repro.gpusim.texture import ADDRESS_MODES, linear_filter_taps
 from repro.gpusim.trace import cta_ids_for_tile, texture_fetch_trace
+from repro.autotune import TileTuner
 from repro.kernels import LayerConfig, PlanCache, synth_offsets
-from repro.kernels.fused import tap_tables
+from repro.kernels.fused import build_fused_plan, tap_tables
+from repro.kernels.shards import ShardSpec
 from repro.kernels.tex2d import run_tex2d
 from repro.tensor import Tensor
 
@@ -262,3 +268,169 @@ def test_tap_tables_bit_identical_to_reference(fp16):
         for got, expect in zip(tap_tables(py, px, H, W, fp16),
                                ref.tap_tables(py, px, H, W, fp16)):
             _assert_same(got, expect, (n, dg, k, l))
+
+
+# ----------------------------------------------------------------------
+# the line trace against the verbatim reference
+# ----------------------------------------------------------------------
+def _positions(g, n, dg, k, l, h, w):
+    """Random sampling positions in and around an (h, w) texture, with
+    texel edges, texel centres, and a few far beyond ±2**31."""
+    py = g.uniform(-4, h + 4, size=(n, dg, k, l)).astype(np.float32)
+    px = g.uniform(-4, w + 4, size=(n, dg, k, l)).astype(np.float32)
+    py.flat[::3] = np.round(py.flat[::3] * 2) / 2
+    px.flat[::4] = np.round(px.flat[::4])
+    far = np.float32([-3e12, -2.5e9, -2.0 ** 31, 2.0 ** 31, 2.5e9, 3e12])
+    py.flat[1::17] = g.choice(far, size=py.flat[1::17].size)
+    px.flat[2::13] = g.choice(far, size=px.flat[2::13].size)
+    return py, px
+
+
+def _assert_trace_equals_reference(model, y, x, pixel, h, w, case):
+    """``precompute`` on the floors as the miss path passes them (float)
+    and as integers, against the reference on the int64 floors the old
+    miss path passed."""
+    expect = trace_reference.TraceModel(model.spec.tex_line_tile).precompute(
+        y.astype(np.int64), x.astype(np.int64), pixel, h, w)
+    for floors in ((y, x), (y.astype(np.int64), x.astype(np.int64))):
+        got = model.precompute(*floors, pixel, h, w)
+        assert (got.requests, got.texel_reads, got.line_space) == (
+            expect.requests, expect.texel_reads, expect.line_space), case
+        for name in ("dedup_pixel", "dedup_lines", "pixel_counts"):
+            _assert_same(getattr(got, name), getattr(expect, name),
+                         (case, name))
+
+
+def test_precompute_bit_identical_to_reference_on_random_positions():
+    """The trace of batch 0, group 0 of random positions (several
+    batches and groups drawn), over the whole layer and over a row band
+    of it, as the miss path builds it."""
+    model = TextureCacheModel(XAVIER)
+    g = rng(31)
+    for case in range(40):
+        h, w = (int(v) for v in g.integers(1, 40, size=2))
+        n, dg = (int(v) for v in g.integers(1, 3, size=2))
+        k, rows, cols = int(g.choice([1, 9])), *(
+            int(v) for v in g.integers(1, 12, size=2))
+        py, px = _positions(g, n, dg, k, rows * cols, h, w)
+        band = slice(cols * int(g.integers(0, rows)), None)
+        for pixels in (slice(None), band):
+            ry, rx = py[0, 0][:, pixels], px[0, 0][:, pixels]
+            kk, ll = ry.shape
+            _assert_trace_equals_reference(
+                model, np.floor(ry).ravel(), np.floor(rx).ravel(),
+                np.tile(np.arange(ll), kk), h, w, (case, pixels))
+
+
+def test_precompute_matches_reference_past_the_table_bound():
+    """A key space past ``TABLE_BOUND`` and 16 slots per key: both sort,
+    and agree."""
+    model = TextureCacheModel(XAVIER)
+    g = rng(8)
+    h = w = 4096
+    y = np.floor(g.uniform(-2, h + 2, size=300)).astype(np.float32)
+    x = np.floor(g.uniform(-2, w + 2, size=300)).astype(np.float32)
+    pixel = g.integers(0, 40_000, size=300)
+    lines = model.line_ids(y.astype(np.int64), x.astype(np.int64), w)
+    assert (int(pixel.max()) + 1) * (int(lines.max()) + 1) > max(
+        TABLE_BOUND, 16 * 4 * y.size)
+    _assert_trace_equals_reference(model, y, x, pixel, h, w, "sorted")
+
+
+@pytest.mark.parametrize("y,x", [([], []), ([-9, 40, 3], [2, 2, -9]),
+                                 ([-np.inf, np.inf], [3, 4])],
+                         ids=["empty", "all-out-of-bounds", "infinite"])
+def test_precompute_reference_without_reads(y, x):
+    model = TextureCacheModel(XAVIER)
+    y, x = np.float32(y).reshape(-1), np.float32(x).reshape(-1)
+    with np.errstate(invalid="ignore"):
+        _assert_trace_equals_reference(model, y, x, np.arange(y.size), 16,
+                                       16, (y, x))
+
+
+# ----------------------------------------------------------------------
+# the tap tables of whole layers and shard slices, far positions too
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("fp16", [False, True], ids=["tex2d", "tex2dpp"])
+def test_tap_tables_of_far_positions_match_reference(fp16):
+    """Positions beyond ±2**31 (beyond fp16's range for tex2D++): the
+    int64 floors, clamps and bounds, and their zero weights, match."""
+    g = rng(40 + fp16)
+    for n, dg in ((1, 1), (2, 3)):
+        py, px = _positions(g, n, dg, 9, 30, H, W)
+        with np.errstate(invalid="ignore"):
+            got = tap_tables(py, px, H, W, fp16)
+            expect = ref.tap_tables(py, px, H, W, fp16)
+        for a, b in zip(got, expect):
+            _assert_same(a, b, (n, dg))
+
+
+@pytest.mark.parametrize("fp16", [False, True], ids=["tex2d", "tex2dpp"])
+def test_shard_plan_tables_match_reference_slices(fp16):
+    """A row band's plan holds the reference tables of its pixels; a
+    channel slice's holds the whole layer's."""
+    cfg = LayerConfig(6, 4, 9, 8, deformable_groups=2, batch=2)
+    off = synth_offsets(cfg, sigma=3.0, seed=12)
+    py, px = sampling_positions(off, (cfg.height, cfg.width),
+                                cfg.kernel_size, cfg.stride, cfg.padding,
+                                cfg.dilation, cfg.deformable_groups)
+
+    def positions():
+        return py, px
+
+    ow = cfg.out_width
+    for shard in (None, ShardSpec("rows", 0, 2, 2, 5),
+                  ShardSpec("channels", 1, 2, 1, 3)):
+        plan = build_fused_plan(cfg, XAVIER, fp16, positions, shard)
+        l0, l1 = (2 * ow, 5 * ow) if shard is not None \
+            and shard.kind == "rows" else (0, cfg.out_pixels)
+        expect = ref.tap_tables(py[..., l0:l1], px[..., l0:l1], cfg.height,
+                                cfg.width, fp16)
+        for got, want in zip((plan.idx, plan.wts), expect):
+            _assert_same(got, want, shard)
+
+
+# ----------------------------------------------------------------------
+# one positions pass and one plan-cache transaction per launch
+# ----------------------------------------------------------------------
+def test_whole_layer_miss_is_one_pass_with_todays_counters(monkeypatch):
+    cfg = LayerConfig(8, 8, 16, 16, batch=2)
+    g = rng(13)
+    x = g.normal(size=cfg.input_shape()).astype(np.float32)
+    w = g.normal(size=cfg.weight_shape()).astype(np.float32)
+    off = synth_offsets(cfg, seed=13)
+    calls = []
+    real_positions = tex2d.sampling_positions
+
+    def counting_positions(*args):
+        calls.append(1)
+        return real_positions(*args)
+
+    monkeypatch.setattr(tex2d, "sampling_positions", counting_positions)
+    cache = PlanCache()
+    got = run_tex2d(x, off, w, None, cfg, XAVIER, fp16_offsets=True,
+                    plan_cache=cache)
+    assert len(calls) == 1
+    stats = cache.stats
+    assert (stats.lookups, stats.hits, stats.misses) == (2, 0, 2)
+    assert (stats.trace_builds, stats.fused_builds) == (1, 1)
+    assert (stats.shard_builds, stats.evictions) == (0, 0)
+    monkeypatch.undo()
+    want = run_tex2d(x, off, w, None, cfg, XAVIER, fp16_offsets=True)
+    assert np.array_equal(got.output, want.output)
+    assert got.kernels == want.kernels
+
+
+def test_grid_search_hashes_its_offsets_once(monkeypatch):
+    hashes = []
+    real_digest = plancache.offsets_digest
+
+    def counting_digest(offset):
+        hashes.append(1)
+        return real_digest(offset)
+
+    monkeypatch.setattr(plancache, "offsets_digest", counting_digest)
+    result = TileTuner(XAVIER, backend="tex2dpp", seed=0).tune(
+        LayerConfig(8, 8, 20, 20), "grid")
+    assert len(result.history) > 1
+    assert len(hashes) == 1

@@ -445,6 +445,44 @@ class TestSchedulerIntegration:
         assert [np.asarray(a).tolist() for a in want] \
             == [np.asarray(a).tolist() for a in got]
 
+    def test_sharded_layer_output_is_the_stitched_array(self, small_model,
+                                                        monkeypatch):
+        """A sharded layer hands on the stitch's fresh float32 C-ordered
+        output as it is: no second copy, the same bits and strides."""
+        import repro.fleet.shard as shard_mod
+
+        stitched, returned = [], []
+        real_stitch = shard_mod.stitch_columns
+        real_execute = shard_mod.ShardContext.execute_layer
+
+        def spy_stitch(*args, **kwargs):
+            res = real_stitch(*args, **kwargs)
+            stitched.append((res.output, res.output.copy()))
+            return res
+
+        def spy_execute(self, *args, **kwargs):
+            out = real_execute(self, *args, **kwargs)
+            returned.append(out)
+            return out
+
+        monkeypatch.setattr(shard_mod, "stitch_columns", spy_stitch)
+        monkeypatch.setattr(shard_mod.ShardContext, "execute_layer",
+                            spy_execute)
+        sched = build_fleet(small_model, ("xavier", "2080ti"),
+                            shard="always", max_batch_size=1)
+        futs = [sched.submit(img) for img in self._images(2)]
+        sched.drain()
+        assert all(f.exception() is None for f in futs)
+        assert stitched
+        for output, bits in stitched:
+            (layer,) = [t for t in returned
+                        if t is not None and t.data is output]
+            assert layer.data.dtype == np.float32
+            assert layer.data.flags.c_contiguous
+            assert layer.data.strides == bits.strides
+            assert np.array_equal(layer.data.view(np.uint32),
+                                  bits.view(np.uint32))
+
     def test_cost_mode_records_every_decision(self, small_model):
         sched = build_fleet(small_model, ("xavier", "2080ti"),
                             shard="cost", max_batch_size=2)

@@ -116,6 +116,43 @@ class TestElementwise:
         assert np.allclose(a.clamp(lo=0.0).data, [0.0, 3.0])
         assert np.allclose(a.clamp(hi=1.0).data, [-3.0, 1.0])
 
+    @pytest.mark.parametrize("lo,hi", [(-1.5, 2.0), (-1.5, None),
+                                       (None, 2.0)])
+    def test_clamp_mask_only_when_the_result_needs_grad(self, lo, hi,
+                                                        monkeypatch):
+        """Under ``no_grad`` (the bounded offsets of every DCN at
+        inference) no backward mask is built; the forward keeps its bits
+        either way and training-mode gradients are the in-range mask."""
+        from repro.tensor import no_grad
+
+        x = (3 * rng(6).normal(size=(4, 7))).astype(np.float32)
+        x[0, :4] = [-1.5, 2.0, np.nextafter(np.float32(-1.5), 0),
+                    np.nextafter(np.float32(2.0), 3)]
+        want = np.clip(x, lo, hi)
+        masks = []
+        real_ones_like = np.ones_like
+
+        def counting_ones_like(*args, **kwargs):
+            masks.append(1)
+            return real_ones_like(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ones_like", counting_ones_like)
+        with no_grad():
+            out = Tensor(x, requires_grad=True).clamp(lo, hi)
+        assert not masks and not out.requires_grad
+        assert np.array_equal(out.data.view(np.uint32), want.view(np.uint32))
+        monkeypatch.undo()
+        a = Tensor(x, requires_grad=True)
+        out = a.clamp(lo, hi)
+        assert np.array_equal(out.data.view(np.uint32), want.view(np.uint32))
+        out.sum().backward()
+        inside = np.ones_like(x, dtype=bool)
+        if lo is not None:
+            inside &= x >= lo
+        if hi is not None:
+            inside &= x <= hi
+        assert np.array_equal(a.grad, inside.astype(np.float32))
+
 
 class TestReductions:
     def test_sum_axis_keepdims(self):
