@@ -255,7 +255,7 @@ def _hammer(n_threads, fn):
 
 def test_concurrent_misses_build_trace_exactly_once():
     """The double-build race: N threads missing the same key must
-    coalesce onto one ``_build_entry`` — ``trace_builds`` stays exact."""
+    coalesce onto one trace build — ``trace_builds`` stays exact."""
     cfg = GEOMETRIES[0]
     _, off, _, _ = _inputs(cfg)
     for trial in range(5):
