@@ -17,9 +17,8 @@ Robustness rules:
   file format are preserved on disk but never served, so bumping the tuner
   invalidates old tiles without deleting anybody's data.
 
-Observability: a store counts ``tile_store_lookups{result=hit|miss}``,
-``tile_store_saves`` and the per-window lookup rate
-``tile_store_lookup_events`` only on the
+Observability: a store counts ``tile_store_lookups{result=hit|miss}`` and
+``tile_store_saves`` only on the
 :class:`~repro.obs.registry.MetricsRegistry` it is built with (a private
 one when none is passed); the engines and tuners reading it never re-bind
 it.
@@ -88,16 +87,8 @@ class TileStore:
             help="persistent tile-store lookups by result")
         self._saves = registry.counter(
             "tile_store_saves", help="persistent tile-store writes")
-        self._lookup_window = registry.windowed_histogram(
-            "tile_store_lookup_events",
-            help="tile-store lookups per wall-clock window by result "
-                 "(per-window count == lookup rate)")
         if self.path is not None:
             self.load()
-
-    def _count_lookup(self, result: str) -> None:
-        self._lookups.inc(result=result)
-        self._lookup_window.observe(1.0, result=result)
 
     # ------------------------------------------------------------------
     # persistence
@@ -170,7 +161,7 @@ class TileStore:
         raw = self._entries.get(entry_key(cfg, device, backend,
                                           self.tuner_version))
         if raw is None:
-            self._count_lookup("miss")
+            self._lookups.inc(result="miss")
             return None
         try:
             result = TuneResult.from_dict(raw["result"]
@@ -182,9 +173,9 @@ class TileStore:
             logger.warning("tile store entry for %s/%s/%s is malformed; "
                            "treating as a miss",
                            geometry_key(cfg), device, backend)
-            self._count_lookup("miss")
+            self._lookups.inc(result="miss")
             return None
-        self._count_lookup("hit")
+        self._lookups.inc(result="hit")
         return result
 
     def get_tile(self, cfg: LayerConfig, device: str,

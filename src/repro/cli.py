@@ -24,8 +24,8 @@ user reaches for first:
   ``plan`` shows the router's per-worker ECT view);
 * ``trace``         — run a model preset under the span tracer and write
   Perfetto-loadable ``trace.json`` + ``metrics.json`` plus the per-layer
-  latency table (paper Table II/IV style); ``--open PATH --span-id sNN``
-  inspects one span of an existing trace (the id an SLO exemplar names);
+  latency table (paper Table II/IV style); ``--open PATH`` lists the
+  spans of an existing trace and ``--span-id ID`` expands one of them;
 * ``metrics``       — ``export`` converts a saved ``metrics.json``
   snapshot (or re-emits a live registry) to Prometheus text exposition;
 * ``bench``         — ``compare`` runs the bench-regression flight
@@ -328,31 +328,41 @@ def cmd_serve(args) -> int:
 def _open_trace_span(path: str, span_id: Optional[str]) -> int:
     """``repro trace --open`` — inspect spans of an existing trace JSON.
 
-    With ``--span-id`` prints the one span an SLO exemplar named (its
-    timing, thread, and args); without, lists every span id in the file
-    so the ids are discoverable.
+    With ``--span-id`` prints the one span of that id (its timing,
+    thread, and args); without, lists every span id in the file so the
+    ids are discoverable — numerically when every id is ``s<N>`` (what
+    :class:`~repro.obs.tracer.SpanTracer` writes), in file order
+    otherwise.
     """
     import json
+    import re
     import sys as _sys
 
     try:
         with open(path) as fh:
-            events = json.load(fh).get("traceEvents", [])
+            trace = json.load(fh)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read trace {path}: {exc}", file=_sys.stderr)
         return 1
+    events = trace.get("traceEvents", []) if isinstance(trace, dict) \
+        else None
+    if not isinstance(events, list):
+        print(f"error: {path} is not a Chrome trace (a JSON object with "
+              f"a traceEvents list)", file=_sys.stderr)
+        return 1
     spans = [e for e in events
-             if e.get("ph") == "X" and e.get("args", {}).get("span_id")]
+             if isinstance(e, dict) and e.get("ph") == "X"
+             and isinstance(e.get("args"), dict) and e["args"].get("span_id")]
     if span_id is None:
+        if all(re.fullmatch(r"s\d+", str(e["args"]["span_id"]))
+               for e in spans):
+            spans.sort(key=lambda e: int(e["args"]["span_id"][1:]))
         rows = [[e["args"]["span_id"], e["name"], e.get("cat", ""),
                  round(e.get("ts", 0.0), 1), round(e.get("dur", 0.0), 1)]
-                for e in sorted(
-                    spans,
-                    key=lambda e: int(e["args"]["span_id"][1:]))]
+                for e in spans]
         print(format_table(["span", "name", "cat", "ts (us)", "dur (us)"],
                            rows, title=f"Spans in {path}"))
-        print("\npass --span-id sNN to expand one span (SLO exemplar "
-              "columns name these ids)")
+        print("\npass --span-id ID to expand one span")
         return 0
     matches = [e for e in spans if e["args"]["span_id"] == span_id]
     if not matches:
@@ -453,7 +463,11 @@ def cmd_metrics(args) -> int:
         print(f"error: {args.snapshot} is not a metrics registry snapshot",
               file=_sys.stderr)
         return 1
-    text = prometheus_from_snapshot(snapshot)
+    try:
+        text = prometheus_from_snapshot(snapshot)
+    except ValueError as exc:
+        print(f"error: {args.snapshot}: {exc}", file=_sys.stderr)
+        return 1
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -604,11 +618,7 @@ def _build_fleet_from_args(args):
     registry = MetricsRegistry()
     store = TileStore(args.store, registry=registry) \
         if getattr(args, "store", None) else None
-    # --slo needs a tracer even without --trace: exemplars carry span ids
-    want_tracer = (getattr(args, "trace", None)
-                   or getattr(args, "slo", False))
-    tracer = SpanTracer() if want_tracer else None
-    from repro.fleet.scheduler import DEFAULT_SLO_WINDOW_MS
+    tracer = SpanTracer() if getattr(args, "trace", None) else None
     sched = build_fleet(
         model, devices, backend=args.backend, task=args.task,
         router=args.router, registry=registry, tracer=tracer,
@@ -617,123 +627,9 @@ def _build_fleet_from_args(args):
         max_batch_size=args.max_batch, max_attempts=args.max_attempts,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_ms=args.breaker_cooldown,
-        seed=args.seed,
-        slo_window_ms=(getattr(args, "slo_window", None)
-                       or DEFAULT_SLO_WINDOW_MS),
-        shard=getattr(args, "shard", "off"),
+        seed=args.seed, shard=getattr(args, "shard", "off"),
         **task_kwargs)
-    return sched, registry, tracer, model, task_kwargs
-
-
-def _cmd_fleet_loadgen(args) -> int:
-    """``repro fleet run --loadgen`` — open-loop traffic, optionally
-    autoscaled, with an SLO-attainment table per offered-load level."""
-    import sys as _sys
-
-    from repro.fleet import (ElasticAutoscaler, default_fleet_slos,
-                             engine_worker_provider, parse_autoscale,
-                             parse_loadgen)
-
-    try:
-        spec = parse_loadgen(args.loadgen)
-        policy = parse_autoscale(args.autoscale) if args.autoscale else None
-        levels = [float(x) for x in args.load_levels.split(",")
-                  if x.strip()]
-        if not levels:
-            raise ValueError("--load-levels needs at least one factor")
-    except ValueError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    print(f"loadgen: {spec.describe()}")
-    if policy is not None:
-        print(f"autoscale: {policy.min_workers}..{policy.max_workers} "
-              f"workers, catalogue {'|'.join(policy.catalogue)}, "
-              f"p99<={policy.p99_ms:g}ms (burn>{policy.burn_up:g} or "
-              f"depth>{policy.depth_up:g} scales up)")
-
-    exit_code = 0
-    rows = []
-    last = None
-    for level in levels:
-        lspec = spec.scaled(level)
-        try:
-            sched, registry, tracer, model, task_kwargs = \
-                _build_fleet_from_args(args)
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=_sys.stderr)
-            return 1
-        auto = None
-        if policy is not None:
-            provider = engine_worker_provider(
-                model, backend=args.backend, task=args.task,
-                max_batch_size=args.max_batch,
-                queue_capacity=args.queue_capacity,
-                breaker_threshold=args.breaker_threshold,
-                breaker_cooldown_ms=args.breaker_cooldown,
-                tracer=tracer, **task_kwargs)
-            auto = ElasticAutoscaler(policy, provider).attach(sched)
-        futures = sched.run_load(lspec.events(), autoscaler=auto)
-        sched.close()
-        snap = sched.snapshot()
-        reports = sched.evaluate_slos(default_fleet_slos(args.slo_p99_ms))
-        p99_report = reports[0]
-        if auto is not None:
-            asnap = auto.snapshot()
-            peak, worker_ms = asnap["peak_workers"], asnap["worker_ms"]
-        else:
-            asnap = None
-            peak = len(sched.workers)
-            worker_ms = round(peak * snap["makespan_ms"], 3)
-        unresolved = len(sched.unresolved())
-        if unresolved or not all(f.done() for f in futures):
-            exit_code = 1
-        rows.append([
-            f"{level:g}x", f"{lspec.offered_rpms:.2f}",
-            snap["submitted"], snap["completed"],
-            sum(snap["rejected_by_reason"].values()),
-            snap["latency_p50_ms"] if snap["latency_p50_ms"] is not None
-            else "-",
-            snap["latency_p99_ms"] if snap["latency_p99_ms"] is not None
-            else "-",
-            f"{100 * p99_report.attainment:.0f}%",
-            "ok" if p99_report.ok else "VIOLATED",
-            peak, worker_ms, unresolved,
-        ])
-        last = (sched, registry, tracer, auto, asnap, reports)
-    print("\n" + format_table(
-        ["load", "req/ms", "submitted", "completed", "rejected", "p50 ms",
-         "p99 ms", "attain", "p99 SLO", "peak workers", "worker-ms",
-         "unresolved"],
-        rows,
-        title=f"SLO attainment per load level — p99<={args.slo_p99_ms:g}ms, "
-              f"{'autoscaled' if policy is not None else 'static'} fleet"))
-
-    sched, registry, tracer, auto, asnap, reports = last
-    if auto is not None and auto.events:
-        core = ("sim_ms", "action", "worker", "device")
-        erows = [[e["sim_ms"], e["action"], e["worker"],
-                  e.get("device", "-"),
-                  " ".join(f"{k}={v}" for k, v in e.items()
-                           if k not in core) or "-"]
-                 for e in auto.events]
-        print("\n" + format_table(
-            ["sim ms", "action", "worker", "device", "detail"], erows,
-            title=f"Autoscaler actions at {rows[-1][0]} load — "
-                  f"{asnap['scale_ups']} up, {asnap['scale_downs']} down, "
-                  f"peak {asnap['peak_workers']} workers"))
-    if getattr(args, "slo", False):
-        from repro.obs.slo import format_slo_table
-
-        for report in reports:
-            print("\n" + format_slo_table(report))
-    if tracer is not None and args.trace:
-        tracer.write(args.trace)
-        print(f"\nwrote Chrome trace to {args.trace} "
-              f"({tracer.num_events} events)")
-    if args.metrics_out:
-        registry.write(args.metrics_out)
-        print(f"wrote metrics registry to {args.metrics_out}")
-    return exit_code
+    return sched, registry, tracer
 
 
 def cmd_fleet(args) -> int:
@@ -742,14 +638,8 @@ def cmd_fleet(args) -> int:
 
     import numpy as np
 
-    if args.action == "run" and getattr(args, "loadgen", None):
-        return _cmd_fleet_loadgen(args)
-    if getattr(args, "autoscale", None):
-        print("error: --autoscale needs --loadgen (open-loop traffic "
-              "drives the scaling signals)", file=_sys.stderr)
-        return 1
     try:
-        sched, registry, tracer, _, _ = _build_fleet_from_args(args)
+        sched, registry, tracer = _build_fleet_from_args(args)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
@@ -832,20 +722,6 @@ def cmd_fleet(args) -> int:
     resolved = sum(1 for f in futures if f.done())
     print(f"futures audit: {len(futures)} submitted, {resolved} resolved, "
           f"{unresolved} unresolved")
-    if getattr(args, "slo", False):
-        from repro.fleet import default_fleet_slos
-        from repro.obs.slo import format_slo_table
-
-        reports = sched.evaluate_slos(default_fleet_slos(args.slo_p99_ms))
-        for report in reports:
-            print("\n" + format_slo_table(report))
-        violated = sum(len(r.violated_windows) for r in reports)
-        if violated:
-            trace_hint = args.trace or "<trace.json>"
-            print(f"\n{violated} violated window(s); inspect an exemplar "
-                  f"with: repro trace --open {trace_hint} --span-id <sNN>"
-                  + ("" if args.trace else
-                     " (re-run with --trace PATH to export the spans)"))
     if tracer is not None and args.trace:
         tracer.write(args.trace)
         print(f"wrote Chrome trace to {args.trace} "
@@ -943,8 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inspect an existing trace instead of running: "
                         "list its span ids, or expand one with --span-id")
     p.add_argument("--span-id", default=None, metavar="SID",
-                   help="with --open: print the one span an SLO exemplar "
-                        "named (e.g. s17)")
+                   help="with --open: print the one span of this id "
+                        "(e.g. s17)")
 
     p = sub.add_parser("tiles", help="inspect/export/import the tile store")
     tiles_sub = p.add_subparsers(dest="action", required=True)
@@ -1037,31 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also export a Chrome trace JSON of the run")
     fr.add_argument("--metrics-out", default=None, metavar="PATH",
                     help="also export the metrics registry as JSON")
-    fr.add_argument("--slo", action="store_true",
-                    help="evaluate the fleet's default SLOs after the run "
-                         "and print per-window attainment tables with burn "
-                         "rates and exemplar span ids")
-    fr.add_argument("--slo-p99-ms", type=float, default=0.5, metavar="MS",
-                    help="p99 latency threshold for the default SLOs "
-                         "(simulated ms; default 0.5)")
-    fr.add_argument("--slo-window", type=float, default=None, metavar="MS",
-                    help="SLO window width in simulated ms "
-                         "(default 0.25)")
-    fr.add_argument("--loadgen", default=None, metavar="SPEC",
-                    help="open-loop traffic instead of --requests: "
-                         "n=400,duration=50,diurnal=0.5,cycles=2,"
-                         "burst=10-14x4,classes=small:3:16:2.0:0|"
-                         "large:1:32:8.0:1,seed=3; a class is "
-                         "name:weight:size[:deadline[:priority]] "
-                         "(see docs/fleet.md)")
-    fr.add_argument("--autoscale", default=None, metavar="POLICY",
-                    help="elastic worker-set policy (needs --loadgen): "
-                         "min=1,max=4,catalogue=xavier|2080ti,p99=0.5,"
-                         "burn=1.0,depth=4,warm=1,cold=6 "
-                         "(see docs/fleet.md)")
-    fr.add_argument("--load-levels", default="1", metavar="F1,F2,...",
-                    help="offered-load multipliers swept over --loadgen; "
-                         "one SLO-attainment row per level (default: 1)")
     fleet_sub.add_parser(
         "plan", parents=[fleet_common],
         help="show the router's per-worker ECT view without serving")

@@ -10,9 +10,6 @@ reference pytorch backend.  The whole thing is a deterministic
 synchronous simulation on a :class:`~repro.fleet.scheduler.SimClock`.
 """
 
-from repro.fleet.autoscale import (AutoscalePolicy, ElasticAutoscaler,
-                                   engine_worker_provider, parse_autoscale,
-                                   sim_worker_provider)
 from repro.fleet.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.fleet.faults import (FaultInjector, FaultSpec, FaultyEngine,
                                 WorkerCrashed, WorkerWedged, parse_fault)
@@ -23,30 +20,21 @@ from repro.fleet.queueing import (REASON_CLOSED, REASON_EXPIRED,
 from repro.fleet.router import (CostModelRouter, EngineCostModel,
                                 RandomRouter, Router, RoundRobinRouter,
                                 ShardAwareCostRouter, make_router)
-from repro.fleet.loadgen import (Arrival, BurstEpisode, LoadSpec,
-                                 RequestClass, parse_loadgen)
-from repro.fleet.scheduler import (FleetScheduler, SimClock, build_fleet,
-                                   build_worker, default_fleet_slos)
+from repro.fleet.scheduler import FleetScheduler, SimClock, build_fleet
 from repro.fleet.shard import (Interconnect, LinkSpec, ShardContext,
                                ShardPlan, ShardPlanner,
                                default_interconnect)
 from repro.fleet.worker import BatchOutcome, FleetWorker
 
 __all__ = [
-    "Arrival", "AutoscalePolicy", "BatchOutcome", "BoundedDeadlineQueue",
-    "BurstEpisode", "CircuitBreaker",
-    "CostModelRouter", "ElasticAutoscaler", "EngineCostModel",
-    "FaultInjector", "FaultSpec",
+    "BatchOutcome", "BoundedDeadlineQueue", "CircuitBreaker",
+    "CostModelRouter", "EngineCostModel", "FaultInjector", "FaultSpec",
     "FaultyEngine", "FleetRejection", "FleetRequest", "FleetScheduler",
-    "FleetWorker", "Interconnect", "LinkSpec", "LoadSpec", "RandomRouter",
-    "RequestClass", "Router",
+    "FleetWorker", "Interconnect", "LinkSpec", "RandomRouter", "Router",
     "RoundRobinRouter", "ShardAwareCostRouter", "ShardContext", "ShardPlan",
-    "ShardPlanner", "SimClock",
-    "WorkerCrashed", "WorkerWedged", "build_fleet", "build_worker",
-    "default_fleet_slos",
-    "default_interconnect", "engine_worker_provider", "make_router",
-    "parse_autoscale", "parse_fault", "parse_loadgen",
-    "sim_worker_provider", "CLOSED", "OPEN", "HALF_OPEN",
+    "ShardPlanner", "SimClock", "WorkerCrashed", "WorkerWedged",
+    "build_fleet", "default_interconnect", "make_router", "parse_fault",
+    "CLOSED", "OPEN", "HALF_OPEN",
     "REASON_CLOSED", "REASON_EXPIRED", "REASON_NO_WORKER",
     "REASON_QUEUE_FULL", "REASON_RETRIES",
 ]

@@ -30,7 +30,6 @@ pytorch-backend fallback for graceful degradation.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import Future
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
@@ -45,34 +44,6 @@ from repro.fleet.queueing import (REASON_CLOSED, REASON_EXPIRED,
 from repro.fleet.router import Router, make_router
 from repro.fleet.worker import BatchOutcome, FleetWorker
 from repro.obs.registry import MetricsRegistry
-from repro.obs.slo import SLO
-from repro.obs.timeseries import Exemplar
-
-#: default window width for the fleet's time-series metrics (sim ms) —
-#: simulated per-request latencies are sub-millisecond, so quarter-ms
-#: windows give a demo-sized run a real attainment curve instead of one
-#: bucket
-DEFAULT_SLO_WINDOW_MS = 0.25
-#: windows retained on the fleet's windowed series
-DEFAULT_SLO_RETENTION = 256
-
-
-def default_fleet_slos(p99_ms: float, availability: float = 0.99
-                       ) -> List[SLO]:
-    """The fleet's stock SLO pair: tail latency + availability.
-
-    Both read ``fleet_request_latency_ms`` (windowed on the SimClock);
-    availability additionally counts ``fleet_request_failures``
-    observations — requests that resolved without ever producing a
-    latency sample — as bad.
-    """
-    return [
-        SLO(name="fleet-p99-latency", metric="fleet_request_latency_ms",
-            objective="quantile", quantile=99.0, threshold_ms=p99_ms),
-        SLO(name="fleet-availability", metric="fleet_request_latency_ms",
-            objective="availability", threshold_ms=p99_ms,
-            target=availability, bad_metric="fleet_request_failures"),
-    ]
 
 
 class SimClock:
@@ -102,8 +73,6 @@ class FleetScheduler:
                  clock: Optional[SimClock] = None,
                  registry: Optional[MetricsRegistry] = None,
                  tracer=None, max_attempts: int = 3, seed: int = 0,
-                 slo_window_ms: float = DEFAULT_SLO_WINDOW_MS,
-                 slo_retention: int = DEFAULT_SLO_RETENTION,
                  shard_planner=None, interconnect=None):
         if not workers:
             raise ValueError("a fleet needs at least one worker")
@@ -137,7 +106,7 @@ class FleetScheduler:
         #: every request ever submitted (futures audited by tests/bench)
         self.requests: List[FleetRequest] = []
         #: completion latencies in resolution order (sim ms) — the raw
-        #: samples behind the bench's p50/p99-vs-offered-load curves
+        #: samples behind the snapshot's p50/p99
         self.latencies_ms: List[float] = []
         self._next_id = 0
         self._closed = False
@@ -158,24 +127,6 @@ class FleetScheduler:
             "fleet_requests_rerouted",
             help="queued requests moved off a breaker-pinned worker, by "
                  "the worker routed away from")
-        # time-series metrics on the *simulated* clock: per-request
-        # submit→resolve latency (completions, with an exemplar naming
-        # the fleet.batch span that served the request) and failures
-        # (rejections / exhausted retries, which never produce a latency
-        # sample) — the series the fleet SLOs are evaluated over.
-        self._latency_windows = self.registry.windowed_histogram(
-            "fleet_request_latency_ms",
-            help="per-request submit-to-complete latency (simulated ms), "
-                 "windowed on the fleet SimClock",
-            window_ms=slo_window_ms, retention=slo_retention,
-            clock=lambda: self.clock.now_ms)
-        self._failure_windows = self.registry.windowed_histogram(
-            "fleet_request_failures",
-            help="requests resolved without a result (rejections and "
-                 "exhausted retries), windowed on the fleet SimClock; "
-                 "the value is the sim-ms from submit to resolution",
-            window_ms=slo_window_ms, retention=slo_retention,
-            clock=lambda: self.clock.now_ms)
         self._shard_plans = self.registry.counter(
             "fleet_shard_plans",
             help="serve-time shard-plan resolutions by plan kind")
@@ -317,12 +268,6 @@ class FleetScheduler:
         if not req.future.done():
             req.future.set_exception(FleetRejection(reason, detail))
         self._rejected.inc(reason=reason)
-        self._record_failure_window(req)
-
-    def _record_failure_window(self, req: FleetRequest) -> None:
-        now = self.clock.now_ms
-        self._failure_windows.observe(max(0.0, now - req.submit_ms),
-                                      ts_ms=now)
 
     # ------------------------------------------------------------------
     # the simulation loop
@@ -333,14 +278,12 @@ class FleetScheduler:
     def _start_ms(self, worker: FleetWorker, now: float) -> float:
         """When could ``worker`` actually start its next batch?
 
-        Usually when its device goes idle — but a freshly autoscaled
-        worker accepts no dispatch before its warm-up ``ready_at_ms``,
-        and a worker whose breaker is open with no fallback can only run
-        again as a half-open probe, so its queue is pinned until the
-        cooldown elapses.  Dispatching to it any earlier would hit
-        serve_batch()'s not-servable guard.
+        Usually when its device goes idle — but a worker whose breaker is
+        open with no fallback can only run again as a half-open probe, so
+        its queue is pinned until the cooldown elapses.  Dispatching to it
+        any earlier would hit serve_batch()'s not-servable guard.
         """
-        start = max(worker.busy_until_ms, worker.ready_at_ms, now)
+        start = max(worker.busy_until_ms, now)
         b = worker.breaker
         if b.closed or worker.can_degrade or b.probe_due(start):
             return start
@@ -359,7 +302,7 @@ class FleetScheduler:
         now = self.clock.now_ms
         worker = min(busy, key=lambda w: (self._start_ms(w, now), w.name))
         start = self._start_ms(worker, now)
-        if start > max(worker.busy_until_ms, worker.ready_at_ms, now):
+        if start > max(worker.busy_until_ms, now):
             # breaker-pinned: the queue cannot move before the probe is
             # due.  First offer the queued requests to workers that could
             # serve them sooner; only sleep until the probe when nothing
@@ -388,17 +331,7 @@ class FleetScheduler:
                 if not r.future.done():
                     r.future.set_result(res)
                 self._completed.inc(worker=worker.name)
-                latency = max(0.0, done - r.submit_ms)
-                exemplar = None
-                if outcome.span_id is not None:
-                    exemplar = Exemplar(
-                        value=latency, span_id=outcome.span_id,
-                        labels=(("request", str(r.id)),
-                                ("worker", worker.name)),
-                        ts_ms=done)
-                self._latency_windows.observe(latency, ts_ms=done,
-                                              exemplar=exemplar)
-                self.latencies_ms.append(latency)
+                self.latencies_ms.append(max(0.0, done - r.submit_ms))
         else:
             for r in batch:
                 self._handle_failure(r, worker, outcome.error, done)
@@ -474,96 +407,6 @@ class FleetScheduler:
                     f"({self.pending()} requests still queued)")
         return steps
 
-    # ------------------------------------------------------------------
-    # dynamic membership + open-loop driving
-    # ------------------------------------------------------------------
-    def add_worker(self, worker: FleetWorker) -> None:
-        """Enrol a new member mid-run (the autoscaler's scale-up path).
-
-        Routers re-read the worker list on every choice, so membership
-        changes take effect at the next routing decision; the worker is
-        not routable before its ``ready_at_ms`` warm-up gate.
-        """
-        if self._closed:
-            raise RuntimeError("cannot add workers to a closed fleet")
-        if any(w.name == worker.name for w in self.workers):
-            raise ValueError(f"duplicate worker name {worker.name!r}")
-        self._publish_breaker(worker)
-        self.workers.append(worker)
-
-    def remove_worker(self, name: str) -> FleetWorker:
-        """Retire a member whose queue is empty (the end of a drain).
-
-        Refuses to remove a worker still holding requests — scale-down
-        must *drain*, never kill, or futures would be lost.
-        """
-        worker = next((w for w in self.workers if w.name == name), None)
-        if worker is None:
-            raise KeyError(f"no fleet worker named {name!r}")
-        if len(worker.queue):
-            raise RuntimeError(
-                f"refusing to remove {name!r} with {len(worker.queue)} "
-                f"queued requests (drain first: zero lost futures)")
-        if len(self.workers) == 1:
-            raise RuntimeError("cannot remove the last fleet worker")
-        worker.batcher.close(flush=False)
-        if worker._fallback_batcher is not None:
-            worker._fallback_batcher.close(flush=False)
-        self.workers.remove(worker)
-        return worker
-
-    def run_load(self, arrivals, *, autoscaler=None,
-                 max_steps: int = 1_000_000) -> List[Future]:
-        """Drive the fleet open-loop from a loadgen arrival stream.
-
-        Merges three event sources on the simulated clock — the next
-        arrival, the earliest batch start among queued workers, and the
-        autoscaler's next evaluation — and always serves the earliest.
-        Ties go to the autoscaler (so membership changes land before the
-        work they react to), then to arrivals (so a batch never starts
-        before a same-tick submission has been routed).  Returns the
-        futures in arrival order; every one is resolved on return.
-        """
-        events = list(arrivals)
-        futures: List[Future] = []
-        i = 0
-        steps = 0
-        if autoscaler is not None and autoscaler.sched is not self:
-            autoscaler.attach(self)
-        while True:
-            now = self.clock.now_ms
-            t_arr = events[i].t_ms if i < len(events) else math.inf
-            busy = [w for w in self.workers if len(w.queue)]
-            t_serve = min((self._start_ms(w, now) for w in busy),
-                          default=math.inf)
-            if math.isinf(t_arr) and not busy:
-                break
-            t_eval = autoscaler.next_eval_ms \
-                if autoscaler is not None else math.inf
-            if t_eval <= min(t_arr, t_serve):
-                self.clock.advance_to(t_eval)
-                autoscaler.evaluate(self.clock.now_ms)
-                continue
-            if t_arr <= t_serve:
-                self.clock.advance_to(t_arr)
-                while i < len(events) \
-                        and events[i].t_ms <= self.clock.now_ms:
-                    a = events[i]
-                    futures.append(self.submit(
-                        a.image(), deadline_ms=a.cls.deadline_ms,
-                        priority=a.cls.priority))
-                    i += 1
-            else:
-                self.step()
-                steps += 1
-                if steps >= max_steps:
-                    raise RuntimeError(
-                        f"open-loop run exceeded {max_steps} serve steps "
-                        f"({self.pending()} requests still queued)")
-        if autoscaler is not None:
-            autoscaler.finalize(self.clock.now_ms)
-        return futures
-
     def _reroute_pinned(self, worker: FleetWorker, now: float) -> bool:
         """Drain a breaker-pinned worker's queue through the reroute path.
 
@@ -612,7 +455,6 @@ class FleetScheduler:
             if not req.future.done():
                 req.future.set_exception(error)
             self._rejected.inc(reason=REASON_RETRIES)
-            self._record_failure_window(req)
             return
         target, ects = self._select(req.shape, now,
                                     frozenset(req.failed_on))
@@ -716,12 +558,6 @@ class FleetScheduler:
             } for w in self.workers],
         }
 
-    def evaluate_slos(self, slos: Sequence[SLO]) -> List["object"]:
-        """Evaluate SLO specs against this fleet's windowed metrics."""
-        from repro.obs.slo import evaluate_slo
-
-        return [evaluate_slo(slo, self.registry) for slo in slos]
-
     def unresolved(self) -> List[FleetRequest]:
         """Requests whose future has not resolved (must be [] after
         drain + close — the zero-lost-futures audit)."""
@@ -747,43 +583,6 @@ class FleetScheduler:
         self.close()
 
 
-def build_worker(name: str, spec, model, *, backend: str = "tex2dpp",
-                 task: str = "classify", tile_store=None,
-                 autotune: bool = False, max_batch_size: int = 4,
-                 queue_capacity: int = 16,
-                 degrade: bool = True, breaker_threshold: int = 3,
-                 breaker_cooldown_ms: float = 50.0,
-                 wedge_timeout_ms: float = 100.0, injector=None,
-                 tracer=None, **task_kwargs) -> FleetWorker:
-    """Assemble one full fleet member: a DefconEngine on ``spec`` with
-    its breaker and (unless degraded serving is off or the fleet already
-    runs the reference backend) a lazy pytorch fallback.
-
-    This is the per-worker body of :func:`build_fleet`, split out so the
-    autoscaler's :func:`~repro.fleet.autoscale.engine_worker_provider`
-    can provision identical members mid-run.  The worker holds no
-    registry: the scheduler it joins publishes its series.
-    """
-    from repro.pipeline.engine import DefconEngine
-
-    engine = DefconEngine(model, spec, backend=backend,
-                          autotune=autotune or tile_store is not None,
-                          tile_store=tile_store, tracer=tracer)
-    fallback_factory = None
-    if degrade and backend != "pytorch":
-        fallback_factory = (
-            lambda spec=spec: DefconEngine(model, spec,
-                                           backend="pytorch"))
-    breaker = CircuitBreaker(name, failure_threshold=breaker_threshold,
-                             cooldown_ms=breaker_cooldown_ms)
-    return FleetWorker(
-        name, engine, task=task, max_batch_size=max_batch_size,
-        queue_capacity=queue_capacity, breaker=breaker,
-        injector=injector, tracer=tracer,
-        fallback_factory=fallback_factory,
-        wedge_timeout_ms=wedge_timeout_ms, **task_kwargs)
-
-
 def build_fleet(model, devices: Sequence[Union[str, object]] = ("xavier",
                                                                 "2080ti"),
                 *, backend: str = "tex2dpp", task: str = "classify",
@@ -796,8 +595,6 @@ def build_fleet(model, devices: Sequence[Union[str, object]] = ("xavier",
                 breaker_threshold: int = 3, breaker_cooldown_ms: float = 50.0,
                 wedge_timeout_ms: float = 100.0, seed: int = 0,
                 clock: Optional[SimClock] = None,
-                slo_window_ms: float = DEFAULT_SLO_WINDOW_MS,
-                slo_retention: int = DEFAULT_SLO_RETENTION,
                 shard: str = "off", interconnect=None,
                 **task_kwargs) -> FleetScheduler:
     """Assemble a heterogeneous fleet over real DefconEngines.
@@ -808,7 +605,8 @@ def build_fleet(model, devices: Sequence[Union[str, object]] = ("xavier",
     loads its own tuned tiles) and — unless ``degrade=False`` or the
     fleet already runs the reference backend — paired with a lazily built
     pytorch-backend fallback engine for graceful degradation.  Workers
-    are named ``w{i}-{device}`` (the names fault specs address).
+    are named ``w{i}-{device}`` (the names fault specs address) and hold
+    no registry: the scheduler publishes their series.
 
     ``shard`` turns on intra-request parallelism: ``"cost"`` shards a
     batch whenever the interconnect-aware cost model predicts the split
@@ -821,6 +619,7 @@ def build_fleet(model, devices: Sequence[Union[str, object]] = ("xavier",
     deterministic default links derived from the device presets.
     """
     from repro.gpusim.device import get_device
+    from repro.pipeline.engine import DefconEngine
 
     registry = registry if registry is not None else MetricsRegistry()
     specs = [get_device(d) if isinstance(d, str) else d for d in devices]
@@ -843,18 +642,25 @@ def build_fleet(model, devices: Sequence[Union[str, object]] = ("xavier",
 
     workers = []
     for i, spec in enumerate(specs):
-        workers.append(build_worker(
-            f"w{i}-{spec.name}", spec, model, backend=backend, task=task,
-            tile_store=tile_store, autotune=autotune,
-            max_batch_size=max_batch_size, queue_capacity=queue_capacity,
-            degrade=degrade, breaker_threshold=breaker_threshold,
-            breaker_cooldown_ms=breaker_cooldown_ms,
-            wedge_timeout_ms=wedge_timeout_ms, injector=injector,
-            tracer=tracer, **task_kwargs))
+        name = f"w{i}-{spec.name}"
+        engine = DefconEngine(model, spec, backend=backend,
+                              autotune=autotune or tile_store is not None,
+                              tile_store=tile_store, tracer=tracer)
+        fallback_factory = None
+        if degrade and backend != "pytorch":
+            fallback_factory = (
+                lambda spec=spec: DefconEngine(model, spec,
+                                               backend="pytorch"))
+        breaker = CircuitBreaker(name, failure_threshold=breaker_threshold,
+                                 cooldown_ms=breaker_cooldown_ms)
+        workers.append(FleetWorker(
+            name, engine, task=task, max_batch_size=max_batch_size,
+            queue_capacity=queue_capacity, breaker=breaker,
+            injector=injector, tracer=tracer,
+            fallback_factory=fallback_factory,
+            wedge_timeout_ms=wedge_timeout_ms, **task_kwargs))
     return FleetScheduler(workers, router=router, clock=clock,
                           registry=registry, tracer=tracer,
                           max_attempts=max_attempts, seed=seed,
-                          slo_window_ms=slo_window_ms,
-                          slo_retention=slo_retention,
                           shard_planner=shard_planner,
                           interconnect=interconnect)

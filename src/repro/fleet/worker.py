@@ -52,9 +52,6 @@ class BatchOutcome:
     sim_ms: float                       # simulated device time charged
     engine: str                         # "primary" | "fallback"
     probe: bool = False                 # half-open breaker probe batch
-    #: tracer span id of the ``fleet.batch`` span that served this batch
-    #: (None without a tracer) — the exemplar link SLO windows print
-    span_id: Optional[str] = None
     #: shard-execution summary when the batch ran under a ShardContext
     #: that actually split at least one layer (None otherwise)
     shard: Optional[dict] = None
@@ -99,14 +96,6 @@ class FleetWorker:
         self.task_kwargs = task_kwargs
         #: virtual device timeline (absolute sim ms)
         self.busy_until_ms = 0.0
-        #: warm-up gate (absolute sim ms): an autoscaled worker is not
-        #: routable — and its timeline accepts no dispatch — before this
-        #: (tile-store warm start vs cold tune set different delays)
-        self.ready_at_ms = 0.0
-        #: scale-down drains the queue instead of killing the worker: a
-        #: draining worker takes no new routing but serves what it holds
-        #: (the zero-lost-futures invariant survives elasticity)
-        self.draining = False
         #: sim time FaultyEngine sees — updated at each serve
         self._now_ms = 0.0
 
@@ -148,8 +137,6 @@ class FleetWorker:
 
     def routable(self, now_ms: float) -> bool:
         """May the router place new work here?"""
-        if self.draining or now_ms < self.ready_at_ms:
-            return False
         if self.breaker.closed:
             return True
         if self.can_degrade:
@@ -170,11 +157,10 @@ class FleetWorker:
 
         Requires a real device (engine with a spec), a closed breaker
         (degraded fallback engines run the reference backend — no column
-        slices to contribute), not draining towards removal, and a
-        shard-capable cost model.
+        slices to contribute) and a shard-capable cost model.
         """
         return (self.spec is not None and self.breaker.closed
-                and not self.degraded and not self.draining
+                and not self.degraded
                 and getattr(self._predictor, "supports_shards", False))
 
     def predict_shard_ms(self, shape: Tuple[int, ...], batch: int,
@@ -285,11 +271,8 @@ class FleetWorker:
                         probe=probe, start_sim_ms=round(now_ms, 3),
                         shard_plan=(shard_ctx.plan.label
                                     if shard_ctx is not None else None)):
-            outcome = self._serve_batch_inner(batch, now_ms, use_primary,
-                                              probe, shard_ctx)
-            if self.tracer is not None:
-                outcome.span_id = self.tracer.current_span_id()
-        return outcome
+            return self._serve_batch_inner(batch, now_ms, use_primary,
+                                           probe, shard_ctx)
 
     def _serve_batch_inner(self, batch: List[FleetRequest], now_ms: float,
                            use_primary: bool, probe: bool,

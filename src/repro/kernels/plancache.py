@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Tuple
@@ -173,11 +172,6 @@ class PlanCacheStats:
         self._counters = {
             name: (registry.counter(metric, help=text), labels)
             for name, (metric, labels, text) in COUNTERS.items()}
-        self._build_window = registry.windowed_histogram(
-            "plan_cache_build_ms",
-            help="wall ms spent compiling plans (trace/fused), "
-                 "windowed on the wall clock — a build spike in a "
-                 "serving window means new offset digests arrived")
 
     def __getattr__(self, name: str) -> int:
         if name not in COUNTERS:
@@ -202,10 +196,6 @@ class PlanCacheStats:
         ``name``."""
         counter, labels = self._counters[name]
         counter.inc(count, **labels)
-
-    def record_build_ms(self, kind: str, duration_ms: float) -> None:
-        """Windowed build-duration sample (``kind`` = trace|fused|...)."""
-        self._build_window.observe(float(duration_ms), kind=kind)
 
     @property
     def lookups(self) -> int:
@@ -422,16 +412,10 @@ class PlanCache:
     # ------------------------------------------------------------------
     def _timed_build(self, kind: str, cfg: LayerConfig, build: Callable,
                      **args):
-        """``build()`` as one ``<kind>_builds`` build: counted, spanned as
-        ``plancache.build_<kind>`` and timed into the build-ms window."""
+        """``build()`` as one ``<kind>_builds`` build: counted and
+        spanned as ``plancache.build_<kind>``."""
         self.stats.record(f"{kind}_builds")
-        t0 = time.perf_counter()
-        try:
-            return self._spanned(f"plancache.build_{kind}", cfg, build,
-                                 **args)
-        finally:
-            self.stats.record_build_ms(
-                kind, (time.perf_counter() - t0) * 1e3)
+        return self._spanned(f"plancache.build_{kind}", cfg, build, **args)
 
     def _spanned(self, name: str, cfg: LayerConfig, run: Callable, **args):
         """``run()``, inside a ``name`` span when the cache has a tracer

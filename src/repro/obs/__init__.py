@@ -1,6 +1,6 @@
 """``repro.obs`` — the unified observability layer.
 
-Three pillars (docs/observability.md):
+Its parts (docs/observability.md):
 
 * :mod:`repro.obs.registry` — a labeled metrics registry
   (:class:`Counter` / :class:`Gauge` / :class:`Histogram`) every subsystem
@@ -15,13 +15,9 @@ Three pillars (docs/observability.md):
   :class:`~repro.deform.layers.DeformConv2d` through the dispatch layer
   into :class:`~repro.gpusim.profiler.KernelStats`, surfaced by
   ``ProfileLog.by_layer()`` and ``DefconEngine.per_layer_rows()``.
-* :mod:`repro.obs.timeseries` — windowed time series on an injectable
-  clock: per-window exact aggregates + bounded quantile sketches, with
-  exemplars linking observations back to tracer spans.
-* :mod:`repro.obs.slo` — declarative :class:`SLO` specs evaluated per
-  window into attainment tables, multi-window burn rates and error
-  budgets; ``registry.to_prometheus()`` exposes everything as a
-  Prometheus-style text exposition.
+* ``registry.to_prometheus()`` / :func:`prometheus_from_snapshot` —
+  Prometheus-style text exposition of a live registry or a saved
+  ``metrics.json`` (``repro metrics export``).
 * :mod:`repro.obs.flightrec` — the bench-regression flight recorder:
   noise-aware comparison of ``results/BENCH_*.json`` snapshots
   (``repro bench compare``).
@@ -31,16 +27,10 @@ from repro.obs.flightrec import (FlightReport, MetricRule, compare,
                                  run_compare)
 from repro.obs.registry import (BoundedReservoir, Counter, Gauge, Histogram,
                                 MetricsRegistry, prometheus_from_snapshot)
-from repro.obs.slo import (SLO, SLOReport, evaluate_slo, evaluate_slos,
-                           format_slo_table)
-from repro.obs.timeseries import (Exemplar, QuantileSketch, WindowedHistogram,
-                                  WindowedSeries)
 from repro.obs.tracer import SpanTracer
 
 __all__ = [
-    "BoundedReservoir", "Counter", "Exemplar", "FlightReport", "Gauge",
-    "Histogram", "MetricRule", "MetricsRegistry", "QuantileSketch", "SLO",
-    "SLOReport", "SpanTracer", "WindowedHistogram", "WindowedSeries",
-    "compare", "evaluate_slo", "evaluate_slos", "format_slo_table",
+    "BoundedReservoir", "Counter", "FlightReport", "Gauge", "Histogram",
+    "MetricRule", "MetricsRegistry", "SpanTracer", "compare",
     "prometheus_from_snapshot", "run_compare",
 ]

@@ -106,25 +106,6 @@ DEFAULT_RULES: Tuple[MetricRule, ...] = (
                rel_tol=0.05, abs_floor=0.02),
     MetricRule("fleet_sharding.*_bytes", "ignore"),
     MetricRule("fleet_sharding.*", "ignore"),
-    # fleet autoscale bench — a deterministic simulation priced by the
-    # evolving latency model: exact gates on resolution and on the
-    # peak-load SLO verdicts, tolerant gates on simulated latency and
-    # worker-hours, everything else informational
-    MetricRule("fleet_autoscale.*.unresolved", "lower",
-               rel_tol=0.0, abs_floor=0.0),
-    MetricRule("fleet_autoscale.*.futures_failed", "lower",
-               rel_tol=0.0, abs_floor=0.0),
-    MetricRule("fleet_autoscale.*.completed", "higher",
-               rel_tol=0.15, abs_floor=2.0),
-    MetricRule("fleet_autoscale.peak.*attained", "higher",
-               rel_tol=0.0, abs_floor=0.0),
-    MetricRule("fleet_autoscale.peak.deterministic", "higher",
-               rel_tol=0.0, abs_floor=0.0),
-    MetricRule("fleet_autoscale.peak.auto_worker_ms", "lower",
-               rel_tol=0.30, abs_floor=1.0),
-    MetricRule("fleet_autoscale.*.p99_ms", "lower",
-               rel_tol=0.50, abs_floor=0.25),
-    MetricRule("fleet_autoscale.*", "ignore"),
     # wall-clock speedup ratios — machine-sensitive but dimensionless;
     # a halved speedup must fail, scheduler jitter must not
     MetricRule("*speedup", "higher", rel_tol=0.40, abs_floor=0.25),

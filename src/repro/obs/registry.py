@@ -248,9 +248,6 @@ class Histogram(Metric):
         return series.snapshot()
 
 
-_METRIC_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
 class MetricsRegistry:
     """Thread-safe collection of named metrics.
 
@@ -287,16 +284,6 @@ class MetricsRegistry:
                   reservoir_size: int = 1024, seed: int = 0) -> Histogram:
         return self._register(Histogram, name, help,
                               reservoir_size=reservoir_size, seed=seed)
-
-    def windowed_histogram(self, name: str, help: str = "", **kwargs):
-        """A :class:`~repro.obs.timeseries.WindowedHistogram` — per-window
-        count/sum/min/max + quantile sketches on an injectable clock
-        (``window_ms= retention= clock= compression=`` keyword args;
-        see :mod:`repro.obs.timeseries`).  Like every other kind,
-        registration is idempotent: the first caller's window/clock
-        configuration wins."""
-        from repro.obs.timeseries import WindowedHistogram
-        return self._register(WindowedHistogram, name, help, **kwargs)
 
     def get(self, name: str) -> Optional[Metric]:
         with self._lock:
@@ -339,13 +326,9 @@ class MetricsRegistry:
         """Prometheus-style text exposition of every metric.
 
         Counters and gauges expose one sample per label set; histograms
-        and windowed histograms expose summary-style ``quantile`` samples
-        plus exact ``_count`` / ``_sum`` samples.  Windowed-histogram
-        quantiles aggregate the retained windows, and their worst
-        retained exemplar rides the p99 sample as an OpenMetrics-style
-        ``# {span_id="..."}`` annotation — the hook SLO tooling and
-        scrape-side dashboards use to jump into the trace.  Output order
-        follows the :meth:`snapshot` contract, so it is byte-stable.
+        expose summary-style ``quantile`` samples plus exact ``_count`` /
+        ``_sum`` samples.  Output order follows the :meth:`snapshot`
+        contract, so it is byte-stable.
         """
         return prometheus_from_snapshot(self.snapshot())
 
@@ -354,41 +337,51 @@ class MetricsRegistry:
             fh.write(self.to_prometheus())
 
 
+#: per metric kind: its Prometheus type and the series fields its
+#: exposition reads
+_EXPOSITION = {
+    "counter": ("counter", ("labels", "value")),
+    "gauge": ("gauge", ("labels", "value")),
+    "histogram": ("summary", ("labels", "p50", "p95", "p99", "count", "sum")),
+}
+
+
 def prometheus_from_snapshot(snapshot: Dict[str, dict]) -> str:
     """Prometheus text exposition from a :meth:`MetricsRegistry.snapshot`
     dict — live (what :meth:`MetricsRegistry.to_prometheus` passes) or
     re-loaded from a ``metrics.json`` file (what ``repro metrics export``
-    passes), so any saved snapshot is scrapeable after the fact."""
+    passes), so any saved snapshot is scrapeable after the fact.
+
+    Raises ValueError naming the first metric whose kind has no
+    exposition or whose series lack the fields its kind exports.
+    """
     lines: List[str] = []
     for name, snap in sorted(snapshot.items()):
         kind = snap["kind"]
-        prom_type = {"counter": "counter", "gauge": "gauge",
-                     "histogram": "summary",
-                     "windowed_histogram": "summary"}.get(kind, "untyped")
+        if kind not in _EXPOSITION:
+            raise ValueError(f"metric {name!r} has kind {kind!r}, not "
+                             f"counter, gauge or histogram")
+        prom_type, fields = _EXPOSITION[kind]
+        series_list = snap.get("series")
+        if not isinstance(series_list, list) or not all(
+                isinstance(s, dict) and all(f in s for f in fields)
+                and isinstance(s["labels"], dict) for s in series_list):
+            raise ValueError(f"metric {name!r} of kind {kind!r} needs a "
+                             f"series list whose entries hold "
+                             f"{', '.join(fields)}")
         if snap.get("help"):
             lines.append(f"# HELP {name} {snap['help']}")
         lines.append(f"# TYPE {name} {prom_type}")
-        for series in snap["series"]:
+        for series in series_list:
             labels = series["labels"]
-            if kind in ("counter", "gauge"):
+            if kind != "histogram":
                 lines.append(f"{name}{_fmt_labels(labels)} "
                              f"{_fmt_value(series['value'])}")
                 continue
             for q_key, q in (("p50", "0.5"), ("p95", "0.95"),
                              ("p99", "0.99")):
-                value = series.get(q_key)
-                if value is None and kind == "windowed_histogram":
-                    value = _windowed_quantile(series, q_key)
-                sample = (f"{name}"
-                          f"{_fmt_labels(labels, quantile=q)} "
-                          f"{_fmt_value(value or 0.0)}")
-                if q_key == "p99":
-                    exemplar = _worst_exemplar(series)
-                    if exemplar is not None:
-                        sample += (f" # {{span_id=\""
-                                   f"{exemplar['span_id']}\"}} "
-                                   f"{_fmt_value(exemplar['value'])}")
-                lines.append(sample)
+                lines.append(f"{name}{_fmt_labels(labels, quantile=q)} "
+                             f"{_fmt_value(series[q_key])}")
             lines.append(f"{name}_count{_fmt_labels(labels)} "
                          f"{_fmt_value(series['count'])}")
             lines.append(f"{name}_sum{_fmt_labels(labels)} "
@@ -412,24 +405,3 @@ def _fmt_labels(labels: Dict[str, str], **extra) -> str:
     body = ",".join(f'{k}="{_escape_label(v)}"' for k, v in items)
     return "{" + body + "}"
 
-
-def _windowed_quantile(series_snap: dict, q_key: str) -> float:
-    """Aggregate a windowed-histogram series snapshot to one quantile.
-
-    Snapshot-level fallback (count-weighted mean of per-window
-    quantiles); live series use the exact merged sketch instead.
-    """
-    wins = [w for w in series_snap.get("windows", []) if w.get("count")]
-    total = sum(w["count"] for w in wins)
-    if not total:
-        return 0.0
-    return sum(w[q_key] * w["count"] for w in wins) / total
-
-
-def _worst_exemplar(series_snap: dict) -> Optional[dict]:
-    worst = None
-    for win in series_snap.get("windows", []):
-        for ex in win.get("exemplars", []):
-            if worst is None or ex["value"] > worst["value"]:
-                worst = ex
-    return worst

@@ -61,10 +61,8 @@ class SpanTracer:
         #: flame aggregation: "a;b;c" -> [total_us, count]
         self._flame: Dict[str, List[float]] = {}
         #: monotonically increasing span ids ("s1", "s2", ...) — the
-        #: handles exemplars carry so a violated SLO window can name the
-        #: exact span that served the offending request
+        #: handles ``repro trace --open PATH --span-id`` looks spans up by
         self._next_span_id = 0
-        self._span_stacks: Dict[int, List[str]] = {}
 
     # ------------------------------------------------------------------
     # recording
@@ -91,8 +89,7 @@ class SpanTracer:
         """Open a nested wall-time span on the current thread.
 
         Every span gets a process-unique id (``"s1"``, ``"s2"``, ...)
-        recorded in its ``args`` — :meth:`current_span_id` reads the
-        innermost open one, which is what metric exemplars carry.
+        recorded in its ``args``.
         """
         with self._lock:
             tid = self._tid()
@@ -102,7 +99,6 @@ class SpanTracer:
             ts = self._now_us()
             self._next_span_id += 1
             span_id = f"s{self._next_span_id}"
-            self._span_stacks.setdefault(tid, []).append(span_id)
         try:
             yield self
         finally:
@@ -118,16 +114,6 @@ class SpanTracer:
                 stack = self._stacks.get(tid)
                 if stack and stack[-1] == name:
                     stack.pop()
-                ids = self._span_stacks.get(tid)
-                if ids and ids[-1] == span_id:
-                    ids.pop()
-
-    def current_span_id(self) -> Optional[str]:
-        """Id of the innermost span open on the current thread (or None)."""
-        with self._lock:
-            ids = self._span_stacks.get(self._tids.get(
-                threading.get_ident(), -1))
-            return ids[-1] if ids else None
 
     def record_kernel(self, stats) -> None:
         """Append one simulated kernel launch to the simGPU timeline.

@@ -38,8 +38,7 @@ class ServingMetrics:
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 reservoir_size: int = 1024,
-                 window_ms: float = 1000.0, window_retention: int = 64):
+                 reservoir_size: int = 1024):
         self.registry = registry if registry is not None else MetricsRegistry()
         self._lock = threading.Lock()
         r = self.registry
@@ -67,15 +66,6 @@ class ServingMetrics:
         self._sim_ms = r.histogram(
             "serve_sim_ms_per_batch", reservoir_size=reservoir_size,
             help="simulated deformable GPU milliseconds per batch")
-        # the time axis: per-request wall latency (queue wait + inference)
-        # bucketed into fixed wall-clock windows, so serving dashboards
-        # and SLOs can see *when* latency moved, not just lifetime
-        # aggregates (see docs/observability.md, "Time-series windows")
-        self._latency_windows = r.windowed_histogram(
-            "serve_request_latency_ms",
-            help="per-request wall latency (queue wait + inference), "
-                 "windowed on the wall clock",
-            window_ms=window_ms, retention=window_retention)
 
     # ------------------------------------------------------------------
     # recording hooks (called by the batcher)
@@ -101,8 +91,6 @@ class ServingMetrics:
                 self._batches.inc(size=size)
             for wait in queue_waits_s:
                 self._queue_wait.observe(wait)
-                self._latency_windows.observe(
-                    (wait + infer_wall_s) * 1e3)
             self._infer_wall.observe(infer_wall_s)
             if not failed:
                 self._sim_ms.observe(sim_ms)

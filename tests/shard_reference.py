@@ -15,7 +15,6 @@ count for count.
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Optional, Tuple
 
@@ -427,17 +426,12 @@ class ReferencePlanCache(PlanCache):
 
     @contextmanager
     def _timed_build(self, kind: str, cfg: LayerConfig, **args):
-        """One ``<kind>_builds`` build: counted, spanned as
-        ``plancache.build_<kind>`` and timed into the build-ms window."""
+        """One ``<kind>_builds`` build: counted and spanned as
+        ``plancache.build_<kind>``."""
         self.stats.record(f"{kind}_builds")
-        t0 = time.perf_counter()
-        try:
-            with maybe_span(self.tracer, f"plancache.build_{kind}",
-                            cat="plancache", geometry=cfg.label(), **args):
-                yield
-        finally:
-            self.stats.record_build_ms(
-                kind, (time.perf_counter() - t0) * 1e3)
+        with maybe_span(self.tracer, f"plancache.build_{kind}",
+                        cat="plancache", geometry=cfg.label(), **args):
+            yield
 
     def _build_entry(self, cfg: LayerConfig, spec: DeviceSpec,
                      plan: SamplePlan,

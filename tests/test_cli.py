@@ -183,6 +183,102 @@ class TestServeAndTiles:
         assert main(["trace", "--span-id", "s1"]) == 1
         assert "--span-id requires --open" in capsys.readouterr().err
 
+    @staticmethod
+    def _listed_ids(out):
+        """Span ids in the order ``trace --open`` lists them."""
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines)
+                     if line.lstrip().startswith("-")) + 1
+        return [line.split()[0] for line in lines[start:] if line.strip()
+                and not line.startswith("pass --span-id")]
+
+    def test_trace_open_lists_foreign_ids_in_file_order(self, tmp_path,
+                                                         capsys):
+        import json
+
+        trace = {"traceEvents": [
+            {"ph": "X", "name": "first", "ts": 5.0, "dur": 1.0,
+             "args": {"span_id": "s2"}},
+            {"ph": "X", "name": "second", "ts": 1.0, "dur": 1.0,
+             "args": {"span_id": "x", "step": 7}},
+            # events that are not objects with object args are skipped
+            1, {"ph": "X", "name": "listargs", "args": ["s9"]},
+            {"ph": "X", "name": "third", "ts": 3.0, "dur": 1.0,
+             "args": {"span_id": "s1"}},
+        ]}
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(trace))
+
+        assert main(["trace", "--open", str(path)]) == 0
+        assert self._listed_ids(capsys.readouterr().out) == ["s2", "x", "s1"]
+        assert main(["trace", "--open", str(path), "--span-id", "x"]) == 0
+        out = capsys.readouterr().out
+        assert "span x: second" in out and "step: 7" in out
+
+    @pytest.mark.parametrize("trace", [
+        [{"ph": "X", "name": "a", "args": {"span_id": "s1"}}],
+        {"traceEvents": 5},
+    ], ids=["list", "events-not-a-list"])
+    def test_trace_open_rejects_a_file_that_is_not_a_chrome_trace(
+            self, tmp_path, capsys, trace):
+        import json
+
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(trace))
+        assert main(["trace", "--open", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(path) in err[0]
+
+    def test_trace_open_expands_a_span_a_tracer_wrote(self, tmp_path,
+                                                       capsys):
+        """A real SpanTracer, nested spans on two threads: every ``X``
+        event carries its own ``s<N>`` id, and ``--span-id`` finds it."""
+        import json
+        import re
+        import threading
+
+        from repro.obs import SpanTracer
+
+        tracer = SpanTracer()
+        barrier = threading.Barrier(2)
+
+        def work(name):
+            barrier.wait()
+            with tracer.span(f"{name}.outer", cat="test"):
+                for step in range(3):
+                    with tracer.span(f"{name}.inner", cat="test",
+                                     step=step):
+                        pass
+
+        threads = [threading.Thread(target=work, args=(n,))
+                   for n in ("t0", "t1")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        path = tmp_path / "trace.json"
+        tracer.write(str(path))
+
+        spans = [e for e in json.loads(path.read_text())["traceEvents"]
+                 if e["ph"] == "X"]
+        ids = [e["args"]["span_id"] for e in spans]
+        assert len(spans) == 8 and len(set(ids)) == 8
+        assert all(re.fullmatch(r"s\d+", i) for i in ids)
+        assert len({e["tid"] for e in spans}) == 2
+
+        assert main(["trace", "--open", str(path)]) == 0
+        assert self._listed_ids(capsys.readouterr().out) == sorted(
+            ids, key=lambda i: int(i[1:]))
+        inner = next(e for e in spans
+                     if e["name"] == "t1.inner" and e["args"]["step"] == 2)
+        sid = inner["args"]["span_id"]
+        assert main(["trace", "--open", str(path), "--span-id", sid]) == 0
+        out = capsys.readouterr().out
+        assert f"span {sid}: t1.inner [test]" in out
+        assert f"tid: {inner['tid']}" in out and "step: 2" in out
+
     def test_metrics_export_prometheus(self, tmp_path, capsys):
         from repro.obs import MetricsRegistry
 
@@ -205,6 +301,40 @@ class TestServeAndTiles:
         bad.write_text('{"not": "a snapshot"}')
         assert main(["metrics", "export", str(bad)]) == 1
         assert "not a metrics registry snapshot" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [
+        {"kind": "foo", "series": [{"labels": {}}]},
+        {"kind": "counter"},
+        {"kind": "counter", "series": [{"labels": [], "value": 1.0}]},
+        {"kind": "histogram", "series": [{"labels": {}, "p50": 1.0,
+                                          "p95": 1.0, "p99": 1.0}]},
+        # what metrics.json held for a windowed series, which no
+        # registry writes any more
+        {"kind": "windowed_histogram", "help": "per-request wall latency",
+         "series": [{"labels": {}, "count": 1, "sum": 2.5,
+                     "window_ms": 1000.0, "retention": 4, "windows": [
+                         {"count": 1, "sum": 2.5, "p50": 2.5, "p95": 2.5,
+                          "p99": 2.5, "window_start_ms": 0.0,
+                          "window_end_ms": 1000.0}]}]},
+    ], ids=["unknown-kind", "no-series", "labels-not-an-object",
+            "histogram-without-count", "windowed"])
+    def test_metrics_export_rejects_an_entry_it_cannot_read(
+            self, tmp_path, capsys, entry):
+        import json
+
+        snap = tmp_path / "metrics.json"
+        snap.write_text(json.dumps({
+            "hits": {"kind": "counter", "help": "",
+                     "series": [{"labels": {}, "value": 1.0}]},
+            "x": entry}))
+        dest = tmp_path / "metrics.prom"
+        assert main(["metrics", "export", str(snap),
+                     "--out", str(dest)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "'x'" in err[0] and repr(entry["kind"]) in err[0]
+        assert captured.out == "" and not dest.exists()
 
     def test_bench_compare_pass_and_regress(self, tmp_path, capsys):
         import json
@@ -273,14 +403,3 @@ class TestServeAndTiles:
         assert lookups > 0
         saves = snap["tile_store_saves"]["series"]
         assert saves and saves[0]["value"] > 0
-
-    def test_fleet_run_slo_without_trace_writes_metrics(self, tmp_path,
-                                                        capsys):
-        """``--slo`` builds a tracer for its exemplars even without
-        ``--trace``; the run still exits 0 and writes ``--metrics-out``."""
-        metrics = tmp_path / "m.json"
-        assert main(["fleet", "run", "--requests", "12",
-                     "--fault", "w1-rtx-2080ti=crash:0-0.3", "--slo",
-                     "--metrics-out", str(metrics)]) == 0
-        assert metrics.exists()
-        assert "SLO fleet-p99-latency" in capsys.readouterr().out

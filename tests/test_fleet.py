@@ -116,31 +116,32 @@ class TestQueueUnderOpenLoopBursts:
         queue must reject pushes at capacity and shed exactly the
         requests whose deadline tick passed — and only during the flash
         crowd, since the envelope is well-provisioned outside it."""
-        from repro.fleet import BurstEpisode, LoadSpec, RequestClass
-
-        spec = LoadSpec(requests=60, duration_ms=60.0,
-                        bursts=(BurstEpisode(20.0, 26.0, 8.0),),
-                        classes=(RequestClass("c", 1.0, 8, 3.0, 0),),
-                        seed=9)
+        # seeded piecewise Poisson arrivals: 0.6 req/ms with an 8x flash
+        # crowd over [20, 26) ms; every request has a 3 ms deadline
+        rng = np.random.default_rng(9)
+        arrivals = []
+        for start, end, rate in ((0.0, 20.0, 0.6), (20.0, 26.0, 4.8),
+                                 (26.0, 60.0, 0.6)):
+            n = rng.poisson(rate * (end - start))
+            arrivals += sorted(rng.uniform(start, end, n).tolist())
         q = BoundedDeadlineQueue(capacity=8)
         service_ms = 0.5                    # consumer: one request / 0.5ms
         next_pop = 0.0
         rejected, shed, served = [], [], []
-        for a in spec.events():
-            while next_pop <= a.t_ms and len(q):
+        for i, t_ms in enumerate(arrivals):
+            while next_pop <= t_ms and len(q):
                 shed += [r.id for r in q.shed_expired(next_pop)]
                 served += [r.id for r in q.pop_batch(1)]
                 next_pop += service_ms
             if not len(q):
-                next_pop = max(next_pop, a.t_ms)
-            r = FleetRequest(a.index, a.image(), a.t_ms,
-                             a.t_ms + a.cls.deadline_ms)
+                next_pop = max(next_pop, t_ms)
+            r = FleetRequest(i, IMG, t_ms, t_ms + 3.0)
             r.predicted_ms = service_ms
             try:
                 q.push(r)
             except FleetRejection as exc:
                 assert exc.reason == REASON_QUEUE_FULL
-                rejected.append((a.index, a.t_ms))
+                rejected.append((i, t_ms))
         while len(q):
             shed += [r.id for r in q.shed_expired(next_pop)]
             served += [r.id for r in q.pop_batch(1)]
@@ -153,7 +154,7 @@ class TestQueueUnderOpenLoopBursts:
         # conservation: every arrival is served, shed, or rejected once
         ids = set(served) | set(shed) | {i for i, _ in rejected}
         assert len(served) + len(shed) + len(rejected) == len(ids)
-        assert len(ids) == len(spec.events())
+        assert len(ids) == len(arrivals)
 
     def test_expiry_at_exact_boundary_inside_scheduler(self):
         """A request whose deadline equals the batch start tick is still
@@ -548,13 +549,11 @@ class TestFleetScheduler:
         assert "fleet.batch" in names
 
     def test_scheduler_publishes_series_of_a_late_member(self):
-        # workers and breakers hold no registry: a member joining via
-        # add_worker gets its breaker gauge at join, and its batch and
-        # queue-depth series from the scheduler that serves it
+        # workers and breakers hold no registry: the scheduler that
+        # serves a member publishes its batch and queue-depth series
         reg = MetricsRegistry()
-        sched = FleetScheduler([worker("a", 1.0)], registry=reg)
-        sched.add_worker(worker("b", 0.5))
-        assert reg.get("fleet_breaker_open").value(worker="b") == 0.0
+        sched = FleetScheduler([worker("a", 1.0), worker("b", 0.5)],
+                               registry=reg)
         sched.submit(IMG)               # the cost router picks faster b
         depth = reg.get("fleet_queue_depth")
         assert depth.value(worker="b") == 1.0
@@ -691,33 +690,3 @@ class TestFleetCli:
         out = capsys.readouterr().out
         assert "futures audit: 5 submitted, 5 resolved, 0 unresolved" in out
         assert "Routing decisions" in out
-
-    def test_fleet_run_slo_prints_attainment_and_exemplars(self, tmp_path,
-                                                           capsys):
-        import json
-        import re
-
-        from repro.cli import main
-
-        trace = tmp_path / "trace.json"
-        assert main(["fleet", "run", "--requests", "8", "--max-batch", "2",
-                     "--slo", "--slo-p99-ms", "0.3",
-                     "--trace", str(trace)]) == 0
-        out = capsys.readouterr().out
-        assert "SLO fleet-p99-latency" in out
-        assert "attainment" in out and "burn" in out
-        assert "VIOLATED" in out      # 0.3 ms sits below the sim tail
-        # every violated window names at least one exemplar span that
-        # exists in the exported trace
-        span_ids = set()
-        for line in out.splitlines():
-            if "VIOLATED" in line:
-                ids = re.findall(r"\bs\d+\b", line)
-                assert ids, line
-                span_ids.update(ids)
-        trace_ids = {e["args"]["span_id"]
-                     for e in json.loads(trace.read_text())["traceEvents"]
-                     if e.get("args", {}).get("span_id")}
-        assert span_ids <= trace_ids
-        # the hint points at trace --open for drill-down
-        assert "trace --open" in out

@@ -91,8 +91,6 @@ class TestWarmStart:
         assert lookups.value(result="miss") == 1.0
         assert lookups.value(result="hit") == 1.0
         assert store_reg.get("tile_store_saves").value() == 1.0
-        assert store_reg.get("tile_store_lookup_events").count(
-            result="hit") == 1
         assert tuner_reg.get("tile_store_lookups") is None
         assert tuner_reg.get("autotune_store_warm_hits").value(
             backend="tex2d") == 1.0
