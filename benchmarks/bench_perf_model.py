@@ -24,7 +24,8 @@ docs/performance.md:
   on every call, so every plan-cache lookup misses and the call pays
   the trace, the tap tables and the tile's counters.  Outputs and
   kernel stats must be bit-identical to the uncached call
-  (``plan_cache=None``); the per-site median ms is reported, not gated.
+  (``plan_cache=None``); the per-site median ms and the cache's
+  ``plan_cache_resident_bytes`` after the calls are reported, not gated.
 
 The CI ``perf-smoke`` job runs this on every push and fails if the cached
 paths stop being faster.  It pins BLAS to one thread
@@ -135,8 +136,9 @@ def _fused_serving(cfg):
 
 
 def _miss_path(cfg):
-    """Median ms of a ``run_tex2d`` call whose offsets are new to its
-    plan cache; every output and kernel stat equals the uncached call's."""
+    """Median seconds of a ``run_tex2d`` call whose offsets are new to
+    its plan cache, and the cache's resident bytes after the calls; every
+    output and kernel stat equals the uncached call's."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=cfg.input_shape()).astype(np.float32)
     w = rng.normal(size=cfg.weight_shape()).astype(np.float32)
@@ -159,7 +161,8 @@ def _miss_path(cfg):
         assert [k.__dict__ for k in res.kernels] == \
             [k.__dict__ for k in ref.kernels], \
             "miss-path kernel stats drifted from the uncached call"
-    return float(np.median(times))
+    resident = cache.registry.gauge("plan_cache_resident_bytes").value()
+    return float(np.median(times)), int(resident)
 
 
 def _uncached_grid(cfg):
@@ -217,7 +220,7 @@ def regenerate():
          f"{sweep_x:.1f}x"],
     ] + [
         [f"miss-path call {label} (median of {MISS_CALLS})", "",
-         f"{sec * 1e3:.2f}", ""] for label, sec in miss_s.items()]
+         f"{sec * 1e3:.2f}", ""] for label, (sec, _) in miss_s.items()]
     text = format_table(
         ["hot path", "baseline ms", "optimised ms", "speedup"],
         rows,
@@ -243,7 +246,9 @@ def regenerate():
                          "speedup": sweep_x},
          "miss_path": {"calls": MISS_CALLS,
                        **{f"{label}_ms": sec * 1e3
-                          for label, sec in miss_s.items()}}},
+                          for label, (sec, _) in miss_s.items()},
+                       **{f"{label}_resident_bytes": nbytes
+                          for label, (_, nbytes) in miss_s.items()}}},
         device=XAVIER.name)
     return steady_x, fused_x, sweep_x
 

@@ -97,7 +97,7 @@ class TileTuner:
         """The plan cache one search should evaluate through."""
         if self.plan_cache is None:
             # Private per-search cache: candidate tiles share one trace.
-            return PlanCache(max_entries=4)
+            return PlanCache()
         return self.plan_cache
 
     def objective(self, cfg: LayerConfig):

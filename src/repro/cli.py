@@ -36,6 +36,7 @@ user reaches for first:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -325,6 +326,18 @@ def cmd_serve(args) -> int:
     return 0
 
 
+def _unprintable_span_field(event: dict) -> Optional[str]:
+    """The first field of a trace span that ``trace --open`` cannot
+    print — a ``name`` that is no string, a ``ts`` or ``dur`` that is no
+    number — or None."""
+    if not isinstance(event.get("name"), str):
+        return "name"
+    for key in ("ts", "dur"):
+        if not isinstance(event.get(key, 0.0), (int, float)):
+            return key
+    return None
+
+
 def _open_trace_span(path: str, span_id: Optional[str]) -> int:
     """``repro trace --open`` — inspect spans of an existing trace JSON.
 
@@ -353,6 +366,21 @@ def _open_trace_span(path: str, span_id: Optional[str]) -> int:
     spans = [e for e in events
              if isinstance(e, dict) and e.get("ph") == "X"
              and isinstance(e.get("args"), dict) and e["args"].get("span_id")]
+    if span_id is not None:
+        matches = [e for e in spans if e["args"]["span_id"] == span_id]
+        if not matches:
+            print(f"error: no span {span_id!r} in {path} "
+                  f"({len(spans)} spans present)", file=_sys.stderr)
+            return 1
+        spans = matches[:1]
+    for e in spans:
+        field = _unprintable_span_field(e)
+        if field is not None:
+            value = repr(e[field]) if field in e else "missing"
+            print(f"error: span {e['args']['span_id']!r} in {path}: "
+                  f"field {field!r} is {value}; a span needs a string "
+                  f"name and numeric ts and dur", file=_sys.stderr)
+            return 1
     if span_id is None:
         if all(re.fullmatch(r"s\d+", str(e["args"]["span_id"]))
                for e in spans):
@@ -364,12 +392,7 @@ def _open_trace_span(path: str, span_id: Optional[str]) -> int:
                            rows, title=f"Spans in {path}"))
         print("\npass --span-id ID to expand one span")
         return 0
-    matches = [e for e in spans if e["args"]["span_id"] == span_id]
-    if not matches:
-        print(f"error: no span {span_id!r} in {path} "
-              f"({len(spans)} spans present)", file=_sys.stderr)
-        return 1
-    event = matches[0]
+    event = spans[0]
     print(f"span {span_id}: {event['name']} [{event.get('cat', '')}]")
     print(f"  ts: {event.get('ts', 0.0):.1f} us   "
           f"dur: {event.get('dur', 0.0):.1f} us   "
@@ -586,8 +609,8 @@ def cmd_conformance(args) -> int:
         title=f"Conformance: {suite.num_cases} cases, seed {args.seed}, "
               f"{spec.name}" + (f", fault={args.inject}" if args.inject
                                 else "")))
-    pstats = runner.plan_cache.stats if runner.plan_cache else None
-    if pstats is not None and pstats.lookups:
+    pstats = runner.plan_cache.stats
+    if pstats.lookups:
         print(f"plan cache: {pstats.hits} hits / {pstats.lookups} lookups "
               f"({pstats.hit_rate:.1f}%)")
     if args.metrics_out:
@@ -975,7 +998,17 @@ COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        code = COMMANDS[args.command](args)
+        # a closed pipe shows on this flush, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed early (``repro ... | head``).  Point stdout at
+        # devnull so the flush at exit fails no more, as the ``signal``
+        # module's docs recommend, and exit 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

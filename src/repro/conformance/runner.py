@@ -72,21 +72,18 @@ def _stats_rows(kernels: Sequence[KernelStats]) -> List[List[float]]:
 class ConformanceRunner:
     """Executes the conformance check catalogue against a device spec."""
 
-    def __init__(self, spec: DeviceSpec,
-                 plan_cache_entries: int = 128):
+    def __init__(self, spec: DeviceSpec):
         self.spec = spec
         # Shared across the checks of one case: keys include offsets
         # digest, geometry and the fp16 flag, so sharing makes the many
         # repeated zero/integer-offset runs cheap.
-        self.plan_cache = (PlanCache(max_entries=plan_cache_entries)
-                          if plan_cache_entries else None)
+        self.plan_cache = PlanCache()
 
     # ------------------------------------------------------------------
     def run_case(self, case: ConformanceCase) -> CaseReport:
-        if self.plan_cache is not None:
-            # Cached fused plans embed the texture unit's filter numerics
-            # (what fault injection patches), so none may outlive a case.
-            self.plan_cache.clear()
+        # Cached fused plans embed the texture unit's filter numerics
+        # (what fault injection patches), so none may outlive a case.
+        self.plan_cache.clear()
         cfg = case.layer_config()
         arrays = case.materialize()
         tile = case.tile
@@ -162,7 +159,7 @@ class ConformanceRunner:
         for bk in TEX_BACKENDS:
             base = run_deform_op(bk, x, off, w, b, cfg, self.spec,
                                  tile=tile, plan_cache=None)
-            pc = PlanCache(max_entries=8)
+            pc = PlanCache()
             cold = run_deform_op(bk, x, off, w, b, cfg, self.spec,
                                  tile=tile, plan_cache=pc)
             warm = run_deform_op(bk, x, off, w, b, cfg, self.spec,
@@ -227,7 +224,7 @@ class ConformanceRunner:
                         f"shard.bit_identical.{bk}.{kind}", True,
                         detail="layer not splittable — vacuous"))
                     continue
-                pc = PlanCache(max_entries=8)
+                pc = PlanCache()
                 ok, detail = True, ""
                 for run in ("cold", "warm"):
                     shards = [s for s in enumerate_shards(cfg, kind, (2, 1))

@@ -24,7 +24,8 @@ The :class:`PlanCache` memoises that state at two levels:
 
 An entry keeps only what a later lookup reads (execution scratch is per
 call); the ``plan_cache_resident_bytes`` gauge sums
-:attr:`_TraceEntry.nbytes` over live entries.
+:attr:`_TraceEntry.nbytes` over live entries, and that sum is what the
+cache's one bound, ``max_bytes``, caps.
 
 Returned stats are **bit-identical** to an uncached simulation — the
 re-tiled path replays the exact accounting of ``simulate()`` — so the
@@ -35,7 +36,7 @@ Every lookup is one transaction, :meth:`PlanCache.lookup`: a launch
 whose gather plan and texture counters hang off one trace entry settles
 both at once — one key, one lock, one in-flight guard, one build of
 whatever is missing (trace, plan, tile counters), one store with the
-LRU eviction.  :meth:`PlanCache.tex_stats` and
+LRU eviction down to the byte bound.  :meth:`PlanCache.tex_stats` and
 :meth:`PlanCache.fused_plan` are the one-value forms (a price, a row
 band's two entries).  Lookups are keyed exactly, by the
 :func:`offsets_digest` the caller (:func:`~repro.kernels.tex2d.launch`)
@@ -78,8 +79,9 @@ from repro.obs.registry import MetricsRegistry
 if TYPE_CHECKING:
     from repro.kernels.shards import ShardSpec
 
-#: Default bound on distinct (offsets, geometry) trace entries kept live.
-DEFAULT_MAX_ENTRIES = 64
+#: Default bound on the bytes live trace entries hold: three batch-4
+#: forwards of perfbench's ``detect`` model (2.29 MiB each).
+DEFAULT_MAX_BYTES = 8 << 20
 
 _LOOKUPS_HELP = "perf-model plan cache lookups by result (hit/miss)"
 
@@ -100,8 +102,8 @@ COUNTERS = {
         "offsets+geometry+shard)"),
     "evictions": (
         "plan_cache_evictions", {},
-        "trace entries dropped at the LRU bound (a high rate means "
-        "max_entries is too small for the working set of offset "
+        "trace entries dropped at the LRU byte bound (a high rate means "
+        "the bound is too small for the working set of offset "
         "tensors)"),
 }
 
@@ -213,7 +215,7 @@ class PlanCacheStats:
 
 
 class PlanCache:
-    """LRU-bounded memo of texture perf-model state.
+    """LRU memo of texture perf-model state, bounded in resident bytes.
 
     A miss builds the trace entry from one pass over the sampling
     positions: each axis is resolved once for the line trace
@@ -225,11 +227,15 @@ class PlanCache:
 
     Parameters
     ----------
-    max_entries:
-        Distinct (offset digest, geometry, plan, fp16) trace entries kept
-        live; least-recently-used entries are evicted beyond this (each
-        eviction counts on ``stats.evictions``).  Each entry additionally
-        holds one stats record per tile requested against it (the legal
+    max_bytes:
+        Bound on the live entries' :attr:`_TraceEntry.nbytes` (what the
+        ``plan_cache_resident_bytes`` gauge reports).  After every store
+        — a new entry, or a plan added to a live entry —
+        least-recently-used entries are evicted until the live bytes fit
+        (each eviction counts on ``stats.evictions``); the entry just
+        stored is never evicted, so one entry larger than the bound stays,
+        alone.  Each entry additionally holds one stats record per tile
+        requested against it (a few ints each, not counted; the legal
         tile space is small, so this inner dict is naturally bounded).
     registry:
         The :class:`~repro.obs.registry.MetricsRegistry` the cache counts
@@ -238,11 +244,11 @@ class PlanCache:
         Optional span hook — see the module docstring.
     """
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES,
+    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES,
                  registry: Optional[MetricsRegistry] = None, tracer=None):
-        if max_entries < 1:
-            raise ValueError("plan cache needs max_entries >= 1")
-        self.max_entries = max_entries
+        if max_bytes < 1:
+            raise ValueError("plan cache needs max_bytes >= 1")
+        self.max_bytes = max_bytes
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self.stats = PlanCacheStats(self.registry)
@@ -253,6 +259,9 @@ class PlanCache:
         self.tracer = tracer
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, _TraceEntry]" = OrderedDict()
+        #: the live entries' bytes — this cache's own share of the gauge,
+        #: which two caches on one registry sum into
+        self._nbytes = 0
         #: keys with a build in flight — concurrent misses on one entry
         #: coalesce onto one build instead of racing; waiters sleep on
         #: ``_built``, notified whenever a build ends
@@ -266,7 +275,8 @@ class PlanCache:
 
     def clear(self) -> None:
         with self._lock:
-            self._resident.dec(sum(e.nbytes for e in self._entries.values()))
+            self._resident.dec(self._nbytes)
+            self._nbytes = 0
             self._entries.clear()
 
     @staticmethod
@@ -338,7 +348,7 @@ class PlanCache:
         key is built once, and one in-flight guard per entry makes
         concurrent misses coalesce: the first thread builds whatever is
         missing — the trace, the plan, the tile's counters — and stores
-        it in one step (the LRU bound is the only eviction site); the
+        it in one step (:meth:`_store`, the only eviction site); the
         rest wait, then re-check, and a waiter becomes the builder if
         the build failed or its entry was evicted at once.
         """
@@ -395,19 +405,30 @@ class PlanCache:
                     entry.stats[stats_key] = texture
                 if new:
                     self._entries[key] = entry
-                    self._resident.inc(entry.nbytes)
-                    while len(self._entries) > self.max_entries:
-                        _, dropped = self._entries.popitem(last=False)
-                        self._resident.dec(dropped.nbytes)
-                        self.stats.record("evictions")
+                    self._store(key, entry.nbytes)
                 elif built is not None and self._entries.get(key) is entry:
                     # a plan added to a live entry counts once
-                    self._resident.inc(built.nbytes)
+                    self._store(key, built.nbytes)
             return fplan, texture
         finally:
             with self._lock:
                 self._building.discard(key)
                 self._built.notify_all()
+
+    def _store(self, key: tuple, nbytes: int) -> None:
+        """Count ``nbytes`` just stored on the live entry ``key``, then
+        evict least-recently-used entries, never ``key``, until the live
+        bytes fit ``max_bytes``.  The gauge moves once, by the net change,
+        so no reader sees the bytes over the bound an eviction removes.
+        The caller holds ``_lock``."""
+        self._entries.move_to_end(key)
+        before = self._nbytes
+        self._nbytes += nbytes
+        while self._nbytes > self.max_bytes and len(self._entries) > 1:
+            _, dropped = self._entries.popitem(last=False)
+            self._nbytes -= dropped.nbytes
+            self.stats.record("evictions")
+        self._resident.inc(self._nbytes - before)
 
     # ------------------------------------------------------------------
     def _timed_build(self, kind: str, cfg: LayerConfig, build: Callable,

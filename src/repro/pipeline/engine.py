@@ -207,7 +207,8 @@ class DefconEngine:
     memoises them together with the texture perf model (fetch trace +
     cache simulation) across steps with identical offsets/geometry/tile —
     the steady state of serving.  ``None`` (default) creates a private
-    :class:`~repro.kernels.plancache.PlanCache`; pass an existing one to
+    :class:`~repro.kernels.plancache.PlanCache` with the default byte
+    bound (``DEFAULT_MAX_BYTES``); pass an existing one to
     share plans across engines (e.g. a batched and a sequential engine
     over the same model).  The cache is always on: the uncached
     simulation it is bit-identical to is ``run_tex2d(plan_cache=None)``,

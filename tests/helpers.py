@@ -1,7 +1,10 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking, a thread
+hammer and plan-cache byte bounds."""
 
 from __future__ import annotations
 
+import sys
+import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -84,3 +87,56 @@ def check_gradients(make_output: Callable[[], Tensor],
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def resident_bytes(cache) -> int:
+    """A plan cache's ``plan_cache_resident_bytes`` gauge."""
+    return int(cache.registry.get("plan_cache_resident_bytes").value())
+
+
+def entry_bytes(run: Callable) -> int:
+    """The resident bytes ``run(cache)`` leaves in a fresh plan cache:
+    the size of the entries that call stores."""
+    from repro.kernels.plancache import PlanCache
+
+    cache = PlanCache()
+    run(cache)
+    return resident_bytes(cache)
+
+
+def bound_for_entries(sizes: Sequence[int], n: int) -> int:
+    """A ``PlanCache(max_bytes=...)`` bound that keeps exactly ``n``
+    live entries of these byte sizes, whichever ``n`` they are: the ``n``
+    largest fit, and no ``n + 1`` of them do."""
+    sizes = sorted(sizes)
+    bound = sum(sizes[-n:])
+    assert bound < sum(sizes[:n + 1]), f"sizes too uneven to pin {n}"
+    return bound
+
+
+def hammer(n_threads: int, fn: Callable[[int], None]) -> None:
+    """Run ``fn(i)`` on ``n_threads`` threads released together, with a
+    short switch interval; fail on a hung worker or any exception."""
+    start = threading.Barrier(n_threads)
+    errors = []
+
+    def work(i):
+        start.wait()
+        try:
+            fn(i)
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(n_threads)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads), "worker hung"
+    assert not errors, errors

@@ -403,11 +403,7 @@ class ReferencePlanCache(PlanCache):
                 value = build()
                 with self._lock:
                     self._entries[key] = value
-                    self._resident.inc(value.nbytes)
-                    while len(self._entries) > self.max_entries:
-                        _, dropped = self._entries.popitem(last=False)
-                        self._resident.dec(dropped.nbytes)
-                        self.stats.record("evictions")
+                    self._store(key, value.nbytes)
                 return value
             self.stats.record("misses")
             entry = self._get_or_build(key, None, None, trace)
@@ -417,7 +413,7 @@ class ReferencePlanCache(PlanCache):
                 # a kept plan counts once, and only on a live entry
                 if (value is built and slot != "stats"
                         and self._entries.get(key) is entry):
-                    self._resident.inc(built.nbytes)
+                    self._store(key, built.nbytes)
             return value
         finally:
             with self._lock:

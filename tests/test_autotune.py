@@ -91,6 +91,35 @@ class TestAcquisition:
                                    np.array([0.1, 1.0]))
         assert s[1] > s[0]   # more uncertain = more promising
 
+    def test_ei_bit_identical_to_the_scipy_stats_form(self):
+        """``scipy.special.ndtr`` and the PDF written out give the former
+        ``scipy.stats.norm`` EI bit for bit: over random means and
+        spreads, on a z sweep out to ±40, and with std at its 1e-12
+        floor (where z reaches ±1e12)."""
+        import acquisition_reference as ref
+
+        g = rng(5)
+        n = 20_000
+        rand_mean = g.normal(size=n) * 10.0 ** g.integers(-6, 4, size=n)
+        rand_std = np.abs(g.normal(size=n)) * 10.0 ** g.integers(-14, 3,
+                                                                 size=n)
+        z = np.concatenate([np.linspace(-40.0, 40.0, 8001), [-40.0, 40.0]])
+        floor_std = np.array([0.0, -1.0, 1e-15, 1e-13, 1e-12, 2e-12] * 3)
+        floor_mean = np.repeat([0.49, 0.5, 0.51], 6)
+        cases = [(rand_mean, rand_std, 0.7, 0.01),
+                 (rand_mean, rand_std, -3.0, 0.0),
+                 (0.5 - 0.01 - z, np.ones_like(z), 0.5, 0.01),
+                 (0.5 - 0.01 - 40 * rand_std, rand_std, 0.5, 0.01),
+                 (0.5 - 0.01 + 40 * rand_std, rand_std, 0.5, 0.01),
+                 (floor_mean, floor_std, 0.5, 0.01),
+                 (np.float64(0.3), np.float64(0.2), 0.5, 0.01)]
+        for mean, std, best, xi in cases:
+            got = expected_improvement(mean, std, best, xi)
+            want = ref.expected_improvement(mean, std, best, xi)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
 
 class TestBayesianOptimizer:
     def _space(self):
@@ -132,6 +161,36 @@ class TestBayesianOptimizer:
             lambda t: float((t[0] - 7) ** 2 + t[1]), budget=10)
         trace = result.best_trace()
         assert all(a >= b for a, b in zip(trace, trace[1:]))
+
+    def test_histories_match_the_scipy_stats_form_on_tied_values(
+            self, monkeypatch):
+        """300 searches over random tile spaces whose objective takes
+        only four distinct values, so expected improvements tie often:
+        every history equals the one the former ``scipy.stats`` EI
+        gives."""
+        import acquisition_reference as ref
+        import repro.autotune.bayesopt as bayesopt
+
+        g = rng(11)
+        extents = (2, 4, 8, 16, 32, 64)
+        searches = []
+        for _ in range(300):
+            tiles = [(ty, tx) for ty in extents for tx in extents
+                     if g.random() < 0.5] or [(2, 2)]
+            values = dict(zip(tiles, g.integers(0, 4, size=len(tiles))
+                              .astype(float)))
+            searches.append((SearchSpace.from_tiles(tiles), values,
+                             int(g.integers(1000)), int(g.integers(5, 16))))
+
+        def histories():
+            return [BayesianOptimizer(space, seed=seed).minimize(
+                        values.__getitem__, budget=budget).history
+                    for space, values, seed, budget in searches]
+
+        today = histories()
+        monkeypatch.setattr(bayesopt, "expected_improvement",
+                            ref.expected_improvement)
+        assert histories() == today
 
     def test_matches_or_beats_random_on_structured_objective(self):
         space = self._space()

@@ -230,6 +230,60 @@ class TestServeAndTiles:
         assert len(err) == 1 and err[0].startswith("error:")
         assert str(path) in err[0]
 
+    @pytest.mark.parametrize("span, field, span_id", [
+        ({"ts": 1.0, "dur": 1.0}, "name", None),
+        ({"name": "op", "ts": "12", "dur": 1.0}, "ts", None),
+        ({"name": "op", "ts": "12", "dur": 1.0}, "ts", "s1"),
+    ], ids=["no-name", "string-ts", "string-ts-span-id"])
+    def test_trace_open_rejects_a_span_it_cannot_print(
+            self, tmp_path, capsys, span, field, span_id):
+        """A span another tool wrote with no name, or with a string ts,
+        ends in one ``error:`` line naming the span and the field."""
+        import json
+
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps({"traceEvents": [
+            dict(span, ph="X", args={"span_id": "s1"})]}))
+        argv = ["trace", "--open", str(path)]
+        assert main(argv + (["--span-id", span_id] if span_id else [])) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "'s1'" in err[0] and f"field '{field}'" in err[0]
+        assert captured.out == ""
+
+    def test_a_reader_that_closes_early_gets_no_traceback(self, tmp_path):
+        """``repro trace --open`` on a 3,000-span trace into a reader that
+        stops after three lines, as ``| head -3`` does: the CLI exits 1
+        with nothing on stderr."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps({"traceEvents": [
+            {"ph": "X", "name": f"op{i}", "cat": "test", "ts": float(i),
+             "dur": 1.0, "pid": 1, "tid": 1, "args": {"span_id": f"s{i}"}}
+            for i in range(3000)]}))
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "trace", "--open",
+             str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env)
+        try:
+            head = [proc.stdout.readline() for _ in range(3)]
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert b"Spans in" in head[0]
+        assert proc.returncode == 1
+        assert err == b""
+
     def test_trace_open_expands_a_span_a_tracer_wrote(self, tmp_path,
                                                        capsys):
         """A real SpanTracer, nested spans on two threads: every ``X``

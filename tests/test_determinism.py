@@ -107,7 +107,7 @@ class TestPlanCacheDeterminism:
         cfg = LayerConfig(8, 8, 12, 12, deformable_groups=2)
         base = run_layer_all_backends(cfg, XAVIER, bound=7.0, seed=3,
                                       compute_output=True)
-        cache = PlanCache(max_entries=8)
+        cache = PlanCache()
         cold = run_layer_all_backends(cfg, XAVIER, bound=7.0, seed=3,
                                       compute_output=True, plan_cache=cache)
         warm = run_layer_all_backends(cfg, XAVIER, bound=7.0, seed=3,

@@ -47,6 +47,39 @@ class TestEngineBasics:
         names = {r["kernel"] for r in eng.nvprof_rows()}
         assert "deformable_tex2dpp" in names
 
+    def test_an_autotuned_engine_leaves_scipy_stats_unimported(self):
+        """No module an engine imports or runs reads ``scipy.stats``
+        (38 MB resident with SciPy 1.17): a fresh interpreter that
+        imports ``repro.pipeline`` and builds an engine whose Bayesian
+        tile search scores candidates by expected improvement never
+        loads it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import sys\n"
+            "import repro.pipeline\n"
+            "from repro.gpusim import XAVIER\n"
+            "from repro.models import build_yolact\n"
+            "from repro.nas import manual_interval_placement\n"
+            "model = build_yolact('r50s', bound=7.0, seed=0,\n"
+            "                     placement=manual_interval_placement(9, 3))\n"
+            "eng = repro.pipeline.DefconEngine(model, XAVIER, autotune=True,\n"
+            "                                  tune_budget=6)\n"
+            "assert eng.tune_evaluations > 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('scipy.stats')))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True,
+                                timeout=600)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "[]"
+
     def test_autotune_binds_tiles(self, yolact):
         eng = DefconEngine(yolact, XAVIER, backend="tex2d", autotune=True,
                            tune_budget=6)

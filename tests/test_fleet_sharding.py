@@ -369,7 +369,7 @@ class TestShardBitIdentity:
         and at N = 4."""
         for cfg, (x, off, w, b, base) in ((SMALL, arrays),
                                           (BATCHED, self._arrays(BATCHED))):
-            pc = PlanCache(max_entries=8)
+            pc = PlanCache()
             for _ in ("cold", "warm"):
                 shards = [s for s in enumerate_shards(cfg, kind, weights)
                           if s is not None]

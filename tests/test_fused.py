@@ -12,9 +12,6 @@ clean rebuild after eviction, coalesced concurrent builds, resident
 bytes, and digest-on-quantised-offsets keying for tex2D++.
 """
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -25,7 +22,8 @@ from repro.kernels.fused import build_fused_plan
 from repro.kernels.shards import enumerate_shards, run_shard
 from repro.kernels.tex2d import eager_tex2d_forward, run_tex2d
 
-from helpers import rng
+from helpers import (bound_for_entries, entry_bytes, hammer,
+                     resident_bytes, rng)
 
 GEOMETRIES = [
     LayerConfig(8, 8, 20, 20),
@@ -136,11 +134,14 @@ def test_fused_plan_evicted_mid_stream_rebuilds_cleanly():
     it; the next call rebuilds and stays bit-identical."""
     cfg = GEOMETRIES[0]
     x, off, w, b = _inputs(cfg)
-    pc = PlanCache(max_entries=1)
+    other = synth_offsets(cfg, seed=99)
+    pc = PlanCache(max_bytes=bound_for_entries(
+        [entry_bytes(lambda c: run_tex2d(x, o, w, b, cfg, XAVIER,
+                                         plan_cache=c))
+         for o in (off, other)], 1))
     expected = run_tex2d(x, off, w, b, cfg, XAVIER).output
     run_tex2d(x, off, w, b, cfg, XAVIER, plan_cache=pc)
     # a different offset tensor claims the only slot → eviction
-    other = synth_offsets(cfg, seed=99)
     run_tex2d(x, other, w, b, cfg, XAVIER, plan_cache=pc)
     assert len(pc) == 1
     out = run_tex2d(x, off, w, b, cfg, XAVIER, plan_cache=pc).output
@@ -177,7 +178,7 @@ def test_cached_plan_holds_only_its_tap_tables():
     (plan,) = entry.fused.values()
     assert plan.nbytes == plan.idx.nbytes + plan.wts.nbytes == 1_769_472
     assert entry.y0 is None and entry.x0 is None   # exact trace: lines only
-    assert _resident(pc) == entry.nbytes
+    assert resident_bytes(pc) == entry.nbytes
 
 
 def test_build_fused_plan_rejects_oversize_texture():
@@ -223,36 +224,6 @@ def test_fp16_digest_dedupes_quantisation_equivalent_offsets():
 # ----------------------------------------------------------------------
 # concurrency: misses coalesce onto one build; mixed traffic stays exact
 # ----------------------------------------------------------------------
-def _resident(pc):
-    return pc.registry.get("plan_cache_resident_bytes").value()
-
-
-def _hammer(n_threads, fn):
-    start = threading.Barrier(n_threads)
-    errors = []
-
-    def work(i):
-        start.wait()
-        try:
-            fn(i)
-        except Exception as exc:  # pragma: no cover - failure reporting
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(i,))
-               for i in range(n_threads)]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads), "worker hung"
-    assert not errors, errors
-
-
 def test_concurrent_misses_build_trace_exactly_once():
     """The double-build race: N threads missing the same key must
     coalesce onto one trace build — ``trace_builds`` stays exact."""
@@ -260,8 +231,8 @@ def test_concurrent_misses_build_trace_exactly_once():
     _, off, _, _ = _inputs(cfg)
     for trial in range(5):
         pc = PlanCache()
-        _hammer(8, lambda i: run_tex2d(None, off, None, None, cfg, XAVIER,
-                                       plan_cache=pc))
+        hammer(8, lambda i: run_tex2d(None, off, None, None, cfg, XAVIER,
+                                      plan_cache=pc))
         assert pc.stats.trace_builds == 1, f"trial {trial}"
         assert len(pc) == 1
 
@@ -278,7 +249,7 @@ def test_concurrent_fused_calls_compile_once_and_agree():
             outs.append(run_tex2d(x, off, w, b, cfg, XAVIER,
                                   plan_cache=pc).output)
 
-        _hammer(6, call)
+        hammer(6, call)
         assert pc.stats.fused_builds == 1, f"trial {trial}"
         assert pc.stats.trace_builds == 1
         for out in outs:
@@ -290,8 +261,8 @@ def test_concurrent_distinct_keys_still_build_each():
     cfg = GEOMETRIES[0]
     offsets = [synth_offsets(cfg, seed=s) for s in range(4)]
     pc = PlanCache()
-    _hammer(8, lambda i: run_tex2d(None, offsets[i % len(offsets)], None,
-                                   None, cfg, XAVIER, plan_cache=pc))
+    hammer(8, lambda i: run_tex2d(None, offsets[i % len(offsets)], None,
+                                  None, cfg, XAVIER, plan_cache=pc))
     assert pc.stats.trace_builds == len(offsets)
     assert len(pc) == len(offsets)
 
@@ -308,7 +279,9 @@ def test_concurrent_mixed_lookups_with_evictions_stay_exact():
     offsets = [synth_offsets(cfg, sigma=2.0, seed=s) for s in range(6)]
     shards = [s for kind in ("rows", "channels")
               for s in enumerate_shards(cfg, kind, (1, 1))]
-    pc = PlanCache(max_entries=8)
+    # room for about eight whole-layer entries
+    pc = PlanCache(max_bytes=8 * entry_bytes(
+        lambda c: run_tex2d(x, offsets[0], w, b, cfg, XAVIER, plan_cache=c)))
     issued = [0] * 8
     checks = []
 
@@ -335,17 +308,17 @@ def test_concurrent_mixed_lookups_with_evictions_stay_exact():
             checks.append(("shard", off, shard, res))
             issued[i] += 6   # two lookups per call
 
-    _hammer(8, work)
+    hammer(8, work)
     stats = pc.stats
     assert stats.hits + stats.misses == sum(issued)
     assert stats.evictions > 0
-    assert len(pc) <= pc.max_entries
+    assert resident_bytes(pc) <= pc.max_bytes
     assert not pc._building, "in-flight build guard left behind"
     resident = sum(e.nbytes for e in pc._entries.values())
     assert resident > 0 and any(p.shard is not None
                                 for e in pc._entries.values()
                                 for p in e.fused.values())
-    assert _resident(pc) == resident
+    assert resident_bytes(pc) == resident
     for kind, off, shard, res in checks:
         if kind == "shard":
             ref = run_shard(x, off, cfg, XAVIER, shard)
@@ -356,7 +329,7 @@ def test_concurrent_mixed_lookups_with_evictions_stay_exact():
         assert np.array_equal(res.output, ref.output), kind
         assert _stats_dicts(res) == _stats_dicts(ref), kind
     pc.clear()
-    assert _resident(pc) == 0 == sum(e.nbytes for e in pc._entries.values())
+    assert resident_bytes(pc) == 0 == sum(e.nbytes for e in pc._entries.values())
 
 
 # ----------------------------------------------------------------------

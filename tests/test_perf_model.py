@@ -19,7 +19,7 @@ from repro.kernels import LayerConfig, PlanCache, offsets_digest, synth_offsets
 from repro.kernels.tex2d import run_tex2d
 from repro.obs import MetricsRegistry, SpanTracer
 
-from helpers import rng
+from helpers import bound_for_entries, entry_bytes, rng
 
 GEOMETRIES = [
     LayerConfig(8, 8, 20, 20),
@@ -123,8 +123,13 @@ def test_plan_cache_distinguishes_offsets():
 def test_plan_cache_lru_eviction_stays_correct():
     cfg = GEOMETRIES[0]
     registry = MetricsRegistry()
-    cache = PlanCache(max_entries=1, registry=registry)
     offs = [synth_offsets(cfg, seed=s) for s in range(3)]
+    # a bound in bytes that keeps one of these entries live
+    sizes = [entry_bytes(lambda c: run_tex2d(None, off, None, None, cfg,
+                                             XAVIER, plan_cache=c))
+             for off in offs]
+    cache = PlanCache(max_bytes=bound_for_entries(sizes, 1),
+                      registry=registry)
     refs = [run_tex2d(None, off, None, None, cfg, XAVIER)
             for off in offs]
     # cycle twice through 3 offset tensors with capacity 1: every lookup

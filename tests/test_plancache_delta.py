@@ -14,7 +14,7 @@ from repro.kernels import LayerConfig, PlanCache, synth_offsets
 from repro.kernels.tex2d import run_tex2d
 from repro.obs import MetricsRegistry
 
-from helpers import rng
+from helpers import bound_for_entries, entry_bytes, rng
 
 CFG = LayerConfig(8, 8, 20, 20)
 
@@ -26,7 +26,8 @@ def _perturb(off, eps, seed=1):
 
 
 class TestMultiStreamPressure:
-    """K concurrent offset streams against max_entries < K."""
+    """K concurrent offset streams against a byte bound that holds 2 of
+    their entries."""
 
     K = 4
 
@@ -41,15 +42,18 @@ class TestMultiStreamPressure:
 
     def test_evictions_counted_and_outputs_exact(self):
         x, offs, w, b = self._stream_inputs()
+        frames = {(s, frame): offs[s] if frame == 0
+                  else _perturb(offs[s], 0.1, seed=100 + s)
+                  for frame in range(2) for s in range(self.K)}
         reg = MetricsRegistry()
-        pc = PlanCache(max_entries=2, registry=reg)
+        pc = PlanCache(max_bytes=bound_for_entries(
+            [entry_bytes(lambda c: run_tex2d(x, off, w, b, CFG, XAVIER,
+                                             plan_cache=c))
+             for off in frames.values()], 2), registry=reg)
         outs = {}
-        for frame in range(2):
-            for s in range(self.K):
-                off = offs[s] if frame == 0 \
-                    else _perturb(offs[s], 0.1, seed=100 + s)
-                res = run_tex2d(x, off, w, b, CFG, XAVIER, plan_cache=pc)
-                outs[(s, frame)] = (off, res.output)
+        for key, off in frames.items():
+            res = run_tex2d(x, off, w, b, CFG, XAVIER, plan_cache=pc)
+            outs[key] = (off, res.output)
         # 2 live entries vs 2K distinct digests: the LRU must have evicted
         assert len(pc) == 2
         assert pc.stats.evictions == 2 * self.K - 2
